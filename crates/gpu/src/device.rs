@@ -1,7 +1,6 @@
 //! A simulated GPU device: execution engine + memory + usage accounting.
 
-use std::collections::{HashMap, HashSet};
-
+use ks_sim_core::fxhash::{FxHashMap, FxHashSet};
 use ks_sim_core::time::{SimDuration, SimTime};
 use ks_sim_core::timeseries::BusyIntegrator;
 
@@ -51,8 +50,8 @@ pub struct GpuDevice {
     mem: MemoryPool,
     engine: ExecEngine,
     busy: BusyIntegrator,
-    ctx_busy: HashMap<ContextId, SimDuration>,
-    attached: HashSet<ContextId>,
+    ctx_busy: FxHashMap<ContextId, SimDuration>,
+    attached: FxHashSet<ContextId>,
     next_ctx: u64,
 }
 
@@ -66,8 +65,8 @@ impl GpuDevice {
             spec,
             engine: ExecEngine::new(),
             busy: BusyIntegrator::new(SimTime::ZERO, 0.0),
-            ctx_busy: HashMap::new(),
-            attached: HashSet::new(),
+            ctx_busy: FxHashMap::default(),
+            attached: FxHashSet::default(),
             next_ctx: 1,
         }
     }

@@ -6,7 +6,7 @@
 //! capacity so native (unguarded) allocation still fails realistically when
 //! the device itself is exhausted.
 
-use std::collections::HashMap;
+use ks_sim_core::fxhash::FxHashMap;
 
 use crate::types::{ContextId, CudaError, DevicePtr};
 
@@ -23,8 +23,8 @@ pub struct MemoryPool {
     capacity: u64,
     used: u64,
     next_ptr: u64,
-    allocations: HashMap<DevicePtr, Allocation>,
-    per_ctx: HashMap<ContextId, u64>,
+    allocations: FxHashMap<DevicePtr, Allocation>,
+    per_ctx: FxHashMap<ContextId, u64>,
 }
 
 impl MemoryPool {
@@ -34,8 +34,8 @@ impl MemoryPool {
             capacity,
             used: 0,
             next_ptr: 0x7f00_0000_0000, // decorative; real pointers look like this
-            allocations: HashMap::new(),
-            per_ctx: HashMap::new(),
+            allocations: FxHashMap::default(),
+            per_ctx: FxHashMap::default(),
         }
     }
 

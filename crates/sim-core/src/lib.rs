@@ -36,6 +36,7 @@
 #![warn(missing_docs)]
 
 pub mod engine;
+pub mod fxhash;
 pub mod histogram;
 pub mod queue;
 pub mod rng;

@@ -2,12 +2,15 @@
 //!
 //! Ties at the same instant are broken by insertion order, which makes
 //! simulations deterministic: the same schedule calls always replay in the
-//! same order. Events can be cancelled by [`EventId`]; cancellation is O(1)
-//! (a tombstone), with lazy removal on pop.
+//! same order. Events can be cancelled by [`EventId`]: cancellation leaves a
+//! tombstone, and the cancelled entry is dropped lazily when it reaches the
+//! front. Scheduling touches nothing but the heap, and popping reads the
+//! tombstone set only while it is non-empty.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
+use crate::fxhash::FxHashSet;
 use crate::time::{SimDuration, SimTime};
 
 /// Identifies a scheduled event so it can be cancelled before it fires.
@@ -46,8 +49,8 @@ impl<E> Ord for Entry<E> {
 /// Priority queue of future events.
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
-    /// Sequence numbers of events that are in `heap` and not cancelled.
-    pending: HashSet<u64>,
+    /// Sequence numbers of entries still in `heap` that were cancelled.
+    cancelled: FxHashSet<u64>,
     next_seq: u64,
     now: SimTime,
 }
@@ -63,7 +66,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            pending: HashSet::new(),
+            cancelled: FxHashSet::default(),
             next_seq: 0,
             now: SimTime::ZERO,
         }
@@ -87,7 +90,6 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Entry { at, seq, event });
-        self.pending.insert(seq);
         EventId(seq)
     }
 
@@ -99,39 +101,48 @@ impl<E> EventQueue<E> {
     /// Cancels a scheduled event. Returns `true` if the event had not yet
     /// fired or been cancelled; `false` for already-fired, already-cancelled,
     /// or unknown ids.
+    ///
+    /// Telling a pending id from a fired one scans the heap, so this is
+    /// O(pending events); the simulation's own event paths never cancel.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        self.pending.remove(&id.0)
+        if self.cancelled.contains(&id.0) || !self.heap.iter().any(|e| e.seq == id.0) {
+            return false;
+        }
+        self.cancelled.insert(id.0)
+    }
+
+    /// Pops the front entry if it was cancelled. Returns `false` when the
+    /// front entry is live (or the heap is empty).
+    fn discard_cancelled_front(&mut self) -> bool {
+        match self.heap.peek() {
+            Some(front) if !self.cancelled.is_empty() && self.cancelled.remove(&front.seq) => {
+                self.heap.pop();
+                true
+            }
+            _ => false,
+        }
     }
 
     /// Removes and returns the earliest pending event, advancing the clock
     /// to its firing time. Returns `None` when the queue is drained.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(entry) = self.heap.pop() {
-            if !self.pending.remove(&entry.seq) {
-                continue; // cancelled
-            }
-            debug_assert!(entry.at >= self.now, "time went backwards");
-            self.now = entry.at;
-            return Some((entry.at, entry.event));
-        }
-        None
+        while self.discard_cancelled_front() {}
+        let entry = self.heap.pop()?;
+        debug_assert!(entry.at >= self.now, "time went backwards");
+        self.now = entry.at;
+        Some((entry.at, entry.event))
     }
 
     /// The firing time of the next live event, if any, without popping it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(entry) = self.heap.peek() {
-            if !self.pending.contains(&entry.seq) {
-                self.heap.pop();
-                continue;
-            }
-            return Some(entry.at);
-        }
-        None
+        while self.discard_cancelled_front() {}
+        self.heap.peek().map(|e| e.at)
     }
 
     /// Number of live (non-cancelled) pending events.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        // Every tombstone names an entry still in the heap.
+        self.heap.len() - self.cancelled.len()
     }
 
     /// True if no live events remain.

@@ -60,6 +60,58 @@ proptest! {
         prop_assert_eq!(got, kept);
     }
 
+    /// Interleaved schedule / pop / cancel / peek against a sorted-map
+    /// model: pop order, `len`, `is_empty`, `peek_time` and every `cancel`
+    /// result (including cancel-after-fire and double cancel) agree.
+    #[test]
+    fn queue_state_machine_matches_model(
+        ops in proptest::collection::vec((0u8..5, 0u64..2_000, any::<usize>()), 1..400),
+    ) {
+        use std::collections::BTreeMap;
+
+        let mut q = EventQueue::new();
+        // (time, issue order) -> payload, for events not yet fired or cancelled.
+        let mut model: BTreeMap<(SimTime, usize), usize> = BTreeMap::new();
+        // Every id ever issued, with its model key.
+        let mut issued: Vec<(EventId, (SimTime, usize))> = Vec::new();
+        for (op, delay, pick) in ops {
+            match op {
+                // Schedule (twice as likely as each other op).
+                0 | 1 => {
+                    let at = q.now() + SimDuration::from_micros(delay);
+                    let key = (at, issued.len());
+                    let id = q.schedule_at(at, issued.len());
+                    model.insert(key, issued.len());
+                    issued.push((id, key));
+                }
+                2 => {
+                    let want = model.pop_first().map(|((at, _), e)| (at, e));
+                    prop_assert_eq!(q.pop(), want);
+                }
+                3 => {
+                    if issued.is_empty() {
+                        continue;
+                    }
+                    let (id, key) = issued[pick % issued.len()];
+                    let want = model.remove(&key).is_some();
+                    prop_assert_eq!(q.cancel(id), want);
+                }
+                _ => {
+                    let want = model.keys().next().map(|&(at, _)| at);
+                    prop_assert_eq!(q.peek_time(), want);
+                }
+            }
+            prop_assert_eq!(q.len(), model.len());
+            prop_assert_eq!(q.is_empty(), model.is_empty());
+        }
+        let rest: Vec<(SimTime, usize)> = std::iter::from_fn(|| q.pop()).collect();
+        let want: Vec<(SimTime, usize)> = model.into_iter().map(|((at, _), e)| (at, e)).collect();
+        prop_assert_eq!(rest, want);
+        for (id, _) in issued {
+            prop_assert!(!q.cancel(id), "every id has fired or been cancelled");
+        }
+    }
+
     /// Welford accumulator agrees with the naive two-pass computation.
     #[test]
     fn online_stats_matches_naive(xs in proptest::collection::vec(-1e6f64..1e6, 2..500)) {

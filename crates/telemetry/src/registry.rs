@@ -191,6 +191,12 @@ impl Counter {
     }
 }
 
+impl std::fmt::Debug for Counter {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Counter").field(&self.get()).finish()
+    }
+}
+
 /// Last-write-wins gauge storing an `f64`. `add` uses a CAS loop so that
 /// concurrent deltas from the realtime backend never lose updates.
 #[derive(Clone)]
@@ -257,6 +263,16 @@ impl Histo {
     /// Interpolated quantile; `None` on empty or no-op histograms.
     pub fn quantile(&self, q: f64) -> Option<f64> {
         self.0.as_ref().and_then(|h| h.lock().quantile(q))
+    }
+}
+
+impl std::fmt::Debug for Histo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (count, sum) = self.count_sum();
+        f.debug_struct("Histo")
+            .field("count", &count)
+            .field("sum", &sum)
+            .finish()
     }
 }
 

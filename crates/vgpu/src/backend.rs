@@ -18,10 +18,12 @@
 //! and the embedding simulation routes them back into [`TokenBackend`]
 //! handler methods. Epoch counters make stale events harmless.
 
-use std::collections::{BTreeSet, HashMap};
+use std::cell::OnceCell;
+use std::collections::BTreeSet;
 
+use ks_sim_core::fxhash::FxHashMap;
 use ks_sim_core::time::{SimDuration, SimTime};
-use ks_telemetry::{Telemetry, TraceCtx};
+use ks_telemetry::{Counter, Histo, Telemetry, TraceCtx};
 
 use crate::policy::{select_next, Candidate};
 use crate::spec::ShareSpec;
@@ -124,6 +126,20 @@ pub enum BackendTimer {
     },
 }
 
+/// The backend's per-event metric handles. Each is resolved on first use,
+/// so a series appears in the registry exactly when it would if it were
+/// looked up at the recording site, and is then kept for the life of the
+/// telemetry handle.
+#[derive(Debug, Default)]
+struct Metrics {
+    grants: OnceCell<Counter>,
+    handoff_wait: OnceCell<Histo>,
+    quota_utilization: OnceCell<Histo>,
+    reclaims: OnceCell<Counter>,
+    reclaim_seconds: OnceCell<Histo>,
+    guarantee_violations: OnceCell<Counter>,
+}
+
 /// The token manager for one device.
 #[derive(Debug)]
 pub struct TokenBackend {
@@ -131,22 +147,23 @@ pub struct TokenBackend {
     state: TokenState,
     epoch: u64,
     window: UsageWindow,
-    clients: HashMap<ClientId, ShareSpec>,
+    clients: FxHashMap<ClientId, ShareSpec>,
     /// Containers currently blocked on (or consuming) the token.
     wants: BTreeSet<ClientId>,
     retry_scheduled: bool,
     /// Total number of grants (handoffs) performed, for overhead reporting.
     grants: u64,
     telemetry: Telemetry,
+    metrics: Metrics,
     /// Label value for the `gpu` dimension of exported metrics.
     gpu_label: String,
     /// When each blocked client started waiting (for handoff-wait metrics).
-    waiting_since: HashMap<ClientId, SimTime>,
+    waiting_since: FxHashMap<ClientId, SimTime>,
     /// When the current holder's grant became effective.
     held_since: Option<SimTime>,
     /// Causal trace context per client (the sharePod the client serves),
     /// so grants and reclaims land in the sharePod's trace.
-    client_ctx: HashMap<ClientId, TraceCtx>,
+    client_ctx: FxHashMap<ClientId, TraceCtx>,
 }
 
 impl TokenBackend {
@@ -157,15 +174,16 @@ impl TokenBackend {
             cfg,
             state: TokenState::Free,
             epoch: 0,
-            clients: HashMap::new(),
+            clients: FxHashMap::default(),
             wants: BTreeSet::new(),
             retry_scheduled: false,
             grants: 0,
             telemetry: Telemetry::disabled(),
+            metrics: Metrics::default(),
             gpu_label: String::new(),
-            waiting_since: HashMap::new(),
+            waiting_since: FxHashMap::default(),
             held_since: None,
-            client_ctx: HashMap::new(),
+            client_ctx: FxHashMap::default(),
         }
     }
 
@@ -173,7 +191,13 @@ impl TokenBackend {
     /// metric this backend exports.
     pub fn set_telemetry(&mut self, telemetry: Telemetry, gpu: &str) {
         self.telemetry = telemetry;
+        self.metrics = Metrics::default();
         self.gpu_label = gpu.to_string();
+    }
+
+    /// The `gpu` label value set by [`TokenBackend::set_telemetry`].
+    pub(crate) fn gpu_label(&self) -> &str {
+        &self.gpu_label
     }
 
     /// Attaches the causal trace context of the sharePod a client serves;
@@ -194,14 +218,17 @@ impl TokenBackend {
         if let Some(since) = self.held_since.take() {
             if self.telemetry.is_enabled() {
                 let used = now.saturating_since(since).as_secs_f64();
-                self.telemetry
-                    .histogram_linear(
-                        "ks_vgpu_quota_utilization",
-                        &[("gpu", &self.gpu_label)],
-                        0.0,
-                        1.1,
-                        22,
-                    )
+                self.metrics
+                    .quota_utilization
+                    .get_or_init(|| {
+                        self.telemetry.histogram_linear(
+                            "ks_vgpu_quota_utilization",
+                            &[("gpu", &self.gpu_label)],
+                            0.0,
+                            1.1,
+                            22,
+                        )
+                    })
                     .observe(used / self.cfg.quota.as_secs_f64());
             }
         }
@@ -218,8 +245,12 @@ impl TokenBackend {
         if !matches!(self.state, TokenState::InTransit { .. }) {
             return;
         }
-        self.telemetry
-            .counter("ks_vgpu_lease_reclaims_total", &[("gpu", &self.gpu_label)])
+        self.metrics
+            .reclaims
+            .get_or_init(|| {
+                self.telemetry
+                    .counter("ks_vgpu_lease_reclaims_total", &[("gpu", &self.gpu_label)])
+            })
             .inc();
         let ctx = self
             .client_ctx
@@ -240,8 +271,14 @@ impl TokenBackend {
             // The waiter holds a valid token once the in-flight grant
             // lands, one handoff from now.
             let regrant_at = now + self.cfg.handoff;
-            self.telemetry
-                .histogram_seconds("ks_vgpu_lease_reclaim_seconds", &[("gpu", &self.gpu_label)])
+            self.metrics
+                .reclaim_seconds
+                .get_or_init(|| {
+                    self.telemetry.histogram_seconds(
+                        "ks_vgpu_lease_reclaim_seconds",
+                        &[("gpu", &self.gpu_label)],
+                    )
+                })
                 .observe(regrant_at.saturating_since(from).as_secs_f64());
         }
     }
@@ -424,16 +461,23 @@ impl TokenBackend {
                 self.window.begin_hold(now, to);
                 self.grants += 1;
                 if self.telemetry.is_enabled() {
-                    self.telemetry
-                        .counter("ks_vgpu_token_grants_total", &[("gpu", &self.gpu_label)])
+                    self.metrics
+                        .grants
+                        .get_or_init(|| {
+                            self.telemetry
+                                .counter("ks_vgpu_token_grants_total", &[("gpu", &self.gpu_label)])
+                        })
                         .inc();
                     let waited_from = self.waiting_since.remove(&to);
                     if let Some(since) = waited_from {
-                        self.telemetry
-                            .histogram_seconds(
-                                "ks_vgpu_handoff_wait_seconds",
-                                &[("gpu", &self.gpu_label)],
-                            )
+                        self.metrics
+                            .handoff_wait
+                            .get_or_init(|| {
+                                self.telemetry.histogram_seconds(
+                                    "ks_vgpu_handoff_wait_seconds",
+                                    &[("gpu", &self.gpu_label)],
+                                )
+                            })
                             .observe(now.saturating_since(since).as_secs_f64());
                     }
                     self.held_since = Some(now);
@@ -553,11 +597,14 @@ impl TokenBackend {
                         .iter()
                         .any(|c| c.client != next && c.usage < c.spec.request - 1e-9);
                     if winner_over && someone_under {
-                        self.telemetry
-                            .counter(
-                                "ks_token_guarantee_violations_total",
-                                &[("gpu", &self.gpu_label)],
-                            )
+                        self.metrics
+                            .guarantee_violations
+                            .get_or_init(|| {
+                                self.telemetry.counter(
+                                    "ks_token_guarantee_violations_total",
+                                    &[("gpu", &self.gpu_label)],
+                                )
+                            })
                             .inc();
                     }
                 }

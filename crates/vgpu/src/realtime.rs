@@ -21,7 +21,7 @@
 //! polling. The thread holds only a [`std::sync::Weak`] reference and
 //! exits once the backend and all its frontends are gone.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
@@ -29,8 +29,9 @@ use parking_lot::{Condvar, Mutex};
 use crate::policy::{select_next, Candidate};
 use crate::spec::ShareSpec;
 use crate::window::{ClientId, UsageWindow};
+use ks_sim_core::fxhash::FxHashMap;
 use ks_sim_core::time::{SimDuration, SimTime};
-use ks_telemetry::{Telemetry, TraceCtx};
+use ks_telemetry::{Counter, Histo, Telemetry, TraceCtx};
 
 /// Tunables for the realtime backend.
 #[derive(Debug, Clone, Copy)]
@@ -63,12 +64,12 @@ struct State {
     holder: Option<Holder>,
     waiting: std::collections::BTreeSet<ClientId>,
     window: UsageWindow,
-    specs: std::collections::HashMap<ClientId, ShareSpec>,
+    specs: FxHashMap<ClientId, ShareSpec>,
     /// Causal trace context per client, so realtime grants and reaps land
     /// in the same sharePod span trees as the discrete-event backend's.
-    ctxs: std::collections::HashMap<ClientId, TraceCtx>,
+    ctxs: FxHashMap<ClientId, TraceCtx>,
     /// Device-memory bytes allocated per client (the memory guard).
-    mem_used: std::collections::HashMap<ClientId, u64>,
+    mem_used: FxHashMap<ClientId, u64>,
     next_id: u64,
     next_gen: u64,
     grants: u64,
@@ -82,6 +83,11 @@ struct Inner {
     /// Wall-clock instants are mapped onto `SimTime` through `start`, so
     /// realtime traces share the discrete-event trace format.
     telemetry: Telemetry,
+    /// Metric handles, resolved on first use (under the state lock, once)
+    /// and then recorded against without touching the registry.
+    grants_total: OnceLock<Counter>,
+    acquire_wait: OnceLock<Histo>,
+    lease_reaps: OnceLock<Counter>,
 }
 
 impl Inner {
@@ -98,8 +104,8 @@ impl Inner {
                 st.holder = None;
                 st.window.end_hold(end, id);
                 if self.telemetry.is_enabled() {
-                    self.telemetry
-                        .counter("ks_vgpu_rt_lease_reaps_total", &[])
+                    self.lease_reaps
+                        .get_or_init(|| self.telemetry.counter("ks_vgpu_rt_lease_reaps_total", &[]))
                         .inc();
                     let ctx = st.ctxs.get(&id).copied().unwrap_or(TraceCtx::NONE);
                     self.telemetry.trace_event_in(
@@ -146,6 +152,9 @@ impl RtBackend {
             start: Instant::now(),
             cfg,
             telemetry,
+            grants_total: OnceLock::new(),
+            acquire_wait: OnceLock::new(),
+            lease_reaps: OnceLock::new(),
         });
         let weak = Arc::downgrade(&inner);
         let interval = (cfg.quota / 4).max(Duration::from_millis(1));
@@ -285,11 +294,19 @@ impl RtFrontend {
                         st.grants += 1;
                         st.window.begin_hold(sim_now, self.id);
                         st.waiting.remove(&self.id);
-                        let telemetry = &self.inner.telemetry;
+                        let inner = &*self.inner;
+                        let telemetry = &inner.telemetry;
                         if telemetry.is_enabled() {
-                            telemetry.counter("ks_vgpu_rt_grants_total", &[]).inc();
-                            telemetry
-                                .histogram_seconds("ks_vgpu_rt_acquire_wait_seconds", &[])
+                            inner
+                                .grants_total
+                                .get_or_init(|| telemetry.counter("ks_vgpu_rt_grants_total", &[]))
+                                .inc();
+                            inner
+                                .acquire_wait
+                                .get_or_init(|| {
+                                    telemetry
+                                        .histogram_seconds("ks_vgpu_rt_acquire_wait_seconds", &[])
+                                })
                                 .observe(now.duration_since(wait_start).as_secs_f64());
                             // Retroactive span covering the acquire wait,
                             // parented into the client's causal trace (if

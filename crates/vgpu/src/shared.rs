@@ -17,13 +17,15 @@
 //! | Aliyun gpushare   | no                | yes              |
 //! | GaiaGPU, KubeShare| yes               | yes              |
 
-use std::collections::{HashMap, VecDeque};
+use std::cell::OnceCell;
+use std::collections::VecDeque;
 
 use ks_gpu::device::GpuDevice;
 use ks_gpu::engine::KernelTag;
 use ks_gpu::types::{ContextId, CudaError, DevicePtr};
+use ks_sim_core::fxhash::FxHashMap;
 use ks_sim_core::time::{SimDuration, SimTime};
-use ks_telemetry::Telemetry;
+use ks_telemetry::{Counter, Telemetry};
 
 use crate::backend::{BackendTimer, TokenBackend, VgpuConfig};
 use crate::spec::ShareSpec;
@@ -119,7 +121,16 @@ struct Frontend {
     /// extension; always 0 under [`SwapPolicy::Disabled`]).
     host_swapped: u64,
     /// Synthetic pointers backing host-swapped allocations.
-    swapped_ptrs: HashMap<DevicePtr, u64>,
+    swapped_ptrs: FxHashMap<DevicePtr, u64>,
+}
+
+/// Per-burst counters, resolved on first use (so the series appear with
+/// the first burst, not at attach time) and kept until the telemetry
+/// handle changes.
+#[derive(Debug, Default)]
+struct Metrics {
+    bursts_submitted: OnceCell<Counter>,
+    bursts_completed: OnceCell<Counter>,
 }
 
 /// A device under vGPU management. See module docs.
@@ -129,10 +140,10 @@ pub struct SharedGpu {
     backend: TokenBackend,
     mode: IsolationMode,
     swap: SwapPolicy,
-    fronts: HashMap<ClientId, Frontend>,
-    ctx_to_client: HashMap<ContextId, ClientId>,
+    fronts: FxHashMap<ClientId, Frontend>,
+    ctx_to_client: FxHashMap<ContextId, ClientId>,
     /// device KernelTag -> (client, caller tag)
-    tags: HashMap<u64, (ClientId, u64)>,
+    tags: FxHashMap<u64, (ClientId, u64)>,
     next_client: u64,
     next_tag: u64,
     next_swap_ptr: u64,
@@ -142,6 +153,7 @@ pub struct SharedGpu {
     /// layer's `VgpuDegrade` fault; composes with the swap penalty.
     degraded_factor: f64,
     telemetry: Telemetry,
+    metrics: Metrics,
 }
 
 /// Scheduled events produced by a [`SharedGpu`] call: `(fire_at, event)`.
@@ -155,14 +167,15 @@ impl SharedGpu {
             backend: TokenBackend::new(cfg),
             mode,
             swap: SwapPolicy::Disabled,
-            fronts: HashMap::new(),
-            ctx_to_client: HashMap::new(),
-            tags: HashMap::new(),
+            fronts: FxHashMap::default(),
+            ctx_to_client: FxHashMap::default(),
+            tags: FxHashMap::default(),
             next_client: 1,
             next_tag: 1,
             next_swap_ptr: 0,
             degraded_factor: 1.0,
             telemetry: Telemetry::disabled(),
+            metrics: Metrics::default(),
         }
     }
 
@@ -196,6 +209,7 @@ impl SharedGpu {
         let uuid = self.device.uuid().to_string();
         self.backend.set_telemetry(telemetry.clone(), &uuid);
         self.telemetry = telemetry;
+        self.metrics = Metrics::default();
     }
 
     /// Associates a container with the causal trace of the sharePod it
@@ -255,7 +269,7 @@ impl SharedGpu {
                 inflight: false,
                 idle_since: None,
                 host_swapped: 0,
-                swapped_ptrs: HashMap::new(),
+                swapped_ptrs: FxHashMap::default(),
             },
         );
         self.ctx_to_client.insert(ctx, client);
@@ -384,9 +398,14 @@ impl SharedGpu {
     ) {
         assert!(self.fronts.contains_key(&client), "{client} not attached");
         if self.telemetry.is_enabled() {
-            let uuid = self.device.uuid().to_string();
-            self.telemetry
-                .counter("ks_vgpu_bursts_submitted_total", &[("gpu", uuid.as_str())])
+            self.metrics
+                .bursts_submitted
+                .get_or_init(|| {
+                    self.telemetry.counter(
+                        "ks_vgpu_bursts_submitted_total",
+                        &[("gpu", self.backend.gpu_label())],
+                    )
+                })
                 .inc();
         }
         let fe = self.fronts.get_mut(&client).unwrap();
@@ -477,9 +496,14 @@ impl SharedGpu {
             tag: user_tag,
         });
         if self.telemetry.is_enabled() {
-            let uuid = self.device.uuid().to_string();
-            self.telemetry
-                .counter("ks_vgpu_bursts_completed_total", &[("gpu", uuid.as_str())])
+            self.metrics
+                .bursts_completed
+                .get_or_init(|| {
+                    self.telemetry.counter(
+                        "ks_vgpu_bursts_completed_total",
+                        &[("gpu", self.backend.gpu_label())],
+                    )
+                })
                 .inc();
         }
         if !self.mode.compute {
@@ -964,5 +988,60 @@ mod tests {
         assert_eq!(eng.world.gpu.device().memory().used(), 0);
         // The in-flight kernel completed silently: no notice.
         assert!(eng.world.notices.is_empty());
+    }
+
+    /// Submits `n` back-to-back bursts for `c` and runs them to completion.
+    fn run_bursts(eng: &mut Engine<Harness, Ev>, c: ClientId, n: u64) {
+        let now = eng.now();
+        let mut out = Vec::new();
+        for tag in 0..n {
+            eng.world
+                .gpu
+                .submit_burst(now, c, SimDuration::from_millis(30), tag, &mut out);
+        }
+        seed(eng, out);
+        assert_eq!(eng.run_to_completion(100_000), RunOutcome::Drained);
+    }
+
+    #[test]
+    fn metric_handles_register_lazily_and_follow_set_telemetry() {
+        let mut eng = new_harness(IsolationMode::FULL, 100);
+        let first = Telemetry::enabled();
+        eng.world.gpu.set_telemetry(first.clone());
+        let c = eng.world.gpu.attach(ShareSpec::exclusive());
+        let uuid = eng.world.gpu.device().uuid().to_string();
+        let gpu = [("gpu", uuid.as_str())];
+        let count = |t: &Telemetry, name: &str| t.snapshot().counter_value(name, &gpu);
+
+        // Attaching resolves nothing: no zero-valued series appear early.
+        for name in [
+            "ks_vgpu_bursts_submitted_total",
+            "ks_vgpu_bursts_completed_total",
+            "ks_vgpu_token_grants_total",
+        ] {
+            assert_eq!(count(&first, name), None, "{name} registered before use");
+        }
+
+        run_bursts(&mut eng, c, 7);
+        assert_eq!(count(&first, "ks_vgpu_bursts_submitted_total"), Some(7));
+        assert_eq!(count(&first, "ks_vgpu_bursts_completed_total"), Some(7));
+        let grants = eng.world.gpu.grant_count();
+        assert!(grants >= 1);
+        assert_eq!(count(&first, "ks_vgpu_token_grants_total"), Some(grants));
+
+        // A new handle gets the increments from here on; the old one keeps
+        // what it had.
+        let second = Telemetry::enabled();
+        eng.world.gpu.set_telemetry(second.clone());
+        run_bursts(&mut eng, c, 4);
+        assert_eq!(count(&second, "ks_vgpu_bursts_submitted_total"), Some(4));
+        assert_eq!(count(&second, "ks_vgpu_bursts_completed_total"), Some(4));
+        assert_eq!(
+            count(&second, "ks_vgpu_token_grants_total"),
+            Some(eng.world.gpu.grant_count() - grants)
+        );
+        assert_eq!(count(&first, "ks_vgpu_bursts_submitted_total"), Some(7));
+        assert_eq!(count(&first, "ks_vgpu_bursts_completed_total"), Some(7));
+        assert_eq!(count(&first, "ks_vgpu_token_grants_total"), Some(grants));
     }
 }

@@ -20,11 +20,12 @@
 //! of its own: `launch` returns the completion time and the embedding
 //! simulation schedules it.
 
-use std::collections::HashMap;
+use std::cell::OnceCell;
 
 use ks_partition::{Profile, SLOTS_PER_GPU};
+use ks_sim_core::fxhash::FxHashMap;
 use ks_sim_core::time::{SimDuration, SimTime};
-use ks_telemetry::Telemetry;
+use ks_telemetry::{Counter, Histo, Telemetry};
 
 use crate::window::ClientId;
 
@@ -74,26 +75,36 @@ struct SliceState {
     busy_total: SimDuration,
 }
 
+/// Per-launch metric handles, resolved on first use and kept until the
+/// telemetry handle changes.
+#[derive(Debug, Default)]
+struct Metrics {
+    launches: OnceCell<Counter>,
+    queue_wait: OnceCell<Histo>,
+}
+
 /// The slice manager for one partitioned device.
 #[derive(Debug)]
 pub struct SliceBackend {
-    tenants: HashMap<ClientId, SliceState>,
+    tenants: FxHashMap<ClientId, SliceState>,
     /// Occupied-slot bitmask (low [`SLOTS_PER_GPU`] bits).
     occupied: u8,
     launches: u64,
     telemetry: Telemetry,
     gpu_label: String,
+    metrics: Metrics,
 }
 
 impl SliceBackend {
     /// Creates an empty slice backend.
     pub fn new() -> Self {
         SliceBackend {
-            tenants: HashMap::new(),
+            tenants: FxHashMap::default(),
             occupied: 0,
             launches: 0,
             telemetry: Telemetry::disabled(),
             gpu_label: String::new(),
+            metrics: Metrics::default(),
         }
     }
 
@@ -102,6 +113,7 @@ impl SliceBackend {
     pub fn set_telemetry(&mut self, telemetry: Telemetry, gpu: &str) {
         self.telemetry = telemetry;
         self.gpu_label = gpu.to_string();
+        self.metrics = Metrics::default();
     }
 
     fn span_mask(start: u8, slots: u8) -> u8 {
@@ -171,17 +183,24 @@ impl SliceBackend {
         s.busy_total += scaled;
         self.launches += 1;
         if self.telemetry.is_enabled() {
-            self.telemetry
-                .counter("ks_vgpu_slice_launches_total", &[("gpu", &self.gpu_label)])
+            self.metrics
+                .launches
+                .get_or_init(|| {
+                    self.telemetry
+                        .counter("ks_vgpu_slice_launches_total", &[("gpu", &self.gpu_label)])
+                })
                 .inc();
             // Queueing inside the tenant's own slice; cross-tenant wait is
             // structurally zero, which is the isolation argument in one
             // histogram.
-            self.telemetry
-                .histogram_seconds(
-                    "ks_vgpu_slice_queue_wait_seconds",
-                    &[("gpu", &self.gpu_label)],
-                )
+            self.metrics
+                .queue_wait
+                .get_or_init(|| {
+                    self.telemetry.histogram_seconds(
+                        "ks_vgpu_slice_queue_wait_seconds",
+                        &[("gpu", &self.gpu_label)],
+                    )
+                })
                 .observe(begin.saturating_since(now).as_secs_f64());
         }
         Ok(done)

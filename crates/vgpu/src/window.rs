@@ -6,8 +6,9 @@
 //! `window` did this client hold the token?" — the quantity the backend's
 //! elastic scheduling policy filters and ranks on.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
+use ks_sim_core::fxhash::FxHashMap;
 use ks_sim_core::time::{SimDuration, SimTime};
 
 /// Identifies a container attached to a shared GPU.
@@ -26,14 +27,24 @@ struct Interval {
     end: SimTime,
 }
 
+/// One client's hold history.
+#[derive(Debug, Default)]
+struct Holds {
+    /// Closed hold intervals, oldest first. They are disjoint and sorted:
+    /// a client opens a new hold only after closing the previous one.
+    closed: VecDeque<Interval>,
+    /// Exact sum of the lengths of `closed`, kept in step with it so a
+    /// usage query need not re-sum the intervals.
+    closed_total: SimDuration,
+    /// Hold currently open (token held right now).
+    open: Option<SimTime>,
+}
+
 /// Per-client sliding-window usage tracker.
 #[derive(Debug)]
 pub struct UsageWindow {
     window: SimDuration,
-    /// Closed hold intervals, oldest first, per client.
-    closed: HashMap<ClientId, VecDeque<Interval>>,
-    /// Hold currently open (token held right now), per client.
-    open: HashMap<ClientId, SimTime>,
+    clients: FxHashMap<ClientId, Holds>,
 }
 
 impl UsageWindow {
@@ -42,8 +53,7 @@ impl UsageWindow {
         assert!(!window.is_zero(), "window must be positive");
         UsageWindow {
             window,
-            closed: HashMap::new(),
-            open: HashMap::new(),
+            clients: FxHashMap::default(),
         }
     }
 
@@ -57,7 +67,7 @@ impl UsageWindow {
     /// # Panics
     /// Panics if the client already has an open hold.
     pub fn begin_hold(&mut self, now: SimTime, client: ClientId) {
-        let prev = self.open.insert(client, now);
+        let prev = self.clients.entry(client).or_default().open.replace(now);
         assert!(prev.is_none(), "{client} already holds the token");
     }
 
@@ -66,27 +76,29 @@ impl UsageWindow {
     /// # Panics
     /// Panics if the client has no open hold.
     pub fn end_hold(&mut self, now: SimTime, client: ClientId) {
-        let start = self
+        let holds = self.clients.entry(client).or_default();
+        let start = holds
             .open
-            .remove(&client)
+            .take()
             .unwrap_or_else(|| panic!("{client} has no open hold"));
         debug_assert!(now >= start);
         if now > start {
-            self.closed
-                .entry(client)
-                .or_default()
-                .push_back(Interval { start, end: now });
+            holds.closed.push_back(Interval { start, end: now });
+            holds.closed_total += now - start;
         }
     }
 
     /// True if the client currently has an open hold.
     pub fn holding(&self, client: ClientId) -> bool {
-        self.open.contains_key(&client)
+        self.clients.get(&client).is_some_and(|h| h.open.is_some())
     }
 
     /// Usage rate of `client` over `[now - window, now]`, in `[0, 1]`.
     ///
     /// Also garbage-collects intervals that have fully left the window.
+    /// Amortised O(1): each interval is added to and subtracted from the
+    /// running total once, and only the oldest surviving interval can
+    /// straddle the horizon.
     pub fn usage(&mut self, now: SimTime, client: ClientId) -> f64 {
         let horizon = if now.as_micros() >= self.window.as_micros() {
             now - self.window
@@ -94,21 +106,21 @@ impl UsageWindow {
             SimTime::ZERO
         };
         let mut held = SimDuration::ZERO;
-        if let Some(ivs) = self.closed.get_mut(&client) {
-            while let Some(front) = ivs.front() {
-                if front.end <= horizon {
-                    ivs.pop_front();
-                } else {
+        if let Some(holds) = self.clients.get_mut(&client) {
+            while let Some(front) = holds.closed.front() {
+                if front.end > horizon {
                     break;
                 }
+                holds.closed_total -= front.end - front.start;
+                holds.closed.pop_front();
             }
-            for iv in ivs.iter() {
-                let start = iv.start.max(horizon);
-                held += iv.end.saturating_since(start);
+            held = holds.closed_total;
+            if let Some(front) = holds.closed.front() {
+                held -= horizon.saturating_since(front.start);
             }
-        }
-        if let Some(&start) = self.open.get(&client) {
-            held += now.saturating_since(start.max(horizon));
+            if let Some(start) = holds.open {
+                held += now.saturating_since(start.max(horizon));
+            }
         }
         // Early in the run the window is only partially elapsed; normalize
         // by elapsed time so a full-time holder reads 1.0 from the start.
@@ -120,8 +132,7 @@ impl UsageWindow {
 
     /// Removes all state for a departed client.
     pub fn forget(&mut self, client: ClientId) {
-        self.closed.remove(&client);
-        self.open.remove(&client);
+        self.clients.remove(&client);
     }
 }
 

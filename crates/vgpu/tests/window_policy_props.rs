@@ -42,6 +42,51 @@ proptest! {
         prop_assert_eq!(w.usage(far, c), 0.0);
     }
 
+    /// The running-total `usage` equals a brute-force re-sum of every hold
+    /// interval clipped to the window, bit for bit, under interleaved holds
+    /// and non-decreasing queries across several clients.
+    #[test]
+    fn usage_matches_brute_force_resum(
+        window_us in 1u64..20_000,
+        steps in proptest::collection::vec((0u64..4_000, 0usize..3, any::<bool>()), 1..300),
+    ) {
+        let window = SimDuration::from_micros(window_us);
+        let mut w = UsageWindow::new(window);
+        // Per client: every closed interval ever, and the open hold.
+        let mut closed: Vec<Vec<(SimTime, SimTime)>> = vec![Vec::new(); 3];
+        let mut open: Vec<Option<SimTime>> = vec![None; 3];
+        let mut now = SimTime::ZERO;
+        for (dt, client, toggle) in steps {
+            now += SimDuration::from_micros(dt);
+            let c = ClientId(client as u64);
+            if toggle {
+                match open[client].take() {
+                    Some(start) => {
+                        w.end_hold(now, c);
+                        closed[client].push((start, now));
+                    }
+                    None => {
+                        w.begin_hold(now, c);
+                        open[client] = Some(now);
+                    }
+                }
+                continue;
+            }
+            let horizon = SimTime::from_micros(now.as_micros().saturating_sub(window_us));
+            let mut held = SimDuration::ZERO;
+            for &(start, end) in &closed[client] {
+                held += end.saturating_since(start.max(horizon));
+            }
+            if let Some(start) = open[client] {
+                held += now.saturating_since(start.max(horizon));
+            }
+            let denom = now.saturating_since(horizon).max(SimDuration::from_micros(1));
+            let want = (held.as_micros() as f64 / denom.as_micros() as f64).clamp(0.0, 1.0);
+            let got = w.usage(now, c);
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "client {} at {}: {} vs {}", client, now, got, want);
+        }
+    }
+
     /// The policy never selects a candidate at or over its limit, and if
     /// anyone is strictly below their request, the winner is one of the
     /// most-deprived such candidates.
