@@ -52,10 +52,9 @@ fn main() {
             "gpus",
             "reference dec/s",
             "indexed dec/s",
-            "auto dec/s",
             "recorded dec/s",
             "rec cost",
-            "auto picks",
+            "rec ns/dec",
             "speedup",
             "divergences",
             "final devices",
@@ -66,10 +65,9 @@ fn main() {
             p.gpus.to_string(),
             format!("{:.0}", p.reference_dps),
             format!("{:.0}", p.indexed_dps),
-            format!("{:.0}", p.auto_dps),
             format!("{:.0}", p.recorded_dps),
             format!("{:.1}%", p.recorder_overhead * 100.0),
-            p.chosen_mode.clone(),
+            format!("{:.0}", p.recorder_ns_per_decision),
             format!("{}x", f1(p.speedup)),
             (p.divergences + p.recorder_divergences).to_string(),
             p.final_devices.to_string(),
@@ -96,8 +94,9 @@ fn main() {
     if let Some(p) = points.iter().max_by_key(|p| p.gpus) {
         if p.recorder_overhead > ks_bench::sched_scale::OVERHEAD_BOUND {
             eprintln!(
-                "FAIL: provenance capture cost {:.1}% throughput at {} GPUs (bound 5%)",
+                "FAIL: provenance capture cost {:.1}% throughput ({:.0} ns/decision) at {} GPUs (bound 5%)",
                 p.recorder_overhead * 100.0,
+                p.recorder_ns_per_decision,
                 p.gpus
             );
             std::process::exit(1);

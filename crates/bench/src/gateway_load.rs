@@ -330,9 +330,7 @@ pub fn run(cfg: &GatewayLoadConfig) -> GatewayLoadReport {
         },
         // Decision-identical to Reference, but sustains million-tenant
         // runs: per-decision cost is an index range scan, not a full
-        // node-view materialization (Auto would pick Reference here —
-        // its crossover is tuned for decision latency on small pools,
-        // not for the allocation churn of a long soak).
+        // node-view materialization.
         sched_mode: SchedMode::Indexed,
         ..KsConfig::default()
     };

@@ -177,7 +177,7 @@ fn place(
         mem,
         locality: loc.clone(),
     };
-    let decision = schedule_substrate(SchedMode::Auto, substrate, &req, pool);
+    let decision = schedule_substrate(SchedMode::default(), substrate, &req, pool);
     let id = match decision {
         Decision::Assign(id) => id,
         Decision::NewDevice(id) => {

@@ -9,51 +9,25 @@ use crate::api::resources::ResourceList;
 
 /// Which scheduling implementation to run (DESIGN.md §10). `Reference`
 /// and `Indexed` produce byte-identical decisions — that is the contract
-/// the differential test oracle enforces — but `Indexed` serves placement
-/// from incrementally maintained ordered indexes instead of full scans.
-/// `Auto` (the default) picks between them per decision by pool size:
-/// index maintenance overhead makes the ordered scans a net loss on small
-/// pools (BENCH_sched.json shows 0.66× at 1k GPUs), while past the
-/// crossover they win by an order of magnitude (16.8× at 10k GPUs).
+/// the differential test oracle enforces — but `Indexed` (the default)
+/// serves placement from incrementally maintained ordered indexes instead
+/// of full scans, and is the faster of the two at every measured pool
+/// size. `Reference` stays as the oracle it is checked against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedMode {
     /// Paper-faithful reference: linear scan of every candidate.
     Reference,
-    /// Ordered-range lookups over capacity indexes.
-    Indexed,
-    /// Resolve to `Reference` below [`SchedMode::AUTO_CROSSOVER`] pool
-    /// entries and `Indexed` at or above it (the default).
+    /// Ordered-range lookups over capacity indexes (the default).
     #[default]
-    Auto,
+    Indexed,
 }
 
 impl SchedMode {
-    /// Pool size at which `Indexed` overtakes `Reference` (measured
-    /// crossover ≈ 2.5k GPUs in BENCH_sched.json).
-    pub const AUTO_CROSSOVER: usize = 2_500;
-
-    /// The concrete implementation to run against a pool of `size`
-    /// entries. `Reference` and `Indexed` are fixed points; `Auto` picks
-    /// by the measured crossover.
-    pub fn resolve(self, size: usize) -> SchedMode {
-        match self {
-            SchedMode::Auto => {
-                if size >= Self::AUTO_CROSSOVER {
-                    SchedMode::Indexed
-                } else {
-                    SchedMode::Reference
-                }
-            }
-            fixed => fixed,
-        }
-    }
-
     /// Stable label for metrics and bench records.
     pub fn label(self) -> &'static str {
         match self {
             SchedMode::Reference => "reference",
             SchedMode::Indexed => "indexed",
-            SchedMode::Auto => "auto",
         }
     }
 }

@@ -792,12 +792,12 @@ impl ClusterSim {
                 (self.nodes[idx].up && !self.nodes[idx].cordoned && requests.fits_in(&free))
                     .then_some(idx)
             }
-            None => match self.sched_mode.resolve(self.nodes.len()) {
+            None => match self.sched_mode {
                 SchedMode::Reference => {
                     let (idxs, views) = self.up_views();
                     self.scheduler.pick_node(&requests, &views).map(|v| idxs[v])
                 }
-                SchedMode::Indexed | SchedMode::Auto => self.pick_node_indexed(&requests),
+                SchedMode::Indexed => self.pick_node_indexed(&requests),
             },
         };
 
@@ -852,7 +852,7 @@ impl ClusterSim {
                 format!(
                     "ranked {} up node(s) under {:?}",
                     self.node_rank.len(),
-                    self.sched_mode.resolve(self.nodes.len())
+                    self.sched_mode
                 )
             }),
         }

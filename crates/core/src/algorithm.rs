@@ -387,11 +387,8 @@ pub fn schedule_indexed_prov(
     Decision::NewDevice(pool.fresh_id())
 }
 
-/// Runs Algorithm 1 with the implementation selected by `mode`. `Auto`
-/// resolves per decision against the current pool size, so a pool that
-/// grows through the [`SchedMode::AUTO_CROSSOVER`] switches to the
-/// indexed path mid-stream — both implementations are decision-identical,
-/// so the switch is invisible in the decision trace.
+/// Runs Algorithm 1 with the implementation selected by `mode`; both are
+/// decision-identical.
 pub fn schedule_with(mode: SchedMode, req: &SchedRequest, pool: &mut VgpuPool) -> Decision {
     schedule_with_prov(mode, req, pool, &mut SchedProv::off())
 }
@@ -403,9 +400,9 @@ pub fn schedule_with_prov(
     pool: &mut VgpuPool,
     prov: &mut SchedProv,
 ) -> Decision {
-    match mode.resolve(pool.len()) {
+    match mode {
         SchedMode::Reference => schedule_prov(req, pool, prov),
-        SchedMode::Indexed | SchedMode::Auto => schedule_indexed_prov(req, pool, prov),
+        SchedMode::Indexed => schedule_indexed_prov(req, pool, prov),
     }
 }
 

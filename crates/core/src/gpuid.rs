@@ -7,18 +7,23 @@
 //! acquired from Kubernetes.
 
 use std::fmt;
+use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// A vGPU identifier, unique within the vGPU pool.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct GpuId(String);
+///
+/// Shared (`Arc<str>`): every decision, index entry and pool clone holds
+/// a copy, so cloning costs a refcount, not an allocation. Ordering is
+/// byte order of the string, exactly as `str`.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct GpuId(Arc<str>);
 
 impl GpuId {
     /// Wraps a user-specified id (users may name a vGPU explicitly to
     /// control binding, paper §4.2).
     pub fn named(id: impl Into<String>) -> Self {
-        GpuId(id.into())
+        GpuId(id.into().into())
     }
 
     /// Generates a fresh hashed id, as the paper's `new_dev()` does
@@ -30,7 +35,7 @@ impl GpuId {
             h ^= b as u64;
             h = h.wrapping_mul(0x100000001b3);
         }
-        GpuId(format!("vgpu-{h:016x}"))
+        GpuId::named(format!("vgpu-{h:016x}"))
     }
 
     /// String form.
@@ -45,8 +50,23 @@ impl fmt::Display for GpuId {
     }
 }
 
+/// Serializes as the plain id string.
+impl Serialize for GpuId {
+    fn to_value(&self) -> Value {
+        self.as_str().to_value()
+    }
+}
+
+impl Deserialize for GpuId {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        String::from_value(v).map(GpuId::named)
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -62,5 +82,42 @@ mod tests {
     fn named_ids_round_trip() {
         let g = GpuId::named("my-shared-gpu");
         assert_eq!(g.to_string(), "my-shared-gpu");
+    }
+
+    /// An id over a three-letter alphabet, so equal ids and prefix pairs
+    /// such as `"a" < "ab"` come up often.
+    fn short_id() -> impl Strategy<Value = GpuId> {
+        proptest::collection::vec(0u8..3, 0..4)
+            .prop_map(|b| GpuId::named(b.iter().map(|&c| char::from(b'a' + c)).collect::<String>()))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn orders_exactly_as_str(a in short_id(), b in short_id(), n in 0u64..64, m in 0u64..64) {
+            let (g, h) = (GpuId::generate(n), GpuId::generate(m));
+            for (x, y) in [(&a, &b), (&g, &h), (&a, &g), (&g, &b)] {
+                prop_assert_eq!(x.cmp(y), x.as_str().cmp(y.as_str()));
+                prop_assert_eq!(x == y, x.as_str() == y.as_str());
+            }
+        }
+    }
+
+    #[test]
+    fn prefix_sorts_first() {
+        assert!(GpuId::named("a") < GpuId::named("ab"));
+        assert!(GpuId::named("vgpu-") < GpuId::generate(0));
+    }
+
+    #[test]
+    fn serde_json_round_trips_as_plain_string() {
+        for id in [GpuId::generate(7), GpuId::named("my-shared-gpu")] {
+            let json = serde_json::to_string(&id).unwrap();
+            assert_eq!(json, format!("\"{id}\""));
+            let back: GpuId = serde_json::from_str(&json).unwrap();
+            assert_eq!(back, id);
+        }
+        assert!(serde_json::from_str::<GpuId>("7").is_err());
     }
 }

@@ -9,10 +9,13 @@
 //!
 //! # Capacity indexes
 //!
-//! Beyond the id-ordered device map, the pool maintains a set of
-//! incrementally-updated indexes so Algorithm 1's hot path (best-fit /
-//! worst-fit selection, affinity lookup, idle reuse) runs as ordered-range
-//! lookups instead of full scans (DESIGN.md §10):
+//! Devices live in a dense slab addressed by private slot handles; an
+//! id → handle map serves lookups and id-ordered iteration. Beside it the
+//! pool maintains a set of incrementally-updated indexes so Algorithm 1's
+//! hot path (best-fit / worst-fit selection, affinity lookup, idle reuse)
+//! runs as ordered-range lookups instead of full scans (DESIGN.md §10).
+//! Every index entry is an (id, handle) pair, so a scan reads its devices
+//! straight from the slab:
 //!
 //! * `plain_fit` / `labeled_fit` — schedulable (non-releasing) devices
 //!   keyed by their *fit key* `util_free + mem_free`, split by whether the
@@ -24,13 +27,16 @@
 //!   candidates), in id order;
 //! * `aff_index` — affinity label → devices carrying it, in id order;
 //! * `by_node` — node name → devices hosted there (includes releasing
-//!   devices: node-failure handling must see them too).
+//!   devices: node-failure handling must see them too);
+//! * `spatial` — partitioned devices, the spatial path's candidates.
 //!
 //! Every mutation (`insert_creating`, `mark_ready`, `attach`, `detach`,
-//! `mark_releasing`, `remove`) keeps the indexes exact;
-//! [`VgpuPool::verify_indexes`] cross-checks them against a from-scratch
-//! rebuild and backs the index-consistency property tests.
+//! `mark_releasing`, `remove`) keeps the slab and the indexes exact;
+//! [`VgpuPool::verify_indexes`] cross-checks the handle map and the
+//! indexes against a from-scratch rebuild and backs the
+//! index-consistency property tests.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 
 use ks_cluster::api::Uid;
@@ -129,38 +135,93 @@ impl PoolDevice {
     }
 }
 
-/// The capacity indexes over the device map. Kept in a dedicated struct so
+/// Dense handle of a device's slot in the pool's slab. Private to the
+/// pool: the public API stays [`GpuId`]-based, and a handle is reused once
+/// its device is removed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct DeviceIdx(u32);
+
+impl DeviceIdx {
+    fn new(slot: usize) -> Self {
+        DeviceIdx(u32::try_from(slot).expect("slab fits u32 handles"))
+    }
+
+    fn at(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// One index bucket: devices in id order, each with its slab handle so a
+/// scan reads the device without looking its id up.
+type IdMap = BTreeMap<GpuId, DeviceIdx>;
+
+/// Adds `(id, idx)` to the bucket under `key`. The key is looked up
+/// before it is cloned, so an existing bucket costs no key allocation.
+fn bucket_insert<K, Q>(map: &mut BTreeMap<K, IdMap>, key: &Q, id: &GpuId, idx: DeviceIdx)
+where
+    K: Ord + Borrow<Q>,
+    Q: Ord + ToOwned<Owned = K> + ?Sized,
+{
+    match map.get_mut(key) {
+        Some(bucket) => {
+            bucket.insert(id.clone(), idx);
+        }
+        None => {
+            map.insert(key.to_owned(), IdMap::from([(id.clone(), idx)]));
+        }
+    }
+}
+
+/// Removes `id` from the bucket under `key`, dropping the bucket once it
+/// is empty.
+fn bucket_remove<K, Q>(map: &mut BTreeMap<K, IdMap>, key: &Q, id: &GpuId)
+where
+    K: Ord + Borrow<Q>,
+    Q: Ord + ?Sized,
+{
+    if let Some(bucket) = map.get_mut(key) {
+        bucket.remove(id);
+        if bucket.is_empty() {
+            map.remove(key);
+        }
+    }
+}
+
+/// The capacity indexes over the device slab. Kept in a dedicated struct so
 /// maintenance and verification share one rebuild routine.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct PoolIndexes {
     /// Schedulable devices without affinity labels, by (fit key, id).
-    plain_fit: BTreeMap<OrdF64, BTreeSet<GpuId>>,
+    plain_fit: BTreeMap<OrdF64, IdMap>,
     /// Schedulable devices with affinity labels, by (fit key, id).
-    labeled_fit: BTreeMap<OrdF64, BTreeSet<GpuId>>,
+    labeled_fit: BTreeMap<OrdF64, IdMap>,
     /// Schedulable devices with no attached sharePods, in id order.
-    unattached: BTreeSet<GpuId>,
+    unattached: IdMap,
     /// Non-releasing devices in the `Idle` phase, in id order.
-    idle: BTreeSet<GpuId>,
+    idle: IdMap,
     /// Affinity label → schedulable devices carrying it.
-    aff_index: BTreeMap<String, BTreeSet<GpuId>>,
+    aff_index: BTreeMap<String, IdMap>,
     /// Node → devices hosted there (releasing devices included).
-    by_node: BTreeMap<String, BTreeSet<GpuId>>,
+    by_node: BTreeMap<String, IdMap>,
     /// Non-releasing partitioned devices, in id order. Spatial devices
     /// live *only* here (plus `by_node`): they are invisible to the
     /// time-slice fit/idle/affinity indexes, so Algorithm 1's token-lease
     /// path never sees them and the release policy never reclaims them.
-    spatial: BTreeSet<GpuId>,
+    spatial: IdMap,
 }
 
 impl PoolIndexes {
     /// Adds one device to every index it belongs in.
-    fn insert(&mut self, d: &PoolDevice) {
+    fn insert(&mut self, idx: DeviceIdx, d: &PoolDevice) {
         if let Some(node) = &d.node {
-            self.by_node
-                .entry(node.clone())
-                .or_default()
-                .insert(d.id.clone());
+            bucket_insert(&mut self.by_node, node.as_str(), &d.id, idx);
         }
+        self.insert_sched(idx, d);
+    }
+
+    /// Adds one device to the scheduler indexes: every index but
+    /// `by_node`, which only a node change (`mark_ready`) touches.
+    fn insert_sched(&mut self, idx: DeviceIdx, d: &PoolDevice) {
         if d.releasing {
             // Invisible to the scheduler: no capacity/idle/affinity entries.
             return;
@@ -168,27 +229,23 @@ impl PoolIndexes {
         if d.partition.is_some() {
             // Spatial devices are scheduled through the partition path,
             // never the time-slice fit/idle/affinity indexes.
-            self.spatial.insert(d.id.clone());
+            self.spatial.insert(d.id.clone(), idx);
             return;
         }
-        let key = OrdF64::of(d.fit_key());
         let fit = if d.aff.is_empty() {
             &mut self.plain_fit
         } else {
             &mut self.labeled_fit
         };
-        fit.entry(key).or_default().insert(d.id.clone());
+        bucket_insert(fit, &OrdF64::of(d.fit_key()), &d.id, idx);
         if d.attached.is_empty() {
-            self.unattached.insert(d.id.clone());
+            self.unattached.insert(d.id.clone(), idx);
         }
         if d.phase == VgpuPhase::Idle {
-            self.idle.insert(d.id.clone());
+            self.idle.insert(d.id.clone(), idx);
         }
         for label in &d.aff {
-            self.aff_index
-                .entry(label.clone())
-                .or_default()
-                .insert(d.id.clone());
+            bucket_insert(&mut self.aff_index, label.as_str(), &d.id, idx);
         }
     }
 
@@ -196,13 +253,14 @@ impl PoolIndexes {
     /// (call before mutating the device).
     fn remove(&mut self, d: &PoolDevice) {
         if let Some(node) = &d.node {
-            if let Some(set) = self.by_node.get_mut(node) {
-                set.remove(&d.id);
-                if set.is_empty() {
-                    self.by_node.remove(node);
-                }
-            }
+            bucket_remove(&mut self.by_node, node.as_str(), &d.id);
         }
+        self.remove_sched(d);
+    }
+
+    /// Removes one device from the scheduler indexes, given its *current*
+    /// state; the counterpart of [`PoolIndexes::insert_sched`].
+    fn remove_sched(&mut self, d: &PoolDevice) {
         if d.releasing {
             return;
         }
@@ -210,44 +268,81 @@ impl PoolIndexes {
             self.spatial.remove(&d.id);
             return;
         }
-        let key = OrdF64::of(d.fit_key());
         let fit = if d.aff.is_empty() {
             &mut self.plain_fit
         } else {
             &mut self.labeled_fit
         };
-        if let Some(set) = fit.get_mut(&key) {
-            set.remove(&d.id);
-            if set.is_empty() {
-                fit.remove(&key);
-            }
-        }
+        bucket_remove(fit, &OrdF64::of(d.fit_key()), &d.id);
         self.unattached.remove(&d.id);
         self.idle.remove(&d.id);
         for label in &d.aff {
-            if let Some(set) = self.aff_index.get_mut(label) {
-                set.remove(&d.id);
-                if set.is_empty() {
-                    self.aff_index.remove(label);
-                }
-            }
+            bucket_remove(&mut self.aff_index, label.as_str(), &d.id);
         }
     }
 
-    /// Builds the indexes from scratch for a device map.
-    fn rebuild(devices: &BTreeMap<GpuId, PoolDevice>) -> Self {
+    /// Builds the indexes from scratch for a device slab.
+    fn rebuild(slots: &[Option<PoolDevice>]) -> Self {
         let mut ix = PoolIndexes::default();
-        for d in devices.values() {
-            ix.insert(d);
+        for (i, d) in slots.iter().enumerate() {
+            if let Some(d) = d {
+                ix.insert(DeviceIdx::new(i), d);
+            }
         }
         ix
+    }
+
+    /// Every index entry, bucket by bucket.
+    fn entries(&self) -> impl Iterator<Item = (&GpuId, &DeviceIdx)> {
+        self.plain_fit
+            .values()
+            .chain(self.labeled_fit.values())
+            .chain(self.aff_index.values())
+            .chain(self.by_node.values())
+            .chain([&self.unattached, &self.idle, &self.spatial])
+            .flatten()
+    }
+}
+
+/// The live device in a slab slot, mutably.
+fn live_mut(slots: &mut [Option<PoolDevice>], idx: DeviceIdx) -> &mut PoolDevice {
+    slots[idx.at()].as_mut().expect("live slab slot")
+}
+
+/// Moves a device to `phase`, keeping the per-phase tally exact.
+fn set_phase(tally: &mut [u32; 3], d: &mut PoolDevice, phase: VgpuPhase) {
+    tally[d.phase as usize] -= 1;
+    d.phase = phase;
+    tally[phase as usize] += 1;
+}
+
+/// Accumulates a new tenant's locality labels on a device. A label or
+/// exclusion already present is kept as is, not re-allocated.
+fn add_labels(d: &mut PoolDevice, aff: Option<&str>, anti_aff: Option<&str>, excl: Option<&str>) {
+    for (set, label) in [(&mut d.aff, aff), (&mut d.anti_aff, anti_aff)] {
+        if let Some(l) = label {
+            if !set.contains(l) {
+                set.insert(l.to_string());
+            }
+        }
+    }
+    if d.excl.as_deref() != excl {
+        d.excl = excl.map(str::to_string);
     }
 }
 
 /// The pool of vGPUs.
+///
+/// Devices live in a dense slab (`slots`). `ids` maps each id to its slot
+/// and serves lookups and id-ordered iteration; every index entry carries
+/// the slot handle too, so the scheduler's range scans read devices
+/// without an id lookup. Removing a device puts its slot on `free` for
+/// the next insert.
 #[derive(Debug, Clone, Default)]
 pub struct VgpuPool {
-    devices: BTreeMap<GpuId, PoolDevice>,
+    slots: Vec<Option<PoolDevice>>,
+    free: Vec<DeviceIdx>,
+    ids: IdMap,
     next_id: u64,
     ix: PoolIndexes,
     /// Device count per phase (`Creating`/`Active`/`Idle` by discriminant),
@@ -267,10 +362,51 @@ impl VgpuPool {
         loop {
             self.next_id += 1;
             let id = GpuId::generate(self.next_id);
-            if !self.devices.contains_key(&id) {
+            if !self.ids.contains_key(&id) {
                 return id;
             }
         }
+    }
+
+    /// The slot handle of a device in the pool.
+    ///
+    /// # Panics
+    /// Panics if the id is not in the pool.
+    fn idx(&self, id: &GpuId) -> DeviceIdx {
+        *self.ids.get(id).expect("vGPU in pool")
+    }
+
+    /// The device in a slot, if the slot exists and is live.
+    fn live(&self, idx: DeviceIdx) -> Option<&PoolDevice> {
+        self.slots.get(idx.at()).and_then(Option::as_ref)
+    }
+
+    /// The live device behind a handle taken from `ids` or an index.
+    fn slot(&self, idx: DeviceIdx) -> &PoolDevice {
+        self.live(idx).expect("live slab slot")
+    }
+
+    /// The device under `id`, mutably.
+    fn device_mut(&mut self, id: &GpuId) -> &mut PoolDevice {
+        let idx = self.idx(id);
+        live_mut(&mut self.slots, idx)
+    }
+
+    /// Places a new device in a freed slot (or a new one) and indexes it.
+    fn insert_device(&mut self, d: PoolDevice) {
+        assert!(
+            !self.ids.contains_key(&d.id),
+            "vGPU {} already in pool",
+            d.id
+        );
+        let idx = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            DeviceIdx::new(self.slots.len() - 1)
+        });
+        self.tally[d.phase as usize] += 1;
+        self.ix.insert(idx, &d);
+        self.ids.insert(d.id.clone(), idx);
+        self.slots[idx.at()] = Some(d);
     }
 
     /// Adds a new vGPU in `Creating` phase under the given id.
@@ -278,11 +414,7 @@ impl VgpuPool {
     /// # Panics
     /// Panics if the id already exists.
     pub fn insert_creating(&mut self, id: GpuId) {
-        assert!(!self.devices.contains_key(&id), "vGPU {id} already in pool");
-        let d = PoolDevice::fresh(id.clone());
-        self.tally[d.phase as usize] += 1;
-        self.ix.insert(&d);
-        self.devices.insert(id, d);
+        self.insert_device(PoolDevice::fresh(id));
     }
 
     /// Adds a new *partitioned* vGPU in `Creating` phase under the given
@@ -292,30 +424,26 @@ impl VgpuPool {
     /// # Panics
     /// Panics if the id already exists.
     pub fn insert_creating_spatial(&mut self, id: GpuId) {
-        assert!(!self.devices.contains_key(&id), "vGPU {id} already in pool");
-        let mut d = PoolDevice::fresh(id.clone());
+        let mut d = PoolDevice::fresh(id);
         d.partition = Some(PartitionTable::new());
-        self.tally[d.phase as usize] += 1;
-        self.ix.insert(&d);
-        self.devices.insert(id, d);
+        self.insert_device(d);
     }
 
     /// Marks a creating vGPU ready: physical GPU acquired.
     pub fn mark_ready(&mut self, id: &GpuId, node: String, uuid: String) {
-        let d = self.devices.get_mut(id).expect("vGPU in pool");
+        let idx = self.idx(id);
+        let d = live_mut(&mut self.slots, idx);
         debug_assert_eq!(d.phase, VgpuPhase::Creating);
-        self.tally[d.phase as usize] -= 1;
         self.ix.remove(d);
         d.node = Some(node);
         d.uuid = Some(uuid);
-        d.phase = if d.attached.is_empty() {
+        let phase = if d.attached.is_empty() {
             VgpuPhase::Idle
         } else {
             VgpuPhase::Active
         };
-        self.tally[d.phase as usize] += 1;
-        let d = &self.devices[id];
-        self.ix.insert(d);
+        set_phase(&mut self.tally, d, phase);
+        self.ix.insert(idx, d);
     }
 
     /// Attaches a sharePod's demand to a vGPU, consuming residual capacity
@@ -331,7 +459,8 @@ impl VgpuPool {
         anti_aff: Option<&str>,
         excl: Option<&str>,
     ) {
-        let d = self.devices.get_mut(id).expect("vGPU in pool");
+        let idx = self.idx(id);
+        let d = live_mut(&mut self.slots, idx);
         assert!(
             !d.is_spatial(),
             "token-lease attach on partitioned vGPU {id}; use attach_slice"
@@ -342,24 +471,15 @@ impl VgpuPool {
             d.util_free,
             d.mem_free
         );
-        self.ix.remove(d);
+        self.ix.remove_sched(d);
         d.util_free = (d.util_free - request).max(0.0);
         d.mem_free = (d.mem_free - mem).max(0.0);
-        if let Some(a) = aff {
-            d.aff.insert(a.to_string());
-        }
-        if let Some(a) = anti_aff {
-            d.anti_aff.insert(a.to_string());
-        }
-        d.excl = excl.map(str::to_string);
+        add_labels(d, aff, anti_aff, excl);
         d.attached.insert(sharepod, (request, mem));
         if d.phase != VgpuPhase::Creating {
-            self.tally[d.phase as usize] -= 1;
-            d.phase = VgpuPhase::Active;
-            self.tally[d.phase as usize] += 1;
+            set_phase(&mut self.tally, d, VgpuPhase::Active);
         }
-        let d = &self.devices[id];
-        self.ix.insert(d);
+        self.ix.insert_sched(idx, d);
     }
 
     /// Binds a sharePod to a dedicated slice on a partitioned vGPU. The
@@ -379,7 +499,8 @@ impl VgpuPool {
         anti_aff: Option<&str>,
         excl: Option<&str>,
     ) -> Result<u8, PartitionError> {
-        let d = self.devices.get_mut(id).expect("vGPU in pool");
+        let idx = self.idx(id);
+        let d = live_mut(&mut self.slots, idx);
         assert!(!d.releasing, "binding to releasing vGPU {id}");
         let table = d
             .partition
@@ -391,28 +512,19 @@ impl VgpuPool {
         if !table.can_place(profile) {
             return Err(PartitionError::NoFit);
         }
-        self.ix.remove(d);
+        self.ix.remove_sched(d);
         let table = d.partition.as_mut().expect("checked above");
         let start = table.alloc(profile).expect("can_place checked");
         let free = f64::from(table.free_slots()) / f64::from(SLOTS_PER_GPU);
         d.util_free = free;
         d.mem_free = free;
         d.slice_of.insert(sharepod, start);
-        if let Some(a) = aff {
-            d.aff.insert(a.to_string());
-        }
-        if let Some(a) = anti_aff {
-            d.anti_aff.insert(a.to_string());
-        }
-        d.excl = excl.map(str::to_string);
+        add_labels(d, aff, anti_aff, excl);
         d.attached.insert(sharepod, (request, mem));
         if d.phase != VgpuPhase::Creating {
-            self.tally[d.phase as usize] -= 1;
-            d.phase = VgpuPhase::Active;
-            self.tally[d.phase as usize] += 1;
+            set_phase(&mut self.tally, d, VgpuPhase::Active);
         }
-        let d = &self.devices[id];
-        self.ix.insert(d);
+        self.ix.insert_sched(idx, d);
         Ok(start)
     }
 
@@ -422,8 +534,9 @@ impl VgpuPool {
     /// slice (legal while active or draining), so the generic teardown
     /// paths — node failure, pod deletion, drain — work unchanged.
     pub fn detach(&mut self, id: &GpuId, sharepod: Uid) -> bool {
-        let d = self.devices.get_mut(id).expect("vGPU in pool");
-        self.ix.remove(d);
+        let idx = self.idx(id);
+        let d = live_mut(&mut self.slots, idx);
+        self.ix.remove_sched(d);
         let (request, mem) = d
             .attached
             .remove(&sharepod)
@@ -450,13 +563,10 @@ impl VgpuPool {
             d.anti_aff.clear();
             d.excl = None;
             if d.phase != VgpuPhase::Creating {
-                self.tally[d.phase as usize] -= 1;
-                d.phase = VgpuPhase::Idle;
-                self.tally[d.phase as usize] += 1;
+                set_phase(&mut self.tally, d, VgpuPhase::Idle);
             }
         }
-        let d = &self.devices[id];
-        self.ix.insert(d);
+        self.ix.insert_sched(idx, d);
         became_idle
     }
 
@@ -466,7 +576,7 @@ impl VgpuPool {
     /// its slice; once empty, call
     /// [`VgpuPool::note_partition_drained`]).
     pub fn begin_partition_drain(&mut self, id: &GpuId) -> Result<Vec<Uid>, PartitionError> {
-        let d = self.devices.get_mut(id).expect("vGPU in pool");
+        let d = self.device_mut(id);
         let table = d
             .partition
             .as_mut()
@@ -484,7 +594,7 @@ impl VgpuPool {
         now: SimTime,
         cost: SimDuration,
     ) -> Result<SimTime, PartitionError> {
-        let d = self.devices.get_mut(id).expect("vGPU in pool");
+        let d = self.device_mut(id);
         let table = d
             .partition
             .as_mut()
@@ -495,7 +605,7 @@ impl VgpuPool {
     /// Completes a spatial device's reconfiguration at or after the
     /// activation time recorded by [`VgpuPool::note_partition_drained`].
     pub fn activate_partition(&mut self, id: &GpuId, now: SimTime) -> Result<(), PartitionError> {
-        let d = self.devices.get_mut(id).expect("vGPU in pool");
+        let d = self.device_mut(id);
         let table = d
             .partition
             .as_mut()
@@ -506,7 +616,7 @@ impl VgpuPool {
     /// Non-releasing partitioned devices in id order — the candidate set
     /// of the spatial placement path.
     pub fn spatial_devices(&self) -> impl Iterator<Item = &PoolDevice> {
-        self.ix.spatial.iter().map(move |id| &self.devices[id])
+        self.ix.spatial.values().map(move |&idx| self.slot(idx))
     }
 
     /// Number of non-releasing partitioned devices.
@@ -517,7 +627,7 @@ impl VgpuPool {
     /// The sharePod occupying the slice that starts at `start` on a
     /// partitioned device, if any.
     pub fn slice_tenant(&self, id: &GpuId, start: u8) -> Option<Uid> {
-        self.devices.get(id).and_then(|d| {
+        self.get(id).and_then(|d| {
             d.slice_of
                 .iter()
                 .find(|&(_, &s)| s == start)
@@ -534,8 +644,7 @@ impl VgpuPool {
     /// back.
     pub fn fragmentation(&self) -> f64 {
         let views: Vec<DeviceFreeView> = self
-            .devices
-            .values()
+            .devices()
             .filter(|d| !d.releasing)
             .map(|d| match &d.partition {
                 Some(t) => DeviceFreeView {
@@ -555,12 +664,12 @@ impl VgpuPool {
     /// Marks a vGPU as being released: it stays in the pool (its anchor is
     /// still terminating) but is invisible to the scheduler.
     pub fn mark_releasing(&mut self, id: &GpuId) {
-        let d = self.devices.get_mut(id).expect("vGPU in pool");
+        let idx = self.idx(id);
+        let d = live_mut(&mut self.slots, idx);
         debug_assert!(d.attached.is_empty(), "releasing vGPU {id} with tenants");
-        self.ix.remove(d);
+        self.ix.remove_sched(d);
         d.releasing = true;
-        let d = &self.devices[id];
-        self.ix.insert(d);
+        self.ix.insert_sched(idx, d);
     }
 
     /// Removes a vGPU entirely (GPU released back to Kubernetes).
@@ -568,28 +677,34 @@ impl VgpuPool {
     /// # Panics
     /// Panics if sharePods are still attached.
     pub fn remove(&mut self, id: &GpuId) -> PoolDevice {
-        let d = self.devices.get(id).expect("vGPU in pool");
-        assert!(d.attached.is_empty(), "removing vGPU {id} with tenants");
+        let idx = self.idx(id);
+        assert!(
+            self.slot(idx).attached.is_empty(),
+            "removing vGPU {id} with tenants"
+        );
+        let d = self.slots[idx.at()].take().expect("live slab slot");
+        self.ids.remove(id);
+        self.free.push(idx);
         self.tally[d.phase as usize] -= 1;
-        self.ix.remove(d);
-        self.devices.remove(id).expect("vGPU in pool")
+        self.ix.remove(&d);
+        d
     }
 
     /// Looks up a device.
     pub fn get(&self, id: &GpuId) -> Option<&PoolDevice> {
-        self.devices.get(id)
+        self.ids.get(id).map(|&idx| self.slot(idx))
     }
 
     /// All devices in deterministic id order.
     pub fn devices(&self) -> impl Iterator<Item = &PoolDevice> {
-        self.devices.values()
+        self.ids.values().map(move |&idx| self.slot(idx))
     }
 
     /// Devices currently idle and not already being released (candidates
     /// for release or for reuse), in id order. Served from the idle index —
     /// no allocation; collect if a snapshot is needed across mutations.
     pub fn idle_devices(&self) -> impl Iterator<Item = &GpuId> + '_ {
-        self.ix.idle.iter()
+        self.ix.idle.keys()
     }
 
     /// Number of idle, non-releasing devices (release-policy accounting).
@@ -600,13 +715,13 @@ impl VgpuPool {
     /// First (id order) schedulable device with no attached sharePods —
     /// Algorithm 1's idle-device preference in the affinity step.
     pub fn first_unattached(&self) -> Option<&GpuId> {
-        self.ix.unattached.iter().next()
+        self.ix.unattached.keys().next()
     }
 
     /// First (id order) schedulable device carrying the affinity label —
     /// the binding target of Algorithm 1's affinity step.
     pub fn affinity_target(&self, label: &str) -> Option<&GpuId> {
-        self.ix.aff_index.get(label).and_then(|s| s.iter().next())
+        self.ix.aff_index.get(label).and_then(|s| s.keys().next())
     }
 
     /// Devices hosted on a node (releasing devices included), in id order.
@@ -615,7 +730,7 @@ impl VgpuPool {
             .by_node
             .get(node)
             .into_iter()
-            .flat_map(|set| set.iter())
+            .flat_map(|set| set.keys())
     }
 
     /// Schedulable devices *without* affinity labels whose fit key is at
@@ -625,7 +740,7 @@ impl VgpuPool {
         self.ix
             .plain_fit
             .range(OrdF64::of(min_fit)..)
-            .flat_map(move |(_, set)| set.iter().map(move |id| &self.devices[id]))
+            .flat_map(move |(_, set)| set.values().map(move |&idx| self.slot(idx)))
     }
 
     /// Schedulable devices *with* affinity labels whose fit key is at least
@@ -636,16 +751,54 @@ impl VgpuPool {
             .labeled_fit
             .range(OrdF64::of(min_fit)..)
             .rev()
-            .flat_map(move |(_, set)| set.iter().map(move |id| &self.devices[id]))
+            .flat_map(move |(_, set)| set.values().map(move |&idx| self.slot(idx)))
     }
 
-    /// Cross-checks the incrementally-maintained indexes against a
-    /// from-scratch rebuild. Returns a description of the first mismatch.
-    /// Backs the index-consistency property tests; cheap enough to call
-    /// from any invariant-minded test.
+    /// Cross-checks the slab's handle map and the incrementally-maintained
+    /// indexes against a from-scratch rebuild. Returns a description of
+    /// the first mismatch. Backs the index-consistency property tests;
+    /// cheap enough to call from any invariant-minded test.
     pub fn verify_indexes(&self) -> Result<(), String> {
+        // `ids` and the live slots form a bijection: as many ids as live
+        // slots, each id naming a slot that holds it.
+        let live = self.slots.iter().filter(|s| s.is_some()).count();
+        if live != self.ids.len() {
+            return Err(format!("{} ids but {live} live slots", self.ids.len()));
+        }
+        for (id, &idx) in &self.ids {
+            if self.live(idx).map(|d| &d.id) != Some(id) {
+                return Err(format!(
+                    "id {id} maps to slot {}, which does not hold it",
+                    idx.0
+                ));
+            }
+        }
+        // The free list names each empty slot exactly once.
+        let mut listed = vec![false; self.slots.len()];
+        for &idx in &self.free {
+            if self.slots.get(idx.at()).is_none_or(Option::is_some)
+                || std::mem::replace(&mut listed[idx.at()], true)
+            {
+                return Err(format!(
+                    "free list names slot {}, which is live, out of range or listed twice",
+                    idx.0
+                ));
+            }
+        }
+        if live + self.free.len() != self.slots.len() {
+            return Err("an empty slot is missing from the free list".into());
+        }
+        // Every index entry's handle names the live slot holding its id.
+        for (id, &idx) in self.ix.entries() {
+            if self.live(idx).map(|d| &d.id) != Some(id) {
+                return Err(format!(
+                    "index entry {id} names slot {}, which does not hold it",
+                    idx.0
+                ));
+            }
+        }
         let mut fresh_tally = [0u32; 3];
-        for d in self.devices.values() {
+        for d in self.devices() {
             fresh_tally[d.phase as usize] += 1;
         }
         if fresh_tally != self.tally {
@@ -654,7 +807,7 @@ impl VgpuPool {
                 self.tally
             ));
         }
-        for d in self.devices.values() {
+        for d in self.devices() {
             let Some(t) = &d.partition else { continue };
             t.verify().map_err(|e| format!("device {}: {e}", d.id))?;
             if d.slice_of.len() != t.slice_count() {
@@ -673,7 +826,7 @@ impl VgpuPool {
                 ));
             }
         }
-        let fresh = PoolIndexes::rebuild(&self.devices);
+        let fresh = PoolIndexes::rebuild(&self.slots);
         if fresh == self.ix {
             return Ok(());
         }
@@ -735,12 +888,12 @@ impl VgpuPool {
 
     /// Pool size.
     pub fn len(&self) -> usize {
-        self.devices.len()
+        self.ids.len()
     }
 
     /// True when the pool is empty.
     pub fn is_empty(&self) -> bool {
-        self.devices.is_empty()
+        self.ids.is_empty()
     }
 }
 
@@ -900,6 +1053,39 @@ mod tests {
         p.remove(&ids[0]);
         assert_eq!(p.devices_on_node("node-0").count(), 0);
         assert_eq!(p.devices_on_node("node-1").count(), 1);
+        p.verify_indexes().unwrap();
+    }
+
+    #[test]
+    fn removed_slot_is_reused_and_old_id_resolves_to_none() {
+        let (mut p, ids) = pool_with_ready(3);
+        let freed = p.idx(&ids[1]);
+        p.remove(&ids[1]);
+        p.verify_indexes().unwrap();
+        let id = p.fresh_id();
+        p.insert_creating(id.clone());
+        p.mark_ready(&id, "node-9".into(), "GPU-9".into());
+        assert_eq!(p.idx(&id), freed, "the new device takes the freed slot");
+        assert_eq!(p.slots.len(), 3, "the slab did not grow");
+        assert!(p.get(&ids[1]).is_none());
+        assert_eq!(p.get(&id).map(|d| &d.id), Some(&id));
+        assert_eq!(p.devices_on_node("node-9").next(), Some(&id));
+        p.verify_indexes().unwrap();
+    }
+
+    #[test]
+    fn verify_catches_a_broken_handle_map() {
+        let (p, ids) = pool_with_ready(2);
+        let (a, b) = (p.idx(&ids[0]), p.idx(&ids[1]));
+        let mut bad = p.clone();
+        bad.ids.insert(ids[0].clone(), b);
+        assert!(bad.verify_indexes().unwrap_err().contains("maps to slot"));
+        let mut bad = p.clone();
+        bad.ix.unattached.insert(ids[0].clone(), b);
+        assert!(bad.verify_indexes().unwrap_err().contains("index entry"));
+        let mut bad = p.clone();
+        bad.free.push(a);
+        assert!(bad.verify_indexes().unwrap_err().contains("free list"));
         p.verify_indexes().unwrap();
     }
 

@@ -1504,10 +1504,7 @@ impl KubeShareSystem {
         let decide_ns = decide_start.elapsed().as_nanos() as f64;
 
         if self.telemetry.is_enabled() {
-            // Record the mode that actually ran: `Auto` resolves by pool
-            // size, and the label should say which path served the
-            // decision, not the configuration knob.
-            let mode = self.cfg.sched_mode.resolve(self.pool.len()).label();
+            let mode = self.cfg.sched_mode.label();
             // Wall-clock cost of running Algorithm 1 itself (not the
             // simulated sched_latency): 10ns .. 1s log-spaced.
             self.telemetry
@@ -2757,7 +2754,7 @@ mod tests {
 
     #[test]
     fn drain_pending_schedules_whole_queue_in_one_pass() {
-        for mode in [SchedMode::Reference, SchedMode::Indexed, SchedMode::Auto] {
+        for mode in [SchedMode::Reference, SchedMode::Indexed] {
             let mut eng = Engine::new(World {
                 ks: KubeShareSystem::new(
                     cluster_cfg(2, 2),
@@ -2803,11 +2800,9 @@ mod tests {
                 snap.histogram_count_sum("sched_batch_len", &[]).is_some(),
                 "batch length histogram recorded"
             );
-            // Small pools resolve `Auto` to the reference path, and the
-            // decision histogram is labeled with the path that ran.
-            let mode_label = mode.resolve(eng.world.ks.pool().len()).label();
+            // The decision histogram is labeled with the path that ran.
             let (count, _) = snap
-                .histogram_count_sum("sched_decision_ns", &[("mode", mode_label)])
+                .histogram_count_sum("sched_decision_ns", &[("mode", mode.label())])
                 .expect("decision timing histogram recorded");
             assert!(count >= 4, "one timing sample per decision");
         }

@@ -148,13 +148,6 @@ fn step(
             let decision = match mode {
                 SchedMode::Reference => schedule(&req, pool),
                 SchedMode::Indexed => schedule_indexed(&req, pool),
-                // Auto is a per-decision pick between the two fixed
-                // implementations; resolve it and recurse into whichever
-                // path the pool size selects.
-                SchedMode::Auto => match mode.resolve(pool.len()) {
-                    SchedMode::Reference => schedule(&req, pool),
-                    _ => schedule_indexed(&req, pool),
-                },
             };
             *next_uid += 1;
             let uid = Uid(*next_uid);
