@@ -264,7 +264,7 @@ impl ChaosInjector {
                     now,
                     "chaos",
                     "node_outage",
-                    &[("node", node.to_string())],
+                    &[("node", &node.to_string())],
                 );
             }
             ChaosEvent::NodeRecover { node } => {
@@ -273,7 +273,7 @@ impl ChaosInjector {
             }
             _ => {
                 self.telemetry
-                    .trace_event(now, "chaos", "fault", &[("kind", kind.to_string())]);
+                    .trace_event(now, "chaos", "fault", &[("kind", kind)]);
             }
         }
     }

@@ -446,7 +446,7 @@ impl ClusterSim {
             ctx,
             "cluster",
             "pod_phase",
-            &[("pod", uid.to_string()), ("phase", phase.to_string())],
+            &[("pod", &uid.to_string()), ("phase", phase)],
         );
     }
 

@@ -7,9 +7,10 @@
 //! from their own cursor — exactly the list-then-watch pattern Kubernetes
 //! controllers (and KubeShare's custom controllers) rely on.
 
+use std::cell::OnceCell;
 use std::collections::HashMap;
 
-use ks_telemetry::Telemetry;
+use ks_telemetry::{Gauge, Telemetry};
 
 use crate::api::meta::Uid;
 
@@ -57,6 +58,8 @@ pub struct Store<T> {
     telemetry: Telemetry,
     /// `store` label on exported metrics (e.g. "pods", "sharepods").
     label: &'static str,
+    /// The revision gauge, resolved on first use.
+    revision_gauge: OnceCell<Gauge>,
 }
 
 impl<T: Clone> Default for Store<T> {
@@ -74,6 +77,7 @@ impl<T: Clone> Store<T> {
             revision: 0,
             telemetry: Telemetry::disabled(),
             label: "",
+            revision_gauge: OnceCell::new(),
         }
     }
 
@@ -82,12 +86,16 @@ impl<T: Clone> Store<T> {
     pub fn instrument(&mut self, telemetry: Telemetry, label: &'static str) {
         self.telemetry = telemetry;
         self.label = label;
+        self.revision_gauge = OnceCell::new();
     }
 
     fn record_revision(&self) {
         if self.telemetry.is_enabled() {
-            self.telemetry
-                .gauge("ks_cluster_store_revision", &[("store", self.label)])
+            self.revision_gauge
+                .get_or_init(|| {
+                    self.telemetry
+                        .gauge("ks_cluster_store_revision", &[("store", self.label)])
+                })
                 .set(self.revision as f64);
         }
     }

@@ -21,6 +21,7 @@
 //!    released (on-demand policy) or kept (reservation policy), trading
 //!    creation latency against cluster-level utilization (paper §4.4).
 
+use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -31,7 +32,7 @@ use ks_cluster::sim::{ClusterConfig, ClusterEvent, ClusterNotice, ClusterSim};
 use ks_cluster::store::Store;
 use ks_sim_core::time::{SimDuration, SimTime};
 use ks_telemetry::provenance::{DecisionKind, Outcome, ReasonCode, SchedProv};
-use ks_telemetry::{FlightRecorder, LogLevel, Logger, SpanId, Telemetry, TraceCtx};
+use ks_telemetry::{FlightRecorder, Gauge, LogLevel, Logger, SpanId, Telemetry, TraceCtx};
 use ks_vgpu::ShareSpec;
 
 use ks_partition::Profile;
@@ -332,6 +333,7 @@ pub struct KubeShareSystem {
     /// world drives its time-based streams.
     chaos: Option<ChaosInjector>,
     telemetry: Telemetry,
+    gauges: Gauges,
     /// Decision-provenance flight recorder (disabled by default; zero-cost
     /// off, a pure observer on).
     recorder: FlightRecorder,
@@ -348,6 +350,18 @@ pub struct KubeShareSystem {
     sp_pending: usize,
     /// `Running` sharePod count, maintained likewise.
     sp_running: usize,
+}
+
+/// The gauges [`KubeShareSystem`] mirrors after every event, each resolved
+/// on first use and kept until the telemetry handle changes.
+#[derive(Debug, Default)]
+struct Gauges {
+    /// `ks_devmgr_vgpus{phase}` for creating, active, idle.
+    vgpus: [OnceCell<Gauge>; 3],
+    pending: OnceCell<Gauge>,
+    running: OnceCell<Gauge>,
+    awaiting: OnceCell<Gauge>,
+    fragmentation: OnceCell<Gauge>,
 }
 
 /// DevMgr's retry bookkeeping for one vGPU's anchor.
@@ -396,6 +410,7 @@ impl KubeShareSystem {
             next_ticket: 0,
             chaos: None,
             telemetry: Telemetry::disabled(),
+            gauges: Gauges::default(),
             recorder: FlightRecorder::disabled(),
             logger: Logger::disabled(),
             sp_trace: HashMap::new(),
@@ -424,6 +439,7 @@ impl KubeShareSystem {
             c.set_telemetry(telemetry.clone());
         }
         self.telemetry = telemetry;
+        self.gauges = Gauges::default();
     }
 
     /// Installs a decision-provenance flight recorder and propagates it to
@@ -550,28 +566,29 @@ impl KubeShareSystem {
         if !self.telemetry.is_enabled() {
             return;
         }
+        let (t, g) = (&self.telemetry, &self.gauges);
         let (creating, active, idle) = self.pool.phase_counts();
-        for (phase, v) in [("creating", creating), ("active", active), ("idle", idle)] {
-            self.telemetry
-                .gauge("ks_devmgr_vgpus", &[("phase", phase)])
+        let phases = [("creating", creating), ("active", active), ("idle", idle)];
+        for ((phase, v), cell) in phases.into_iter().zip(&g.vgpus) {
+            cell.get_or_init(|| t.gauge("ks_devmgr_vgpus", &[("phase", phase)]))
                 .set(f64::from(v));
         }
-        self.telemetry
-            .gauge("ks_sched_pending_sharepods", &[])
+        g.pending
+            .get_or_init(|| t.gauge("ks_sched_pending_sharepods", &[]))
             .set(self.sp_pending as f64);
-        self.telemetry
-            .gauge("ks_sched_running_sharepods", &[])
+        g.running
+            .get_or_init(|| t.gauge("ks_sched_running_sharepods", &[]))
             .set(self.sp_running as f64);
         let waiting: usize = self.waiting.values().map(Vec::len).sum();
-        self.telemetry
-            .gauge("ks_sched_awaiting_vgpu_sharepods", &[])
+        g.awaiting
+            .get_or_init(|| t.gauge("ks_sched_awaiting_vgpu_sharepods", &[]))
             .set(waiting as f64);
         // Pool-level fragmentation: the one O(pool) scan here, and only
         // when spatial devices exist — a pure time-slice pool always reads
         // 0 and skips the walk.
         if self.pool.spatial_count() > 0 {
-            self.telemetry
-                .gauge("ks_pool_fragmentation", &[])
+            g.fragmentation
+                .get_or_init(|| t.gauge("ks_pool_fragmentation", &[]))
                 .set(self.pool.fragmentation());
         }
     }
@@ -586,7 +603,7 @@ impl KubeShareSystem {
             .counter("ks_devmgr_vgpu_churn_total", &[("event", event)])
             .inc();
         self.telemetry
-            .trace_event(now, "devmgr", event, &[("gpuid", gpuid.to_string())]);
+            .trace_event(now, "devmgr", event, &[("gpuid", gpuid.as_str())]);
     }
 
     /// The causal trace context minted for a sharePod at submission, if
@@ -615,7 +632,7 @@ impl KubeShareSystem {
         self.telemetry.span_end(now, tr.vgpu_span, &[]);
         self.telemetry.span_end(now, tr.pod_span, &[]);
         self.telemetry
-            .span_end(now, tr.ctx.span, &[("outcome", outcome.to_string())]);
+            .span_end(now, tr.ctx.span, &[("outcome", outcome)]);
     }
 
     /// The installed fault injector, if any.
@@ -680,7 +697,7 @@ impl KubeShareSystem {
                 now,
                 "sched",
                 "sharepod",
-                &[("sp", uid.to_string()), ("name", sp_name)],
+                &[("sp", &uid.to_string()), ("name", &sp_name)],
             );
             let sched_span = self
                 .telemetry
@@ -1206,7 +1223,7 @@ impl KubeShareSystem {
             self.telemetry.counter("ks_sched_requeues_total", &[]).inc();
             let ctx = self.sp_ctx(sp);
             self.telemetry
-                .trace_event_in(now, ctx, "sched", "requeue", &[("sp", sp.to_string())]);
+                .trace_event_in(now, ctx, "sched", "requeue", &[("sp", &sp.to_string())]);
             // A fresh schedule span for the new Algorithm 1 pass; any span
             // left open by the failed attempt ends here.
             if self.sp_trace.contains_key(&sp) {
@@ -1313,7 +1330,7 @@ impl KubeShareSystem {
                 .inc();
             let ctx = self.sp_ctx(sp);
             self.telemetry
-                .trace_event_in(now, ctx, "sched", "preempt", &[("sp", sp.to_string())]);
+                .trace_event_in(now, ctx, "sched", "preempt", &[("sp", &sp.to_string())]);
             // Same span bookkeeping as a requeue: end whatever child span
             // the evicted attempt left open, open a fresh schedule span
             // for the next Algorithm 1 pass.
@@ -1386,7 +1403,7 @@ impl KubeShareSystem {
                 now,
                 "sched",
                 "batch_drain",
-                &[("len", batch_len.to_string())],
+                &[("len", &batch_len.to_string())],
             );
         }
         batch_len
@@ -1550,20 +1567,17 @@ impl KubeShareSystem {
                 "sched",
                 "decision",
                 &[
-                    ("sp", sp.to_string()),
-                    ("outcome", outcome.to_string()),
-                    ("target", target.clone()),
+                    ("sp", &sp.to_string()),
+                    ("outcome", outcome),
+                    ("target", &target),
                 ],
             );
             // The schedule span (opened at submission/requeue) ends at the
             // decision, carrying the outcome.
             if let Some(tr) = self.sp_trace.get_mut(&sp) {
                 let span = std::mem::replace(&mut tr.sched_span, SpanId::NONE);
-                self.telemetry.span_end(
-                    now,
-                    span,
-                    &[("outcome", outcome.to_string()), ("target", target)],
-                );
+                self.telemetry
+                    .span_end(now, span, &[("outcome", outcome), ("target", &target)]);
             }
         }
 
@@ -1728,7 +1742,7 @@ impl KubeShareSystem {
                     ctx,
                     "devmgr",
                     "vgpu_create",
-                    &[("gpuid", gpuid.to_string())],
+                    &[("gpuid", gpuid.as_str())],
                 );
                 self.sp_trace.get_mut(&sp).expect("just checked").vgpu_span = span;
             }
@@ -1745,7 +1759,7 @@ impl KubeShareSystem {
                 ctx,
                 "cluster",
                 "pod_create",
-                &[("gpuid", gpuid.to_string())],
+                &[("gpuid", gpuid.as_str())],
             );
             self.sp_trace.get_mut(&sp).expect("just checked").pod_span = span;
         }
@@ -1828,8 +1842,8 @@ impl KubeShareSystem {
                 "partition",
                 "reconfig",
                 &[
-                    ("gpuid", gpuid.to_string()),
-                    ("displaced", tenants.len().to_string()),
+                    ("gpuid", gpuid.as_str()),
+                    ("displaced", &tenants.len().to_string()),
                 ],
             )
         } else {
@@ -1913,8 +1927,7 @@ impl KubeShareSystem {
             },
             _ => "device_lost",
         };
-        self.telemetry
-            .span_end(now, span, &[("outcome", outcome.to_string())]);
+        self.telemetry.span_end(now, span, &[("outcome", outcome)]);
     }
 
     // ---- KubeShare-DevMgr ----
@@ -1947,7 +1960,7 @@ impl KubeShareSystem {
                 ctx,
                 "devmgr",
                 "anchor_launch",
-                &[("gpuid", gpuid.to_string())],
+                &[("gpuid", gpuid.as_str())],
             );
         }
         // An injected launch fault (image pull error, plugin hiccup, …)
@@ -2020,8 +2033,8 @@ impl KubeShareSystem {
                 "devmgr",
                 "anchor_backoff",
                 &[
-                    ("gpuid", gpuid.to_string()),
-                    ("attempt", attempts.to_string()),
+                    ("gpuid", gpuid.as_str()),
+                    ("attempt", &attempts.to_string()),
                 ],
             );
         }
@@ -2441,7 +2454,7 @@ impl KubeShareSystem {
                 if let Some(tr) = self.sp_trace.get_mut(&sp) {
                     let span = std::mem::replace(&mut tr.vgpu_span, SpanId::NONE);
                     self.telemetry
-                        .span_end(now, span, &[("uuid", uuid_for_spans.clone())]);
+                        .span_end(now, span, &[("uuid", &uuid_for_spans)]);
                 }
                 self.open_pod_span(now, sp, &gpuid);
                 out.push((now + self.cfg.vgpu_query_latency, KsEvent::CreatePod { sp }));
@@ -2496,7 +2509,7 @@ impl KubeShareSystem {
                 ctx,
                 "sched",
                 "sharepod_running",
-                &[("sp", sp.to_string())],
+                &[("sp", &sp.to_string())],
             );
         }
     }

@@ -589,13 +589,10 @@ impl<A: Authenticator> Gateway<A> {
                 now,
                 "gateway",
                 "request",
-                &[
-                    ("tenant", tenant.clone()),
-                    ("tier", tier.label().to_string()),
-                ],
+                &[("tenant", &tenant), ("tier", tier.label())],
             );
             self.telemetry
-                .span_end(now, ctx.span, &[("outcome", "admitted".to_string())]);
+                .span_end(now, ctx.span, &[("outcome", "admitted")]);
             self.telemetry
                 .counter("ks_gw_admitted_total", &[("tier", tier.label())])
                 .inc();

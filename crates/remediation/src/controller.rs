@@ -225,10 +225,10 @@ impl Controller {
                 "remediation",
                 "anomaly",
                 &[
-                    ("rule", a.rule.to_string()),
-                    ("metric", a.metric.to_string()),
-                    ("value", format!("{:.6}", a.value)),
-                    ("z", format!("{:.3}", a.z)),
+                    ("rule", a.rule),
+                    ("metric", a.metric),
+                    ("value", &format!("{:.6}", a.value)),
+                    ("z", &format!("{:.3}", a.z)),
                 ],
             );
             self.telemetry
@@ -289,13 +289,9 @@ impl Controller {
         if !self.guarded(now, &format!("cordon:{node}")) {
             return;
         }
-        let span = self.telemetry.span_begin_in(
-            now,
-            ctx,
-            "remediation",
-            "cordon",
-            &[("node", node.to_string())],
-        );
+        let span =
+            self.telemetry
+                .span_begin_in(now, ctx, "remediation", "cordon", &[("node", node)]);
         self.cordoned.insert(
             node.to_string(),
             OpenRemediation {
@@ -316,13 +312,9 @@ impl Controller {
             return;
         }
         // Drain is one-shot: the device is retired, nothing to track.
-        let span = self.telemetry.span_begin_in(
-            now,
-            ctx,
-            "remediation",
-            "drain",
-            &[("gpu", gpu.to_string())],
-        );
+        let span = self
+            .telemetry
+            .span_begin_in(now, ctx, "remediation", "drain", &[("gpu", gpu)]);
         self.telemetry.span_end(now, span, &[]);
         let action = Action::DrainVgpu {
             gpu: gpu.to_string(),
@@ -353,13 +345,13 @@ impl Controller {
             }
             let open = self.cordoned.remove(&node).expect("tracked above");
             self.telemetry
-                .span_end(now, open.span, &[("outcome", "uncordoned".to_string())]);
+                .span_end(now, open.span, &[("outcome", "uncordoned")]);
             self.telemetry.trace_event_in(
                 now,
                 open.ctx,
                 "remediation",
                 "uncordon",
-                &[("node", node.clone())],
+                &[("node", &node)],
             );
             let action = Action::UncordonNode { node };
             self.record_action(now, open.ctx, &action, "healthy streak reached clear_after");
@@ -388,17 +380,14 @@ impl Controller {
                     now,
                     "remediation",
                     "anomaly",
-                    &[
-                        ("rule", self.cfg.tighten_slo.to_string()),
-                        ("kind", "slo_burn".to_string()),
-                    ],
+                    &[("rule", self.cfg.tighten_slo), ("kind", "slo_burn")],
                 );
                 let span = self.telemetry.span_begin_in(
                     now,
                     ctx,
                     "remediation",
                     "tighten_admission",
-                    &[("scale", format!("{:.3}", self.cfg.tighten_scale))],
+                    &[("scale", &format!("{:.3}", self.cfg.tighten_scale))],
                 );
                 self.tightened = Some(OpenRemediation {
                     span,
@@ -418,7 +407,7 @@ impl Controller {
                 {
                     let open = self.tightened.take().expect("matched Some");
                     self.telemetry
-                        .span_end(now, open.span, &[("outcome", "relaxed".to_string())]);
+                        .span_end(now, open.span, &[("outcome", "relaxed")]);
                     self.record_action(
                         now,
                         open.ctx,

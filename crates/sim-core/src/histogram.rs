@@ -24,6 +24,9 @@ pub struct Histogram {
     lo: f64,
     hi: f64,
     scale: BucketScale,
+    /// `ln(hi / lo)` for log buckets (0 for linear), computed once rather
+    /// than per record.
+    log_span: f64,
     counts: Vec<u64>,
     underflow: u64,
     overflow: u64,
@@ -59,6 +62,10 @@ impl Histogram {
             lo,
             hi,
             scale,
+            log_span: match scale {
+                BucketScale::Linear => 0.0,
+                BucketScale::Log => (hi / lo).ln(),
+            },
             counts: vec![0; bins],
             underflow: 0,
             overflow: 0,
@@ -95,7 +102,7 @@ impl Histogram {
         let bins = self.counts.len() as f64;
         let frac = match self.scale {
             BucketScale::Linear => (x - self.lo) / (self.hi - self.lo),
-            BucketScale::Log => (x / self.lo).ln() / (self.hi / self.lo).ln(),
+            BucketScale::Log => (x / self.lo).ln() / self.log_span,
         };
         ((frac * bins) as usize).min(self.counts.len() - 1)
     }

@@ -380,7 +380,7 @@ mod tests {
     /// [2000,4000] → grant [4100,4200]; root closes at 5000.
     fn lifecycle() -> (Tracer, u64) {
         let t = Tracer::new();
-        let root = t.root_span(ms(0), "sched", "sharepod", &[("sp", "7".into())]);
+        let root = t.root_span(ms(0), "sched", "sharepod", &[("sp", "7")]);
         let sched = t.span_begin_in(ms(0), root, "sched", "schedule", &[]);
         t.span_end(ms(90), sched, &[]);
         let vgpu = t.span_begin_in(ms(90), root, "devmgr", "vgpu_create", &[]);

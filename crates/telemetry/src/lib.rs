@@ -25,7 +25,7 @@
 //! t.counter("ks_sched_decisions_total", &[("outcome", "assign")]).inc();
 //! t.histogram_seconds("ks_sched_latency_seconds", &[]).observe(0.090);
 //! t.trace_event(SimTime::from_millis(90), "sched", "decision",
-//!               &[("outcome", "assign".into())]);
+//!               &[("outcome", "assign")]);
 //!
 //! let snap = t.snapshot();
 //! assert_eq!(snap.counter_value("ks_sched_decisions_total",
@@ -156,13 +156,14 @@ impl Telemetry {
         }
     }
 
-    /// Records a point event on the trace.
+    /// Records a point event on the trace. Field values are borrowed, as
+    /// metric labels are; the tracer copies them only for events it keeps.
     pub fn trace_event(
         &self,
         at: SimTime,
         subsystem: &'static str,
         name: &'static str,
-        fields: &[(&'static str, String)],
+        fields: &[(&'static str, &str)],
     ) {
         if let Some(i) = &self.inner {
             i.tracer.event(at, subsystem, name, fields);
@@ -176,7 +177,7 @@ impl Telemetry {
         at: SimTime,
         subsystem: &'static str,
         name: &'static str,
-        fields: &[(&'static str, String)],
+        fields: &[(&'static str, &str)],
     ) -> SpanId {
         match &self.inner {
             Some(i) => i.tracer.span_begin(at, subsystem, name, fields),
@@ -186,7 +187,7 @@ impl Telemetry {
 
     /// Closes a span opened by [`Telemetry::span_begin`]. No-op for
     /// `SpanId::NONE` or unknown ids.
-    pub fn span_end(&self, at: SimTime, id: SpanId, fields: &[(&'static str, String)]) {
+    pub fn span_end(&self, at: SimTime, id: SpanId, fields: &[(&'static str, &str)]) {
         if let Some(i) = &self.inner {
             i.tracer.span_end(at, id, fields);
         }
@@ -199,7 +200,7 @@ impl Telemetry {
         at: SimTime,
         subsystem: &'static str,
         name: &'static str,
-        fields: &[(&'static str, String)],
+        fields: &[(&'static str, &str)],
     ) -> TraceCtx {
         match &self.inner {
             Some(i) => i.tracer.root_span(at, subsystem, name, fields),
@@ -215,7 +216,7 @@ impl Telemetry {
         ctx: TraceCtx,
         subsystem: &'static str,
         name: &'static str,
-        fields: &[(&'static str, String)],
+        fields: &[(&'static str, &str)],
     ) -> SpanId {
         match &self.inner {
             Some(i) => i.tracer.span_begin_in(at, ctx, subsystem, name, fields),
@@ -230,7 +231,7 @@ impl Telemetry {
         ctx: TraceCtx,
         subsystem: &'static str,
         name: &'static str,
-        fields: &[(&'static str, String)],
+        fields: &[(&'static str, &str)],
     ) {
         if let Some(i) = &self.inner {
             i.tracer.event_in(at, ctx, subsystem, name, fields);

@@ -236,6 +236,12 @@ impl Gauge {
     }
 }
 
+impl std::fmt::Debug for Gauge {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Gauge").field(&self.get()).finish()
+    }
+}
+
 /// Histogram handle.
 #[derive(Clone)]
 pub struct Histo(Option<Arc<Mutex<Histogram>>>);

@@ -234,13 +234,13 @@ impl SloEngine {
                     "slo",
                     "alert",
                     &[
-                        ("rule", rule.name.to_string()),
-                        ("metric", rule.condition.metric().to_string()),
-                        ("objective", rule.objective.to_string()),
+                        ("rule", rule.name),
+                        ("metric", rule.condition.metric()),
+                        ("objective", rule.objective),
                     ],
                 );
             } else if !breaching && state.active {
-                telemetry.trace_event(now, "slo", "resolve", &[("rule", rule.name.to_string())]);
+                telemetry.trace_event(now, "slo", "resolve", &[("rule", rule.name)]);
             }
             state.active = breaching;
             out.push(SloStatus {

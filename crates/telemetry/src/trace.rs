@@ -12,6 +12,9 @@
 //! events (the pre-causal API) carry `trace = 0, parent = 0` and keep
 //! working unchanged.
 
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+use ks_sim_core::fxhash::FxHashMap;
 use ks_sim_core::time::SimTime;
 use parking_lot::Mutex;
 use serde::Serialize;
@@ -21,7 +24,8 @@ use serde::Serialize;
 pub struct SpanId(pub(crate) u64);
 
 impl SpanId {
-    /// The id handed out by disabled handles; `span_end` ignores it.
+    /// The id handed out by disabled handles and for spans whose begin
+    /// was dropped at capacity; `span_end` ignores it.
     pub const NONE: SpanId = SpanId(0);
 
     /// Raw id (0 for [`SpanId::NONE`]).
@@ -101,8 +105,7 @@ struct TracerState {
     /// `SpanBegin` buffer index by span id, so `span_end` resolves its
     /// begin in O(1) instead of rescanning the buffer (which turns long
     /// soaks quadratic). Begins dropped at capacity are simply absent.
-    open: std::collections::HashMap<u64, usize>,
-    dropped: u64,
+    open: FxHashMap<u64, usize>,
     next_span: u64,
     next_trace: u64,
 }
@@ -110,6 +113,12 @@ struct TracerState {
 /// Append-only trace buffer behind an enabled [`crate::Telemetry`].
 pub struct Tracer {
     state: Mutex<TracerState>,
+    /// Set by the first drop. The buffer never empties, so from then on
+    /// point events and span begins are counted as dropped without taking
+    /// the lock. `full` and `dropped` publish no other data, so their
+    /// accesses are `Relaxed`.
+    full: AtomicBool,
+    dropped: AtomicU64,
 }
 
 impl Tracer {
@@ -120,23 +129,48 @@ impl Tracer {
         Tracer {
             state: Mutex::new(TracerState {
                 events: Vec::new(),
-                open: std::collections::HashMap::new(),
-                dropped: 0,
+                open: FxHashMap::default(),
                 next_span: 1,
                 next_trace: 1,
             }),
+            full: AtomicBool::new(false),
+            dropped: AtomicU64::new(0),
         }
     }
 
-    fn push(state: &mut TracerState, ev: TraceEvent) {
-        if state.events.len() >= Self::CAPACITY {
-            state.dropped = state.dropped.saturating_add(1);
-        } else {
-            if ev.kind == EventKind::SpanBegin {
-                state.open.insert(ev.span, state.events.len());
-            }
-            state.events.push(ev);
+    /// Counts a drop and returns `true` if the buffer is already full.
+    /// Only point events and span begins take this shortcut: a root span
+    /// still mints its trace id, and a span end still checks its begin.
+    fn dropped_early(&self) -> bool {
+        let full = self.full.load(Ordering::Relaxed);
+        if full {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
         }
+        full
+    }
+
+    /// Appends the event `build` makes, with `fields` copied into it, if
+    /// the buffer has room; otherwise counts a drop. The capacity check
+    /// comes first, so a dropped event builds and allocates nothing.
+    /// Returns whether the event was kept.
+    fn push(
+        &self,
+        state: &mut TracerState,
+        fields: &[(&'static str, &str)],
+        build: impl FnOnce() -> TraceEvent,
+    ) -> bool {
+        if state.events.len() >= Self::CAPACITY {
+            self.full.store(true, Ordering::Relaxed);
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+            return false;
+        }
+        let mut ev = build();
+        ev.fields = fields.iter().map(|&(k, v)| (k, v.to_owned())).collect();
+        if ev.kind == EventKind::SpanBegin {
+            state.open.insert(ev.span, state.events.len());
+        }
+        state.events.push(ev);
+        true
     }
 
     pub fn event(
@@ -144,7 +178,7 @@ impl Tracer {
         at: SimTime,
         subsystem: &'static str,
         name: &'static str,
-        fields: &[(&'static str, String)],
+        fields: &[(&'static str, &str)],
     ) {
         self.event_in(at, TraceCtx::NONE, subsystem, name, fields);
     }
@@ -156,22 +190,22 @@ impl Tracer {
         ctx: TraceCtx,
         subsystem: &'static str,
         name: &'static str,
-        fields: &[(&'static str, String)],
+        fields: &[(&'static str, &str)],
     ) {
+        if self.dropped_early() {
+            return;
+        }
         let mut s = self.state.lock();
-        Self::push(
-            &mut s,
-            TraceEvent {
-                at,
-                subsystem,
-                name,
-                kind: EventKind::Point,
-                span: 0,
-                trace: ctx.trace,
-                parent: ctx.span.0,
-                fields: fields.to_vec(),
-            },
-        );
+        self.push(&mut s, fields, || TraceEvent {
+            at,
+            subsystem,
+            name,
+            kind: EventKind::Point,
+            span: 0,
+            trace: ctx.trace,
+            parent: ctx.span.0,
+            fields: Vec::new(),
+        });
     }
 
     pub fn span_begin(
@@ -179,74 +213,79 @@ impl Tracer {
         at: SimTime,
         subsystem: &'static str,
         name: &'static str,
-        fields: &[(&'static str, String)],
+        fields: &[(&'static str, &str)],
     ) -> SpanId {
         self.span_begin_in(at, TraceCtx::NONE, subsystem, name, fields)
     }
 
     /// Mints a fresh trace and opens its root span; the returned context
-    /// parents all child spans/events of this trace.
+    /// parents all child spans/events of this trace. If the root begin is
+    /// dropped at capacity, the context's span is [`SpanId::NONE`].
     pub fn root_span(
         &self,
         at: SimTime,
         subsystem: &'static str,
         name: &'static str,
-        fields: &[(&'static str, String)],
+        fields: &[(&'static str, &str)],
     ) -> TraceCtx {
         let mut s = self.state.lock();
         let trace = s.next_trace;
         s.next_trace += 1;
         let id = s.next_span;
         s.next_span += 1;
-        Self::push(
-            &mut s,
-            TraceEvent {
-                at,
-                subsystem,
-                name,
-                kind: EventKind::SpanBegin,
-                span: id,
-                trace,
-                parent: 0,
-                fields: fields.to_vec(),
-            },
-        );
+        let kept = self.push(&mut s, fields, || TraceEvent {
+            at,
+            subsystem,
+            name,
+            kind: EventKind::SpanBegin,
+            span: id,
+            trace,
+            parent: 0,
+            fields: Vec::new(),
+        });
         TraceCtx {
             trace,
-            span: SpanId(id),
+            span: if kept { SpanId(id) } else { SpanId::NONE },
         }
     }
 
     /// Opens a span as a child of `ctx` (begin time may lie in the past —
-    /// the causal analyzer orders by timestamp, not append order).
+    /// the causal analyzer orders by timestamp, not append order). Returns
+    /// [`SpanId::NONE`] if the begin is dropped at capacity.
     pub fn span_begin_in(
         &self,
         at: SimTime,
         ctx: TraceCtx,
         subsystem: &'static str,
         name: &'static str,
-        fields: &[(&'static str, String)],
+        fields: &[(&'static str, &str)],
     ) -> SpanId {
+        if self.dropped_early() {
+            return SpanId::NONE;
+        }
         let mut s = self.state.lock();
         let id = s.next_span;
         s.next_span += 1;
-        Self::push(
-            &mut s,
-            TraceEvent {
-                at,
-                subsystem,
-                name,
-                kind: EventKind::SpanBegin,
-                span: id,
-                trace: ctx.trace,
-                parent: ctx.span.0,
-                fields: fields.to_vec(),
-            },
-        );
-        SpanId(id)
+        let kept = self.push(&mut s, fields, || TraceEvent {
+            at,
+            subsystem,
+            name,
+            kind: EventKind::SpanBegin,
+            span: id,
+            trace: ctx.trace,
+            parent: ctx.span.0,
+            fields: Vec::new(),
+        });
+        // A span whose begin was dropped is inert: its `span_end` returns
+        // before taking the lock.
+        if kept {
+            SpanId(id)
+        } else {
+            SpanId::NONE
+        }
     }
 
-    pub fn span_end(&self, at: SimTime, id: SpanId, fields: &[(&'static str, String)]) {
+    pub fn span_end(&self, at: SimTime, id: SpanId, fields: &[(&'static str, &str)]) {
         if id == SpanId::NONE {
             return;
         }
@@ -256,19 +295,16 @@ impl Tracer {
         };
         let (subsystem, name) = (open.subsystem, open.name);
         let (trace, parent) = (open.trace, open.parent);
-        Self::push(
-            &mut s,
-            TraceEvent {
-                at,
-                subsystem,
-                name,
-                kind: EventKind::SpanEnd,
-                span: id.0,
-                trace,
-                parent,
-                fields: fields.to_vec(),
-            },
-        );
+        self.push(&mut s, fields, || TraceEvent {
+            at,
+            subsystem,
+            name,
+            kind: EventKind::SpanEnd,
+            span: id.0,
+            trace,
+            parent,
+            fields: Vec::new(),
+        });
     }
 
     pub fn events(&self) -> Vec<TraceEvent> {
@@ -276,7 +312,7 @@ impl Tracer {
     }
 
     pub fn dropped(&self) -> u64 {
-        self.state.lock().dropped
+        self.dropped.load(Ordering::Relaxed)
     }
 
     /// Completed `(begin, end)` pairs, in begin order.
@@ -331,8 +367,9 @@ impl Tracer {
             }
             out.push('\n');
         }
-        if s.dropped > 0 {
-            out.push_str(&format!("... {} events dropped (capacity)\n", s.dropped));
+        let dropped = self.dropped();
+        if dropped > 0 {
+            out.push_str(&format!("... {dropped} events dropped (capacity)\n"));
         }
         out
     }
@@ -352,12 +389,7 @@ mod tests {
     fn point_events_accumulate_in_order() {
         let t = Tracer::new();
         t.event(SimTime::from_millis(1), "sched", "decision", &[]);
-        t.event(
-            SimTime::from_millis(2),
-            "devmgr",
-            "anchor",
-            &[("n", "1".into())],
-        );
+        t.event(SimTime::from_millis(2), "devmgr", "anchor", &[("n", "1")]);
         let evs = t.events();
         assert_eq!(evs.len(), 2);
         assert_eq!(evs[1].fields[0].1, "1");
@@ -369,7 +401,7 @@ mod tests {
     fn span_end_inherits_identity_from_begin() {
         let t = Tracer::new();
         let id = t.span_begin(SimTime::ZERO, "chaos", "recovery", &[]);
-        t.span_end(SimTime::from_secs(3), id, &[("ok", "true".into())]);
+        t.span_end(SimTime::from_secs(3), id, &[("ok", "true")]);
         let spans = t.spans();
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].1.subsystem, "chaos");
@@ -393,6 +425,28 @@ mod tests {
         assert_eq!(t.events().len(), Tracer::CAPACITY);
         assert_eq!(t.dropped(), 10);
         assert!(t.render_text().contains("10 events dropped"));
+
+        // A begin dropped at capacity counts once and hands back an inert
+        // span; ending it counts nothing more.
+        let span = t.span_begin_in(SimTime::ZERO, TraceCtx::NONE, "x", "s", &[("k", "v")]);
+        assert_eq!(span, SpanId::NONE);
+        t.span_end(SimTime::ZERO, span, &[("k", "v")]);
+        assert_eq!(t.dropped(), 11);
+        let root = t.root_span(SimTime::ZERO, "x", "r", &[]);
+        assert_eq!(root.span, SpanId::NONE);
+        t.span_end(SimTime::ZERO, root.span, &[]);
+        assert_eq!(t.dropped(), 12);
+        assert_eq!(t.events().len(), Tracer::CAPACITY);
+
+        // A span whose begin was kept still counts its dropped end.
+        let u = Tracer::new();
+        for _ in 0..Tracer::CAPACITY - 1 {
+            u.event(SimTime::ZERO, "x", "y", &[]);
+        }
+        let kept = u.span_begin(SimTime::ZERO, "x", "s", &[]);
+        assert_ne!(kept, SpanId::NONE);
+        u.span_end(SimTime::ZERO, kept, &[]);
+        assert_eq!(u.dropped(), 1);
     }
 
     #[test]

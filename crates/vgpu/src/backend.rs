@@ -19,7 +19,6 @@
 //! handler methods. Epoch counters make stale events harmless.
 
 use std::cell::OnceCell;
-use std::collections::BTreeSet;
 
 use ks_sim_core::fxhash::FxHashMap;
 use ks_sim_core::time::{SimDuration, SimTime};
@@ -148,8 +147,12 @@ pub struct TokenBackend {
     epoch: u64,
     window: UsageWindow,
     clients: FxHashMap<ClientId, ShareSpec>,
-    /// Containers currently blocked on (or consuming) the token.
-    wants: BTreeSet<ClientId>,
+    /// Containers currently blocked on (or consuming) the token, sorted
+    /// by id.
+    wants: Vec<ClientId>,
+    /// Scratch buffer for the policy's candidate list, reused across
+    /// dispatches.
+    candidates: Vec<Candidate>,
     retry_scheduled: bool,
     /// Total number of grants (handoffs) performed, for overhead reporting.
     grants: u64,
@@ -175,7 +178,8 @@ impl TokenBackend {
             state: TokenState::Free,
             epoch: 0,
             clients: FxHashMap::default(),
-            wants: BTreeSet::new(),
+            wants: Vec::new(),
+            candidates: Vec::new(),
             retry_scheduled: false,
             grants: 0,
             telemetry: Telemetry::disabled(),
@@ -263,8 +267,8 @@ impl TokenBackend {
             "vgpu",
             "token_reclaim",
             &[
-                ("gpu", self.gpu_label.clone()),
-                ("client", reclaimed.to_string()),
+                ("gpu", &self.gpu_label),
+                ("client", reclaimed.label().as_str()),
             ],
         );
         if let Some(from) = held_from {
@@ -331,12 +335,8 @@ impl TokenBackend {
             )
             .inc();
         if self.telemetry.is_enabled() {
-            self.telemetry.trace_event(
-                now,
-                "vgpu",
-                "backend_restart",
-                &[("gpu", self.gpu_label.clone())],
-            );
+            self.telemetry
+                .trace_event(now, "vgpu", "backend_restart", &[("gpu", &self.gpu_label)]);
         }
     }
 
@@ -351,7 +351,7 @@ impl TokenBackend {
 
     /// Deregisters a departing container, releasing the token if held.
     pub fn deregister(&mut self, now: SimTime, client: ClientId, out: &mut Vec<BackendTimer>) {
-        self.wants.remove(&client);
+        self.unwant(client);
         self.waiting_since.remove(&client);
         match self.state {
             TokenState::Held { by, .. } if by == client => {
@@ -395,7 +395,9 @@ impl TokenBackend {
                 return Ok(true);
             }
         }
-        self.wants.insert(client);
+        if let Err(i) = self.wants.binary_search(&client) {
+            self.wants.insert(i, client);
+        }
         if self.telemetry.is_enabled() {
             self.waiting_since.entry(client).or_insert(now);
         }
@@ -410,7 +412,7 @@ impl TokenBackend {
     /// holder yields immediately. Returns `true` if the client still holds
     /// a cached token afterwards.
     pub fn retract(&mut self, now: SimTime, client: ClientId, out: &mut Vec<BackendTimer>) -> bool {
-        self.wants.remove(&client);
+        self.unwant(client);
         self.waiting_since.remove(&client);
         if let TokenState::Held { by, .. } = self.state {
             if by == client {
@@ -429,7 +431,7 @@ impl TokenBackend {
 
     /// The holder voluntarily hands the token back (no more queued work).
     pub fn release(&mut self, now: SimTime, client: ClientId, out: &mut Vec<BackendTimer>) {
-        self.wants.remove(&client);
+        self.unwant(client);
         self.waiting_since.remove(&client);
         if let TokenState::Held { by, .. } = self.state {
             if by == client {
@@ -499,7 +501,7 @@ impl TokenBackend {
                         ctx,
                         "vgpu",
                         "token_grant",
-                        &[("gpu", self.gpu_label.clone()), ("client", to.to_string())],
+                        &[("gpu", &self.gpu_label), ("client", to.label().as_str())],
                     );
                     self.telemetry.span_end(now, span, &[]);
                 }
@@ -569,19 +571,24 @@ impl TokenBackend {
         }
     }
 
+    /// Drops `client` from the wait queue, if it is there.
+    fn unwant(&mut self, client: ClientId) {
+        if let Ok(i) = self.wants.binary_search(&client) {
+            self.wants.remove(i);
+        }
+    }
+
     fn dispatch(&mut self, now: SimTime, out: &mut Vec<BackendTimer>) {
         if self.state != TokenState::Free || self.wants.is_empty() {
             return;
         }
-        let candidates: Vec<Candidate> = self
-            .wants
-            .iter()
-            .map(|&c| Candidate {
-                client: c,
-                spec: self.clients[&c],
-                usage: self.window.usage(now, c),
-            })
-            .collect();
+        let mut candidates = std::mem::take(&mut self.candidates);
+        candidates.clear();
+        candidates.extend(self.wants.iter().map(|&c| Candidate {
+            client: c,
+            spec: self.clients[&c],
+            usage: self.window.usage(now, c),
+        }));
         match select_next(&candidates) {
             Some(next) => {
                 if self.telemetry.is_enabled() {
@@ -629,6 +636,7 @@ impl TokenBackend {
                 }
             }
         }
+        self.candidates = candidates;
     }
 }
 

@@ -31,18 +31,12 @@ const EPS: f64 = 1e-9;
 /// Selects the next token holder, or `None` if every requester is at its
 /// limit (the token then stays idle until usage decays).
 pub fn select_next(candidates: &[Candidate]) -> Option<ClientId> {
-    // Step 1: filter out candidates at/over their gpu_limit.
-    let eligible: Vec<&Candidate> = candidates
-        .iter()
-        .filter(|c| c.usage < c.spec.limit - EPS)
-        .collect();
-    if eligible.is_empty() {
-        return None;
-    }
+    // Step 1: filter out candidates at/over their gpu_limit. Steps 2 and 3
+    // each walk the filtered candidates, so nothing is collected.
+    let eligible = || candidates.iter().filter(|c| c.usage < c.spec.limit - EPS);
 
     // Step 2: prefer the candidate farthest below its gpu_request.
-    let below_request = eligible
-        .iter()
+    let below_request = eligible()
         .filter(|c| c.usage < c.spec.request - EPS)
         .max_by(|a, b| {
             let da = a.spec.request - a.usage;
@@ -57,8 +51,8 @@ pub fn select_next(candidates: &[Candidate]) -> Option<ClientId> {
     }
 
     // Step 3: everyone met their minimum — grant to the lowest usage.
-    eligible
-        .iter()
+    // No eligible candidate at all leaves the token idle.
+    eligible()
         .min_by(|a, b| {
             a.usage
                 .partial_cmp(&b.usage)

@@ -113,7 +113,7 @@ impl Inner {
                         ctx,
                         "vgpu",
                         "rt_lease_reaped",
-                        &[("client", id.to_string())],
+                        &[("client", id.label().as_str())],
                     );
                 }
             }
@@ -318,7 +318,7 @@ impl RtFrontend {
                                 ctx,
                                 "vgpu",
                                 "rt_token_grant",
-                                &[("client", self.id.to_string())],
+                                &[("client", self.id.label().as_str())],
                             );
                             telemetry.span_end(sim_now, span, &[]);
                         }

@@ -25,7 +25,7 @@ use ks_gpu::engine::KernelTag;
 use ks_gpu::types::{ContextId, CudaError, DevicePtr};
 use ks_sim_core::fxhash::FxHashMap;
 use ks_sim_core::time::{SimDuration, SimTime};
-use ks_telemetry::{Counter, Telemetry};
+use ks_telemetry::{Counter, Gauge, Telemetry};
 
 use crate::backend::{BackendTimer, TokenBackend, VgpuConfig};
 use crate::spec::ShareSpec;
@@ -124,13 +124,15 @@ struct Frontend {
     swapped_ptrs: FxHashMap<DevicePtr, u64>,
 }
 
-/// Per-burst counters, resolved on first use (so the series appear with
-/// the first burst, not at attach time) and kept until the telemetry
+/// Metric handles, each resolved on first use (so a series appears with
+/// its first sample, not at attach time) and kept until the telemetry
 /// handle changes.
 #[derive(Debug, Default)]
 struct Metrics {
     bursts_submitted: OnceCell<Counter>,
     bursts_completed: OnceCell<Counter>,
+    degradation: OnceCell<Gauge>,
+    window_usage: FxHashMap<ClientId, Gauge>,
 }
 
 /// A device under vGPU management. See module docs.
@@ -154,6 +156,9 @@ pub struct SharedGpu {
     degraded_factor: f64,
     telemetry: Telemetry,
     metrics: Metrics,
+    /// Scratch buffer the backend appends its timers to; drained into the
+    /// caller's emit vector after every backend call.
+    timers: Vec<BackendTimer>,
 }
 
 /// Scheduled events produced by a [`SharedGpu`] call: `(fire_at, event)`.
@@ -176,6 +181,7 @@ impl SharedGpu {
             degraded_factor: 1.0,
             telemetry: Telemetry::disabled(),
             metrics: Metrics::default(),
+            timers: Vec::new(),
         }
     }
 
@@ -191,9 +197,14 @@ impl SharedGpu {
         );
         self.degraded_factor = factor;
         if self.telemetry.is_enabled() {
-            let uuid = self.device.uuid().to_string();
-            self.telemetry
-                .gauge("ks_vgpu_degradation_factor", &[("gpu", &uuid)])
+            self.metrics
+                .degradation
+                .get_or_init(|| {
+                    self.telemetry.gauge(
+                        "ks_vgpu_degradation_factor",
+                        &[("gpu", self.backend.gpu_label())],
+                    )
+                })
                 .set(factor);
         }
     }
@@ -288,7 +299,6 @@ impl SharedGpu {
         self.backend.restart(now);
         let mut clients: Vec<ClientId> = self.fronts.keys().copied().collect();
         clients.sort();
-        let mut timers = Vec::new();
         for client in clients {
             let fe = self.fronts.get_mut(&client).expect("listed above");
             fe.idle_since = None; // any cached token died with the daemon
@@ -298,10 +308,10 @@ impl SharedGpu {
                 .register(client, spec)
                 .expect("restart cleared all registrations");
             if pending {
-                let _ = self.backend.request(now, client, &mut timers);
+                let _ = self.backend.request(now, client, &mut self.timers);
             }
         }
-        self.emit_timers(timers, out);
+        self.flush_timers(out);
     }
 
     /// Detaches a container: frees its memory, drops queued kernels and
@@ -311,9 +321,9 @@ impl SharedGpu {
             return;
         };
         self.ctx_to_client.remove(&fe.ctx);
-        let mut timers = Vec::new();
-        self.backend.deregister(now, client, &mut timers);
-        self.emit_timers(timers, out);
+        self.metrics.window_usage.remove(&client);
+        self.backend.deregister(now, client, &mut self.timers);
+        self.flush_timers(out);
         self.device.detach(fe.ctx);
     }
 
@@ -423,13 +433,16 @@ impl SharedGpu {
     pub fn client_usage(&mut self, now: SimTime, client: ClientId) -> f64 {
         let usage = self.backend.usage(now, client);
         if self.telemetry.is_enabled() {
-            let uuid = self.device.uuid().to_string();
-            let client_label = client.to_string();
-            self.telemetry
-                .gauge(
-                    "ks_vgpu_window_usage",
-                    &[("gpu", uuid.as_str()), ("client", client_label.as_str())],
-                )
+            let (telemetry, gpu) = (&self.telemetry, self.backend.gpu_label());
+            self.metrics
+                .window_usage
+                .entry(client)
+                .or_insert_with(|| {
+                    telemetry.gauge(
+                        "ks_vgpu_window_usage",
+                        &[("gpu", gpu), ("client", client.label().as_str())],
+                    )
+                })
                 .set(usage);
         }
         usage
@@ -446,22 +459,21 @@ impl SharedGpu {
         match ev {
             VgpuEvent::KernelDone => self.on_kernel_done(now, out, notices),
             VgpuEvent::GrantEffective { epoch } => {
-                let mut timers = Vec::new();
-                let granted = self.backend.on_grant_effective(now, epoch, &mut timers);
-                self.emit_timers(timers, out);
+                let granted = self
+                    .backend
+                    .on_grant_effective(now, epoch, &mut self.timers);
+                self.flush_timers(out);
                 if let Some(client) = granted {
                     self.pump(now, client, out);
                 }
             }
             VgpuEvent::QuotaExpiry { epoch } => {
-                let mut timers = Vec::new();
-                self.backend.on_expiry(now, epoch, &mut timers);
-                self.emit_timers(timers, out);
+                self.backend.on_expiry(now, epoch, &mut self.timers);
+                self.flush_timers(out);
             }
             VgpuEvent::RetryDispatch => {
-                let mut timers = Vec::new();
-                self.backend.on_retry(now, &mut timers);
-                self.emit_timers(timers, out);
+                self.backend.on_retry(now, &mut self.timers);
+                self.flush_timers(out);
             }
             VgpuEvent::IdleRelease { client, since } => {
                 let still_idle = self
@@ -471,9 +483,8 @@ impl SharedGpu {
                     .unwrap_or(false);
                 if still_idle {
                     self.fronts.get_mut(&client).unwrap().idle_since = None;
-                    let mut timers = Vec::new();
-                    self.backend.release(now, client, &mut timers);
-                    self.emit_timers(timers, out);
+                    self.backend.release(now, client, &mut self.timers);
+                    self.flush_timers(out);
                 }
             }
         }
@@ -518,9 +529,8 @@ impl SharedGpu {
             // released for others; if the token was already lost to
             // expiry, fully release right away.
             if self.backend.holds_valid_token(now, client) {
-                let mut timers = Vec::new();
-                let kept = self.backend.retract(now, client, &mut timers);
-                self.emit_timers(timers, out);
+                let kept = self.backend.retract(now, client, &mut self.timers);
+                self.flush_timers(out);
                 if kept {
                     let grace = self.backend.config().idle_grace;
                     let fe = self.fronts.get_mut(&client).unwrap();
@@ -528,9 +538,8 @@ impl SharedGpu {
                     out.push((now + grace, VgpuEvent::IdleRelease { client, since: now }));
                 }
             } else {
-                let mut timers = Vec::new();
-                self.backend.release(now, client, &mut timers);
-                self.emit_timers(timers, out);
+                self.backend.release(now, client, &mut self.timers);
+                self.flush_timers(out);
             }
         } else {
             self.pump(now, client, out);
@@ -547,9 +556,8 @@ impl SharedGpu {
         }
         if fe.queue.is_empty() {
             if self.backend.holds_valid_token(now, client) {
-                let mut timers = Vec::new();
-                self.backend.release(now, client, &mut timers);
-                self.emit_timers(timers, out);
+                self.backend.release(now, client, &mut self.timers);
+                self.flush_timers(out);
             }
             return;
         }
@@ -561,8 +569,7 @@ impl SharedGpu {
             };
             self.device_submit(now, client, burst, out);
         } else {
-            let mut timers = Vec::new();
-            let holds = match self.backend.request(now, client, &mut timers) {
+            let holds = match self.backend.request(now, client, &mut self.timers) {
                 Ok(h) => h,
                 Err(_) => {
                     // The frontend raced a backend restart: transparently
@@ -571,7 +578,7 @@ impl SharedGpu {
                     let spec = self.fronts[&client].spec;
                     let _ = self.backend.register(client, spec);
                     self.backend
-                        .request(now, client, &mut timers)
+                        .request(now, client, &mut self.timers)
                         .unwrap_or(false)
                 }
             };
@@ -586,11 +593,11 @@ impl SharedGpu {
                         .unwrap_or(false);
                     if holder_idle {
                         self.fronts.get_mut(&h).unwrap().idle_since = None;
-                        self.backend.release(now, h, &mut timers);
+                        self.backend.release(now, h, &mut self.timers);
                     }
                 }
             }
-            self.emit_timers(timers, out);
+            self.flush_timers(out);
             if holds {
                 // Grant completed synchronously (cannot happen with a
                 // nonzero handoff, but keep the machine total).
@@ -636,8 +643,10 @@ impl SharedGpu {
         // its completion will start this one and emit the event then.
     }
 
-    fn emit_timers(&self, timers: Vec<BackendTimer>, out: &mut VgpuEmit) {
-        for t in timers {
+    /// Moves the backend timers collected in `self.timers` into `out` as
+    /// vGPU events, keeping the scratch buffer's capacity.
+    fn flush_timers(&mut self, out: &mut VgpuEmit) {
+        for t in self.timers.drain(..) {
             match t {
                 BackendTimer::GrantEffective { at, epoch } => {
                     out.push((at, VgpuEvent::GrantEffective { epoch }));

@@ -21,6 +21,39 @@ impl std::fmt::Display for ClientId {
     }
 }
 
+impl ClientId {
+    /// The display form, formatted on the stack: a metric label or trace
+    /// field value for paths that must not allocate.
+    pub(crate) fn label(self) -> ClientLabel {
+        const PREFIX: &[u8] = b"client-";
+        let mut buf = [0u8; ClientLabel::MAX];
+        buf[..PREFIX.len()].copy_from_slice(PREFIX);
+        let digits = 1 + self.0.checked_ilog10().unwrap_or(0) as usize;
+        let len = PREFIX.len() + digits;
+        let mut n = self.0;
+        for b in buf[PREFIX.len()..len].iter_mut().rev() {
+            *b = b'0' + (n % 10) as u8;
+            n /= 10;
+        }
+        ClientLabel { buf, len }
+    }
+}
+
+/// A [`ClientId`]'s display form in a fixed buffer; see [`ClientId::label`].
+pub(crate) struct ClientLabel {
+    buf: [u8; ClientLabel::MAX],
+    len: usize,
+}
+
+impl ClientLabel {
+    /// `client-` plus the 20 digits of `u64::MAX`.
+    const MAX: usize = 27;
+
+    pub(crate) fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.buf[..self.len]).expect("formatted as UTF-8")
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Interval {
     start: SimTime,
@@ -145,6 +178,13 @@ mod tests {
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
+    }
+
+    #[test]
+    fn label_matches_display() {
+        for id in [0, 7, 1_000_000, u64::MAX] {
+            assert_eq!(ClientId(id).label().as_str(), ClientId(id).to_string());
+        }
     }
 
     fn win() -> UsageWindow {
