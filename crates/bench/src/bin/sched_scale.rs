@@ -1,8 +1,9 @@
 //! Scheduler scaling benchmark: drains a pending SharePod queue through
 //! Algorithm 1 in `Reference` and `Indexed` modes on identical seeded
 //! pools, reports decisions/sec (including a lane with the flight
-//! recorder capturing full provenance), and writes the
-//! `BENCH_sched.json` trajectory. Exits non-zero if the modes ever
+//! recorder capturing full provenance), and appends the sweep to the
+//! `BENCH_sched.json` trajectory, stamped with the git revision and the
+//! host. Exits non-zero if the modes ever
 //! diverge, if the recorder changes any decision, or if provenance
 //! capture costs more than 5 % throughput at the largest sweep point.
 //!
@@ -11,7 +12,7 @@
 //! default sweep covers 1k–10k GPUs.
 
 use ks_bench::report::{f1, Table};
-use ks_bench::sched_scale::{run, to_json, SchedScaleConfig};
+use ks_bench::sched_scale::{append_json, run, SchedScaleConfig, Stamp};
 
 fn main() {
     let mut cfg = SchedScaleConfig::default();
@@ -75,9 +76,11 @@ fn main() {
     }
     println!("{}", table.render());
 
-    let json = to_json(&cfg, &points);
+    let existing = std::fs::read_to_string(&out).ok();
+    let json = append_json(existing.as_deref(), &cfg, &points, &Stamp::current())
+        .unwrap_or_else(|e| panic!("appending to {out}: {e}"));
     std::fs::write(&out, &json).unwrap_or_else(|e| panic!("writing {out}: {e}"));
-    println!("wrote {out}");
+    println!("appended to {out}");
 
     let divergences: usize = points.iter().map(|p| p.divergences).sum();
     if divergences > 0 {

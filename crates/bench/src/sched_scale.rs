@@ -293,24 +293,103 @@ pub fn run(cfg: &SchedScaleConfig) -> Vec<ScalePoint> {
         .collect()
 }
 
-/// The `BENCH_sched.json` document shape.
+/// Where a trajectory point was measured: the source revision and the
+/// host it ran on.
 #[derive(Debug, Clone, Serialize)]
-struct BenchDoc {
-    bench: String,
+pub struct Stamp {
+    /// `git rev-parse --short HEAD` of the working directory, with
+    /// `-dirty` appended when tracked files differ from it; `"unknown"`
+    /// outside a git checkout.
+    pub rev: String,
+    /// The measuring host.
+    pub host: Host,
+}
+
+/// The host a trajectory point was measured on.
+#[derive(Debug, Clone, Serialize)]
+pub struct Host {
+    /// Logical cores available to the process.
+    pub cores: usize,
+    /// CPU model name (`/proc/cpuinfo`), or `"unknown"`.
+    pub cpu: String,
+}
+
+impl Stamp {
+    /// Stamps a measurement taken now, from the current directory.
+    pub fn current() -> Self {
+        let git = |args: &[&str]| std::process::Command::new("git").args(args).output().ok();
+        let rev = git(&["rev-parse", "--short", "HEAD"])
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string());
+        let dirty = git(&["diff", "--quiet", "HEAD"]).is_some_and(|o| o.status.code() == Some(1));
+        let cpu = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|info| {
+                info.lines()
+                    .find_map(|l| l.strip_prefix("model name")?.split_once(':'))
+                    .map(|(_, model)| model.trim().to_string())
+            });
+        Stamp {
+            rev: match rev {
+                Some(rev) if dirty => format!("{rev}-dirty"),
+                Some(rev) => rev,
+                None => "unknown".to_string(),
+            },
+            host: Host {
+                cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+                cpu: cpu.unwrap_or_else(|| "unknown".to_string()),
+            },
+        }
+    }
+}
+
+/// One sweep in the `BENCH_sched.json` trajectory.
+#[derive(Debug, Clone, Serialize)]
+struct Run {
+    rev: String,
+    host: Host,
     seed: u64,
     pods: usize,
     points: Vec<ScalePoint>,
 }
 
-/// Serializes sweep results as the `BENCH_sched.json` trajectory point.
-pub fn to_json(cfg: &SchedScaleConfig, points: &[ScalePoint]) -> String {
-    let doc = BenchDoc {
-        bench: "sched_scale".to_string(),
+/// Appends one sweep to a `BENCH_sched.json` trajectory and returns the
+/// new document. `existing` is the file's current text (`None` starts a
+/// new trajectory); earlier sweeps are kept as they are. Errors if the
+/// text is not a `sched_scale` trajectory.
+pub fn append_json(
+    existing: Option<&str>,
+    cfg: &SchedScaleConfig,
+    points: &[ScalePoint],
+    stamp: &Stamp,
+) -> Result<String, String> {
+    let mut runs = match existing {
+        None => Vec::new(),
+        Some(text) => {
+            let doc: serde_json::Value =
+                serde_json::from_str(text).map_err(|e| format!("not JSON: {e:?}"))?;
+            match (
+                doc.field("bench").as_str(),
+                doc.field("trajectory").as_array(),
+            ) {
+                (Some("sched_scale"), Some(runs)) => runs.to_vec(),
+                _ => return Err("not a sched_scale trajectory".to_string()),
+            }
+        }
+    };
+    let run = Run {
+        rev: stamp.rev.clone(),
+        host: stamp.host.clone(),
         seed: cfg.seed,
         pods: cfg.pods,
         points: points.to_vec(),
     };
-    serde_json::to_string_pretty(&doc).expect("serializable")
+    runs.push(serde_json::to_value(&run).expect("serializable"));
+    let doc = serde_json::Value::Map(vec![
+        ("bench".to_string(), "sched_scale".to_value()),
+        ("trajectory".to_string(), serde_json::Value::Array(runs)),
+    ]);
+    Ok(serde_json::to_string_pretty(&doc).expect("serializable"))
 }
 
 #[cfg(test)]
@@ -338,10 +417,35 @@ mod tests {
             assert!(p.reference_dps > 0.0 && p.indexed_dps > 0.0);
             assert!(p.final_devices >= p.gpus);
         }
-        let json = to_json(&cfg, &points);
-        let v: serde_json::Value = serde_json::from_str(&json).unwrap();
+    }
+
+    #[test]
+    fn trajectory_appends_and_keeps_earlier_sweeps() {
+        let cfg = SchedScaleConfig {
+            gpu_sweep: vec![16],
+            pods: 50,
+            seed: 5,
+        };
+        let points = run(&cfg);
+        let stamp = Stamp {
+            rev: "abc1234".to_string(),
+            host: Host {
+                cores: 2,
+                cpu: "test cpu".to_string(),
+            },
+        };
+        let first = append_json(None, &cfg, &points, &stamp).unwrap();
+        let second = append_json(Some(&first), &cfg, &points, &stamp).unwrap();
+        let v: serde_json::Value = serde_json::from_str(&second).unwrap();
         assert_eq!(v.field("bench").as_str(), Some("sched_scale"));
-        assert_eq!(v.field("points").as_array().unwrap().len(), 2);
+        let runs = v.field("trajectory").as_array().unwrap();
+        assert_eq!(runs.len(), 2);
+        let first: serde_json::Value = serde_json::from_str(&first).unwrap();
+        assert_eq!(runs[0], first.field("trajectory")[0]);
+        assert_eq!(runs[1].field("rev").as_str(), Some("abc1234"));
+        assert_eq!(runs[1].field("host").field("cores").as_u64(), Some(2));
+        assert_eq!(runs[1].field("points").as_array().unwrap().len(), 1);
+        assert!(append_json(Some("{\"bench\": \"other\"}"), &cfg, &points, &stamp).is_err());
     }
 
     #[test]

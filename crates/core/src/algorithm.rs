@@ -671,6 +671,29 @@ pub struct BatchEntry {
     pub req: SchedRequest,
 }
 
+/// Applies one [`schedule_batch`] decision to the pool. The time-slice
+/// path never proposes a reconfiguration.
+fn apply_decision(pool: &mut VgpuPool, e: &BatchEntry, decision: &Decision) {
+    let id = match decision {
+        Decision::Assign(id) => id,
+        Decision::NewDevice(id) => {
+            pool.insert_creating(id.clone());
+            id
+        }
+        Decision::Reconfigure(_) | Decision::Reject(_) => return,
+    };
+    let loc = &e.req.locality;
+    pool.attach(
+        id,
+        e.uid,
+        e.req.util,
+        e.req.mem,
+        loc.affinity.as_deref(),
+        loc.anti_affinity.as_deref(),
+        loc.exclusion.as_deref(),
+    );
+}
+
 /// Drains a pending queue in one pass with shared pool state: each entry
 /// is scheduled in order and its decision *applied* to the pool before
 /// the next entry runs — `Assign` attaches the demand, `NewDevice`
@@ -688,26 +711,7 @@ pub fn schedule_batch(
         .iter()
         .map(|e| {
             let decision = schedule_with(mode, &e.req, pool);
-            let target = match &decision {
-                Decision::Assign(id) => Some(id.clone()),
-                Decision::NewDevice(id) => {
-                    pool.insert_creating(id.clone());
-                    Some(id.clone())
-                }
-                // The time-slice path never proposes a reconfiguration.
-                Decision::Reconfigure(_) | Decision::Reject(_) => None,
-            };
-            if let Some(id) = target {
-                pool.attach(
-                    &id,
-                    e.uid,
-                    e.req.util,
-                    e.req.mem,
-                    e.req.locality.affinity.as_deref(),
-                    e.req.locality.anti_affinity.as_deref(),
-                    e.req.locality.exclusion.as_deref(),
-                );
-            }
+            apply_decision(pool, e, &decision);
             (e.uid, decision)
         })
         .collect()
@@ -736,25 +740,7 @@ pub fn schedule_batch_recorded(
         .iter()
         .map(|e| {
             let decision = schedule_with_prov(mode, &e.req, pool, &mut prov);
-            let target = match &decision {
-                Decision::Assign(id) => Some(id.clone()),
-                Decision::NewDevice(id) => {
-                    pool.insert_creating(id.clone());
-                    Some(id.clone())
-                }
-                Decision::Reconfigure(_) | Decision::Reject(_) => None,
-            };
-            if let Some(id) = target {
-                pool.attach(
-                    &id,
-                    e.uid,
-                    e.req.util,
-                    e.req.mem,
-                    e.req.locality.affinity.as_deref(),
-                    e.req.locality.anti_affinity.as_deref(),
-                    e.req.locality.exclusion.as_deref(),
-                );
-            }
+            apply_decision(pool, e, &decision);
             if recorder.is_enabled() {
                 let outcome = outcome_of(&decision, &prov);
                 session.record_scratch(at, e.uid.0, 0, DecisionKind::Schedule, outcome, &mut prov);

@@ -14,13 +14,15 @@
 //! pool maintains a set of incrementally-updated indexes so Algorithm 1's
 //! hot path (best-fit / worst-fit selection, affinity lookup, idle reuse)
 //! runs as ordered-range lookups instead of full scans (DESIGN.md §10).
-//! Every index entry is an (id, handle) pair, so a scan reads its devices
-//! straight from the slab:
+//! Every index entry carries the device's slot handle, so a scan reads
+//! its devices straight from the slab:
 //!
 //! * `plain_fit` / `labeled_fit` — schedulable (non-releasing) devices
-//!   keyed by their *fit key* `util_free + mem_free`, split by whether the
-//!   device carries affinity labels (best-fit scans `plain_fit` ascending,
-//!   worst-fit scans `labeled_fit` descending);
+//!   under one flat key each, built from their *fit key*
+//!   `util_free + mem_free` and their id, split by whether the device
+//!   carries affinity labels. `plain_fit` orders by (fit key, id), the
+//!   best-fit scan order; `labeled_fit` by (fit key descending, id), so
+//!   the worst-fit scan is a forward walk that stops below the bound;
 //! * `unattached` — devices with no tenants (Algorithm 1's `d.idle`),
 //!   in id order;
 //! * `idle` — devices in the `Idle` lifecycle phase (release-policy
@@ -30,14 +32,18 @@
 //!   devices: node-failure handling must see them too);
 //! * `spatial` — partitioned devices, the spatial path's candidates.
 //!
-//! Every mutation (`insert_creating`, `mark_ready`, `attach`, `detach`,
-//! `mark_releasing`, `remove`) keeps the slab and the indexes exact;
+//! Every mutator (`insert_creating`, `mark_ready`, `attach`,
+//! `attach_slice`, `detach`, `mark_releasing`, `remove`) snapshots where
+//! the device sits in the scheduler indexes before it changes the device,
+//! then applies only the difference through one routine: an `attach`
+//! moves one fit entry and adds at most its one new affinity label.
 //! [`VgpuPool::verify_indexes`] cross-checks the handle map and the
 //! indexes against a from-scratch rebuild and backs the
 //! index-consistency property tests.
 
-use std::borrow::Borrow;
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::OnceLock;
 
 use ks_cluster::api::Uid;
 use ks_cluster::scheduler::OrdF64;
@@ -157,11 +163,7 @@ type IdMap = BTreeMap<GpuId, DeviceIdx>;
 
 /// Adds `(id, idx)` to the bucket under `key`. The key is looked up
 /// before it is cloned, so an existing bucket costs no key allocation.
-fn bucket_insert<K, Q>(map: &mut BTreeMap<K, IdMap>, key: &Q, id: &GpuId, idx: DeviceIdx)
-where
-    K: Ord + Borrow<Q>,
-    Q: Ord + ToOwned<Owned = K> + ?Sized,
-{
+fn bucket_insert(map: &mut BTreeMap<String, IdMap>, key: &str, id: &GpuId, idx: DeviceIdx) {
     match map.get_mut(key) {
         Some(bucket) => {
             bucket.insert(id.clone(), idx);
@@ -174,11 +176,7 @@ where
 
 /// Removes `id` from the bucket under `key`, dropping the bucket once it
 /// is empty.
-fn bucket_remove<K, Q>(map: &mut BTreeMap<K, IdMap>, key: &Q, id: &GpuId)
-where
-    K: Ord + Borrow<Q>,
-    Q: Ord + ?Sized,
-{
+fn bucket_remove(map: &mut BTreeMap<String, IdMap>, key: &str, id: &GpuId) {
     if let Some(bucket) = map.get_mut(key) {
         bucket.remove(id);
         if bucket.is_empty() {
@@ -187,14 +185,79 @@ where
     }
 }
 
+/// The smallest [`GpuId`] (the empty string), shared so a fit-range lower
+/// bound `(key, MIN)` costs a refcount, not an allocation.
+fn min_id() -> &'static GpuId {
+    static MIN: OnceLock<GpuId> = OnceLock::new();
+    MIN.get_or_init(|| GpuId::named(""))
+}
+
+/// Where a device sits in the scheduler indexes (every index but
+/// `by_node`). Taken before and after each mutation, so maintenance
+/// touches only the entries that differ between the two.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Placement {
+    /// In `spatial`: a non-releasing partitioned device.
+    spatial: bool,
+    /// A non-releasing time-sliced device's fit entry: its key and whether
+    /// it sits in `labeled_fit`. Such a device also has one `aff_index`
+    /// entry per affinity label.
+    fit: Option<(OrdF64, bool)>,
+    /// In `unattached`.
+    unattached: bool,
+    /// In `idle`.
+    idle: bool,
+}
+
+impl Placement {
+    /// A releasing or absent device: in no scheduler index.
+    const HIDDEN: Placement = Placement {
+        spatial: false,
+        fit: None,
+        unattached: false,
+        idle: false,
+    };
+
+    fn of(d: &PoolDevice) -> Self {
+        if d.releasing {
+            Placement::HIDDEN
+        } else if d.partition.is_some() {
+            Placement {
+                spatial: true,
+                ..Placement::HIDDEN
+            }
+        } else {
+            Placement {
+                spatial: false,
+                fit: Some((OrdF64::of(d.fit_key()), !d.aff.is_empty())),
+                unattached: d.attached.is_empty(),
+                idle: d.phase == VgpuPhase::Idle,
+            }
+        }
+    }
+}
+
+/// How a mutation changed a time-sliced device's affinity labels.
+#[derive(Debug, Clone, Copy)]
+enum LabelChange<'a> {
+    /// No label added or dropped.
+    Same,
+    /// One label the device did not carry before.
+    Added(&'a str),
+    /// Every label dropped; these are the ones it carried.
+    Cleared(&'a BTreeSet<String>),
+}
+
 /// The capacity indexes over the device slab. Kept in a dedicated struct so
-/// maintenance and verification share one rebuild routine.
+/// maintenance and verification share one update routine.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct PoolIndexes {
-    /// Schedulable devices without affinity labels, by (fit key, id).
-    plain_fit: BTreeMap<OrdF64, IdMap>,
-    /// Schedulable devices with affinity labels, by (fit key, id).
-    labeled_fit: BTreeMap<OrdF64, IdMap>,
+    /// Schedulable devices without affinity labels, ascending by
+    /// (fit key, id): the best-fit scan order.
+    plain_fit: BTreeMap<(OrdF64, GpuId), DeviceIdx>,
+    /// Schedulable devices with affinity labels, by fit key descending
+    /// and id ascending within a key: the worst-fit scan order.
+    labeled_fit: BTreeMap<(Reverse<OrdF64>, GpuId), DeviceIdx>,
     /// Schedulable devices with no attached sharePods, in id order.
     unattached: IdMap,
     /// Non-releasing devices in the `Idle` phase, in id order.
@@ -211,96 +274,114 @@ struct PoolIndexes {
 }
 
 impl PoolIndexes {
-    /// Adds one device to every index it belongs in.
-    fn insert(&mut self, idx: DeviceIdx, d: &PoolDevice) {
-        if let Some(node) = &d.node {
-            bucket_insert(&mut self.by_node, node.as_str(), &d.id, idx);
+    /// Moves device `d` (slot `idx`) in the scheduler indexes from where
+    /// it sat before a mutation (`before`) to `after`, touching only the
+    /// entries that differ. `labels` says how the mutation changed the
+    /// device's affinity labels; a mutation that hides or reveals a device
+    /// leaves its labels as they were. `by_node` is not touched: only
+    /// `mark_ready` and `remove` change it.
+    fn apply(
+        &mut self,
+        idx: DeviceIdx,
+        d: &PoolDevice,
+        before: Placement,
+        after: Placement,
+        labels: LabelChange<'_>,
+    ) {
+        let id = &d.id;
+        if before.spatial != after.spatial {
+            if after.spatial {
+                self.spatial.insert(id.clone(), idx);
+            } else {
+                self.spatial.remove(id);
+            }
         }
-        self.insert_sched(idx, d);
+        if before.fit != after.fit {
+            match before.fit {
+                Some((fit, false)) => {
+                    self.plain_fit.remove(&(fit, id.clone()));
+                }
+                Some((fit, true)) => {
+                    self.labeled_fit.remove(&(Reverse(fit), id.clone()));
+                }
+                None => {}
+            }
+            match after.fit {
+                Some((fit, false)) => {
+                    self.plain_fit.insert((fit, id.clone()), idx);
+                }
+                Some((fit, true)) => {
+                    self.labeled_fit.insert((Reverse(fit), id.clone()), idx);
+                }
+                None => {}
+            }
+        }
+        for (was, is, set) in [
+            (before.unattached, after.unattached, &mut self.unattached),
+            (before.idle, after.idle, &mut self.idle),
+        ] {
+            if was != is {
+                if is {
+                    set.insert(id.clone(), idx);
+                } else {
+                    set.remove(id);
+                }
+            }
+        }
+        match (before.fit.is_some(), after.fit.is_some()) {
+            (false, true) => {
+                for label in &d.aff {
+                    bucket_insert(&mut self.aff_index, label, id, idx);
+                }
+            }
+            (true, false) => {
+                for label in &d.aff {
+                    bucket_remove(&mut self.aff_index, label, id);
+                }
+            }
+            (true, true) => match labels {
+                LabelChange::Same => {}
+                LabelChange::Added(label) => bucket_insert(&mut self.aff_index, label, id, idx),
+                LabelChange::Cleared(old) => {
+                    for label in old {
+                        bucket_remove(&mut self.aff_index, label, id);
+                    }
+                }
+            },
+            (false, false) => {}
+        }
     }
 
-    /// Adds one device to the scheduler indexes: every index but
-    /// `by_node`, which only a node change (`mark_ready`) touches.
-    fn insert_sched(&mut self, idx: DeviceIdx, d: &PoolDevice) {
-        if d.releasing {
-            // Invisible to the scheduler: no capacity/idle/affinity entries.
-            return;
-        }
-        if d.partition.is_some() {
-            // Spatial devices are scheduled through the partition path,
-            // never the time-slice fit/idle/affinity indexes.
-            self.spatial.insert(d.id.clone(), idx);
-            return;
-        }
-        let fit = if d.aff.is_empty() {
-            &mut self.plain_fit
-        } else {
-            &mut self.labeled_fit
-        };
-        bucket_insert(fit, &OrdF64::of(d.fit_key()), &d.id, idx);
-        if d.attached.is_empty() {
-            self.unattached.insert(d.id.clone(), idx);
-        }
-        if d.phase == VgpuPhase::Idle {
-            self.idle.insert(d.id.clone(), idx);
-        }
-        for label in &d.aff {
-            bucket_insert(&mut self.aff_index, label.as_str(), &d.id, idx);
-        }
-    }
-
-    /// Removes one device from every index, given its *current* state
-    /// (call before mutating the device).
-    fn remove(&mut self, d: &PoolDevice) {
-        if let Some(node) = &d.node {
-            bucket_remove(&mut self.by_node, node.as_str(), &d.id);
-        }
-        self.remove_sched(d);
-    }
-
-    /// Removes one device from the scheduler indexes, given its *current*
-    /// state; the counterpart of [`PoolIndexes::insert_sched`].
-    fn remove_sched(&mut self, d: &PoolDevice) {
-        if d.releasing {
-            return;
-        }
-        if d.partition.is_some() {
-            self.spatial.remove(&d.id);
-            return;
-        }
-        let fit = if d.aff.is_empty() {
-            &mut self.plain_fit
-        } else {
-            &mut self.labeled_fit
-        };
-        bucket_remove(fit, &OrdF64::of(d.fit_key()), &d.id);
-        self.unattached.remove(&d.id);
-        self.idle.remove(&d.id);
-        for label in &d.aff {
-            bucket_remove(&mut self.aff_index, label.as_str(), &d.id);
-        }
-    }
-
-    /// Builds the indexes from scratch for a device slab.
+    /// Builds the indexes from scratch for a device slab: the oracle
+    /// [`VgpuPool::verify_indexes`] compares the maintained ones against.
     fn rebuild(slots: &[Option<PoolDevice>]) -> Self {
         let mut ix = PoolIndexes::default();
         for (i, d) in slots.iter().enumerate() {
             if let Some(d) = d {
-                ix.insert(DeviceIdx::new(i), d);
+                let idx = DeviceIdx::new(i);
+                if let Some(node) = &d.node {
+                    bucket_insert(&mut ix.by_node, node, &d.id, idx);
+                }
+                ix.apply(
+                    idx,
+                    d,
+                    Placement::HIDDEN,
+                    Placement::of(d),
+                    LabelChange::Same,
+                );
             }
         }
         ix
     }
 
-    /// Every index entry, bucket by bucket.
+    /// Every index entry.
     fn entries(&self) -> impl Iterator<Item = (&GpuId, &DeviceIdx)> {
-        self.plain_fit
-            .values()
-            .chain(self.labeled_fit.values())
-            .chain(self.aff_index.values())
-            .chain(self.by_node.values())
+        let fit = (self.plain_fit.iter().map(|((_, id), idx)| (id, idx)))
+            .chain(self.labeled_fit.iter().map(|((_, id), idx)| (id, idx)));
+        let buckets = (self.aff_index.values().chain(self.by_node.values()))
             .chain([&self.unattached, &self.idle, &self.spatial])
-            .flatten()
+            .flatten();
+        fit.chain(buckets)
     }
 }
 
@@ -317,17 +398,28 @@ fn set_phase(tally: &mut [u32; 3], d: &mut PoolDevice, phase: VgpuPhase) {
 }
 
 /// Accumulates a new tenant's locality labels on a device. A label or
-/// exclusion already present is kept as is, not re-allocated.
-fn add_labels(d: &mut PoolDevice, aff: Option<&str>, anti_aff: Option<&str>, excl: Option<&str>) {
-    for (set, label) in [(&mut d.aff, aff), (&mut d.anti_aff, anti_aff)] {
-        if let Some(l) = label {
-            if !set.contains(l) {
-                set.insert(l.to_string());
-            }
+/// exclusion already present is kept as is, not re-allocated. Returns the
+/// affinity label if it is new to the device.
+fn add_labels<'a>(
+    d: &mut PoolDevice,
+    aff: Option<&'a str>,
+    anti_aff: Option<&str>,
+    excl: Option<&str>,
+) -> LabelChange<'a> {
+    if let Some(l) = anti_aff {
+        if !d.anti_aff.contains(l) {
+            d.anti_aff.insert(l.to_string());
         }
     }
     if d.excl.as_deref() != excl {
         d.excl = excl.map(str::to_string);
+    }
+    match aff {
+        Some(l) if !d.aff.contains(l) => {
+            d.aff.insert(l.to_string());
+            LabelChange::Added(l)
+        }
+        _ => LabelChange::Same,
     }
 }
 
@@ -404,7 +496,13 @@ impl VgpuPool {
             DeviceIdx::new(self.slots.len() - 1)
         });
         self.tally[d.phase as usize] += 1;
-        self.ix.insert(idx, &d);
+        self.ix.apply(
+            idx,
+            &d,
+            Placement::HIDDEN,
+            Placement::of(&d),
+            LabelChange::Same,
+        );
         self.ids.insert(d.id.clone(), idx);
         self.slots[idx.at()] = Some(d);
     }
@@ -434,7 +532,11 @@ impl VgpuPool {
         let idx = self.idx(id);
         let d = live_mut(&mut self.slots, idx);
         debug_assert_eq!(d.phase, VgpuPhase::Creating);
-        self.ix.remove(d);
+        let before = Placement::of(d);
+        if let Some(old) = &d.node {
+            bucket_remove(&mut self.ix.by_node, old, id);
+        }
+        bucket_insert(&mut self.ix.by_node, &node, id, idx);
         d.node = Some(node);
         d.uuid = Some(uuid);
         let phase = if d.attached.is_empty() {
@@ -443,7 +545,8 @@ impl VgpuPool {
             VgpuPhase::Active
         };
         set_phase(&mut self.tally, d, phase);
-        self.ix.insert(idx, d);
+        self.ix
+            .apply(idx, d, before, Placement::of(d), LabelChange::Same);
     }
 
     /// Attaches a sharePod's demand to a vGPU, consuming residual capacity
@@ -471,15 +574,15 @@ impl VgpuPool {
             d.util_free,
             d.mem_free
         );
-        self.ix.remove_sched(d);
+        let before = Placement::of(d);
         d.util_free = (d.util_free - request).max(0.0);
         d.mem_free = (d.mem_free - mem).max(0.0);
-        add_labels(d, aff, anti_aff, excl);
+        let labels = add_labels(d, aff, anti_aff, excl);
         d.attached.insert(sharepod, (request, mem));
         if d.phase != VgpuPhase::Creating {
             set_phase(&mut self.tally, d, VgpuPhase::Active);
         }
-        self.ix.insert_sched(idx, d);
+        self.ix.apply(idx, d, before, Placement::of(d), labels);
     }
 
     /// Binds a sharePod to a dedicated slice on a partitioned vGPU. The
@@ -512,19 +615,19 @@ impl VgpuPool {
         if !table.can_place(profile) {
             return Err(PartitionError::NoFit);
         }
-        self.ix.remove_sched(d);
+        let before = Placement::of(d);
         let table = d.partition.as_mut().expect("checked above");
         let start = table.alloc(profile).expect("can_place checked");
         let free = f64::from(table.free_slots()) / f64::from(SLOTS_PER_GPU);
         d.util_free = free;
         d.mem_free = free;
         d.slice_of.insert(sharepod, start);
-        add_labels(d, aff, anti_aff, excl);
+        let labels = add_labels(d, aff, anti_aff, excl);
         d.attached.insert(sharepod, (request, mem));
         if d.phase != VgpuPhase::Creating {
             set_phase(&mut self.tally, d, VgpuPhase::Active);
         }
-        self.ix.insert_sched(idx, d);
+        self.ix.apply(idx, d, before, Placement::of(d), labels);
         Ok(start)
     }
 
@@ -536,7 +639,7 @@ impl VgpuPool {
     pub fn detach(&mut self, id: &GpuId, sharepod: Uid) -> bool {
         let idx = self.idx(id);
         let d = live_mut(&mut self.slots, idx);
-        self.ix.remove_sched(d);
+        let before = Placement::of(d);
         let (request, mem) = d
             .attached
             .remove(&sharepod)
@@ -552,6 +655,7 @@ impl VgpuPool {
             d.mem_free = (d.mem_free + mem).min(1.0);
         }
         let became_idle = d.attached.is_empty();
+        let mut cleared = BTreeSet::new();
         if became_idle {
             // Full restore, exactly: an idle device has no tenants, so its
             // residuals are whole by definition. Snapping to 1.0 (instead
@@ -559,14 +663,19 @@ impl VgpuPool {
             // fit key 2.0 exactly, which the capacity indexes rely on.
             d.util_free = 1.0;
             d.mem_free = 1.0;
-            d.aff.clear();
+            cleared = std::mem::take(&mut d.aff);
             d.anti_aff.clear();
             d.excl = None;
             if d.phase != VgpuPhase::Creating {
                 set_phase(&mut self.tally, d, VgpuPhase::Idle);
             }
         }
-        self.ix.insert_sched(idx, d);
+        let labels = if became_idle {
+            LabelChange::Cleared(&cleared)
+        } else {
+            LabelChange::Same
+        };
+        self.ix.apply(idx, d, before, Placement::of(d), labels);
         became_idle
     }
 
@@ -667,9 +776,10 @@ impl VgpuPool {
         let idx = self.idx(id);
         let d = live_mut(&mut self.slots, idx);
         debug_assert!(d.attached.is_empty(), "releasing vGPU {id} with tenants");
-        self.ix.remove_sched(d);
+        let before = Placement::of(d);
         d.releasing = true;
-        self.ix.insert_sched(idx, d);
+        self.ix
+            .apply(idx, d, before, Placement::HIDDEN, LabelChange::Same);
     }
 
     /// Removes a vGPU entirely (GPU released back to Kubernetes).
@@ -686,7 +796,16 @@ impl VgpuPool {
         self.ids.remove(id);
         self.free.push(idx);
         self.tally[d.phase as usize] -= 1;
-        self.ix.remove(&d);
+        if let Some(node) = &d.node {
+            bucket_remove(&mut self.ix.by_node, node, id);
+        }
+        self.ix.apply(
+            idx,
+            &d,
+            Placement::of(&d),
+            Placement::HIDDEN,
+            LabelChange::Same,
+        );
         d
     }
 
@@ -739,19 +858,20 @@ impl VgpuPool {
     pub fn plain_fit_range(&self, min_fit: f64) -> impl Iterator<Item = &PoolDevice> {
         self.ix
             .plain_fit
-            .range(OrdF64::of(min_fit)..)
-            .flat_map(move |(_, set)| set.values().map(move |&idx| self.slot(idx)))
+            .range((OrdF64::of(min_fit), min_id().clone())..)
+            .map(move |(_, &idx)| self.slot(idx))
     }
 
     /// Schedulable devices *with* affinity labels whose fit key is at least
     /// `min_fit`, descending by fit key with ascending id inside one key —
     /// the worst-fit scan order (roomiest candidate first, id tie-break).
     pub fn labeled_fit_range_desc(&self, min_fit: f64) -> impl Iterator<Item = &PoolDevice> {
+        let min_fit = OrdF64::of(min_fit);
         self.ix
             .labeled_fit
-            .range(OrdF64::of(min_fit)..)
-            .rev()
-            .flat_map(move |(_, set)| set.values().map(move |&idx| self.slot(idx)))
+            .iter()
+            .take_while(move |((Reverse(fit), _), _)| *fit >= min_fit)
+            .map(move |(_, &idx)| self.slot(idx))
     }
 
     /// Cross-checks the slab's handle map and the incrementally-maintained
