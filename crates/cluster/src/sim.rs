@@ -148,6 +148,18 @@ struct NodeState {
     spatial: Option<SpatialSlices>,
 }
 
+impl NodeState {
+    /// The scheduler's snapshot of this node.
+    fn view(&self) -> NodeView {
+        NodeView {
+            name: self.name.clone(),
+            allocatable: self.allocatable.clone(),
+            allocated: self.allocated.clone(),
+            spatial: self.spatial,
+        }
+    }
+}
+
 /// The simulated control plane. See module docs.
 #[derive(Debug)]
 pub struct ClusterSim {
@@ -294,12 +306,7 @@ impl ClusterSim {
         }
         let n = &self.nodes[idx];
         let free = n.allocatable.checked_sub(&n.allocated);
-        let score = self.scheduler.node_score(&NodeView {
-            name: n.name.clone(),
-            allocatable: n.allocatable.clone(),
-            allocated: n.allocated.clone(),
-            spatial: n.spatial,
-        });
+        let score = self.scheduler.node_score(&n.view());
         self.free_total = self.free_total.checked_add(&free);
         let key = OrdF64::of(score);
         self.node_rank.insert((key, std::cmp::Reverse(idx)));
@@ -341,12 +348,7 @@ impl ClusterSim {
                 }
                 continue;
             }
-            let score = self.scheduler.node_score(&NodeView {
-                name: n.name.clone(),
-                allocatable: n.allocatable.clone(),
-                allocated: n.allocated.clone(),
-                spatial: n.spatial,
-            });
+            let score = self.scheduler.node_score(&n.view());
             let key = OrdF64::of(score);
             if n.score_key != Some(key) {
                 return Err(format!(
@@ -753,12 +755,7 @@ impl ClusterSim {
                 continue;
             }
             idxs.push(i);
-            views.push(NodeView {
-                name: n.name.clone(),
-                allocatable: n.allocatable.clone(),
-                allocated: n.allocated.clone(),
-                spatial: n.spatial,
-            });
+            views.push(n.view());
         }
         (idxs, views)
     }
@@ -780,18 +777,13 @@ impl ClusterSim {
         let pinned = pod.spec.node_name.clone();
 
         let node_idx = match &pinned {
-            Some(name) => {
-                let idx = self
-                    .node_idx(name)
-                    .unwrap_or_else(|| panic!("pinned to unknown node {name}"));
-                // A down node cannot take the pod; it queues until the node
-                // recovers (or the owner re-schedules it elsewhere).
-                let free = self.nodes[idx]
-                    .allocatable
-                    .checked_sub(&self.nodes[idx].allocated);
-                (self.nodes[idx].up && !self.nodes[idx].cordoned && requests.fits_in(&free))
-                    .then_some(idx)
-            }
+            // A down, cordoned or unknown node cannot take the pod; it
+            // queues until the node can (or the owner re-schedules it
+            // elsewhere).
+            Some(name) => self.node_idx(name).filter(|&idx| {
+                let n = &self.nodes[idx];
+                n.up && !n.cordoned && requests.fits_in(&n.allocatable.checked_sub(&n.allocated))
+            }),
             None => match self.sched_mode {
                 SchedMode::Reference => {
                     let (idxs, views) = self.up_views();
@@ -865,12 +857,7 @@ impl ClusterSim {
         let outcome = match node_idx {
             Some(idx) => {
                 let n = &self.nodes[idx];
-                let score = self.scheduler.node_score(&NodeView {
-                    name: n.name.clone(),
-                    allocatable: n.allocatable.clone(),
-                    allocated: n.allocated.clone(),
-                    spatial: n.spatial,
-                });
+                let score = self.scheduler.node_score(&n.view());
                 let rule = if pinned.is_some() {
                     "pinned"
                 } else {

@@ -16,10 +16,14 @@
 //!   (keeping room for their future group members), then a new device.
 //!
 //! Two implementations exist behind [`SchedMode`]: the paper-faithful
-//! linear-scan reference ([`schedule`]) and an indexed path that serves
-//! the same steps from [`VgpuPool`]'s capacity indexes in logarithmic
-//! time. They produce byte-identical decisions; the differential oracle
-//! in `tests/sched_differential.rs` enforces this (DESIGN.md §10).
+//! linear-scan reference ([`schedule`]) and an indexed path
+//! ([`schedule_indexed`]) that serves the same steps from [`VgpuPool`]'s
+//! capacity indexes in logarithmic time. They share one locality
+//! predicate and one filter, and the indexed path runs Steps 2+3 as a
+//! single fit-range scan, called once for best-fit and once for
+//! worst-fit, whether or not a provenance collector is capturing. The two
+//! produce byte-identical decisions; the differential oracle in
+//! `tests/sched_differential.rs` enforces this (DESIGN.md §10).
 
 pub use ks_cluster::scheduler::SchedMode;
 
@@ -70,32 +74,49 @@ pub enum RejectReason {
     InsufficientCapacity,
 }
 
-fn excl_matches(req: &Option<String>, dev: &Option<String>) -> bool {
-    req == dev
-}
-
-fn anti_aff_conflicts(req: &Option<String>, dev: &PoolDevice) -> bool {
-    match req {
-        Some(label) => dev.anti_aff.contains(label),
-        None => false,
+/// The exclusion and anti-affinity predicates shared by every Step 1 and
+/// Step 2: the precise and coarse rejection reasons when `dev`'s labels
+/// conflict with `loc`, `None` when they do not.
+fn locality_conflict(loc: &Locality, dev: &PoolDevice) -> Option<(ReasonCode, RejectReason)> {
+    if loc.exclusion != dev.excl {
+        Some((
+            ReasonCode::AffinityExcluded,
+            RejectReason::ExclusionConflict,
+        ))
+    } else if loc
+        .anti_affinity
+        .as_ref()
+        .is_some_and(|label| dev.anti_aff.contains(label))
+    {
+        Some((
+            ReasonCode::AntiAffinityConflict,
+            RejectReason::AntiAffinityConflict,
+        ))
+    } else {
+        None
     }
 }
 
-fn has_capacity(req: &SchedRequest, dev: &PoolDevice) -> bool {
+/// Whether `dev` has the residual capacity `req` asks for, with a `1e-9`
+/// margin per axis for accumulated float error.
+pub(crate) fn has_capacity(req: &SchedRequest, dev: &PoolDevice) -> bool {
     req.util <= dev.util_free + 1e-9 && req.mem <= dev.mem_free + 1e-9
 }
 
-/// Fit metric: total residual after hypothetical placement. Best-fit
-/// minimizes it (pack tight); worst-fit maximizes it (keep room).
-fn residual_after(req: &SchedRequest, dev: &PoolDevice) -> f64 {
-    (dev.util_free - req.util) + (dev.mem_free - req.mem)
+/// Step 2's filter on a time-sliced device: idle devices are clean and
+/// always pass; others must agree on locality and have the capacity.
+fn passes(req: &SchedRequest, dev: &PoolDevice) -> bool {
+    dev.is_idle() || (locality_conflict(&req.locality, dev).is_none() && has_capacity(req, dev))
 }
 
-/// The fit metric of placing `req` on an existing device: the residual
-/// Step 3 optimises, exposed so KubeShare-Sched can record the fit score
-/// of the decision it just made. `None` if the device is not in the pool.
+/// The fit metric of placing `req` on an existing device: the total
+/// residual after placement, which best-fit minimizes (pack tight) and
+/// worst-fit maximizes (keep room). Exposed so KubeShare-Sched can record
+/// the fit score of the decision it just made. `None` if the device is
+/// not in the pool.
 pub fn fit_residual(req: &SchedRequest, pool: &VgpuPool, gpuid: &GpuId) -> Option<f64> {
-    pool.get(gpuid).map(|d| residual_after(req, d))
+    pool.get(gpuid)
+        .map(|d| (d.util_free - req.util) + (d.mem_free - req.mem))
 }
 
 /// Runs Algorithm 1. Pure with respect to pool *contents*; only consumes a
@@ -108,7 +129,7 @@ pub fn schedule(req: &SchedRequest, pool: &mut VgpuPool) -> Decision {
 /// observer: every capture call is gated on its enablement and mutates
 /// nothing the algorithm reads, so decisions are identical with `prov` on
 /// or off (enforced by the differential oracles).
-pub fn schedule_prov(req: &SchedRequest, pool: &mut VgpuPool, prov: &mut SchedProv) -> Decision {
+fn schedule_prov(req: &SchedRequest, pool: &mut VgpuPool, prov: &mut SchedProv) -> Decision {
     // ---- Step 1: affinity (lines 1–14) ----
     if let Some(aff) = &req.locality.affinity {
         let target = pool
@@ -117,13 +138,9 @@ pub fn schedule_prov(req: &SchedRequest, pool: &mut VgpuPool, prov: &mut SchedPr
         if let Some(d) = target {
             prov.candidate_with("affinity", d.fit_key(), || d.id.as_str());
             prov.note(|| format!("affinity '{aff}' binds to {}", d.id));
-            if !excl_matches(&req.locality.exclusion, &d.excl) {
-                prov.reject(ReasonCode::AffinityExcluded);
-                return Decision::Reject(RejectReason::ExclusionConflict);
-            }
-            if anti_aff_conflicts(&req.locality.anti_affinity, d) {
-                prov.reject(ReasonCode::AntiAffinityConflict);
-                return Decision::Reject(RejectReason::AntiAffinityConflict);
+            if let Some((code, reason)) = locality_conflict(&req.locality, d) {
+                prov.reject(code);
+                return Decision::Reject(reason);
             }
             if !has_capacity(req, d) {
                 prov.reject(ReasonCode::AffinityNoCapacity);
@@ -148,19 +165,11 @@ pub fn schedule_prov(req: &SchedRequest, pool: &mut VgpuPool, prov: &mut SchedPr
     }
 
     // ---- Step 2: filter (lines 15–20) ----
+    // Releasing devices were handed back; spatial ones are on the slice
+    // substrate.
     let candidates: Vec<&PoolDevice> = pool
         .devices()
-        .filter(|d| {
-            if d.releasing || d.is_spatial() {
-                return false; // handed back, or on the spatial substrate
-            }
-            if d.is_idle() {
-                return true; // clean device: constraints are vacuous
-            }
-            excl_matches(&req.locality.exclusion, &d.excl)
-                && !anti_aff_conflicts(&req.locality.anti_affinity, d)
-                && has_capacity(req, d)
-        })
+        .filter(|d| !d.releasing && !d.is_spatial() && passes(req, d))
         .collect();
     prov.note(|| {
         format!(
@@ -175,17 +184,15 @@ pub fn schedule_prov(req: &SchedRequest, pool: &mut VgpuPool, prov: &mut SchedPr
     // the request term is constant across candidates, so ordering by the
     // device's fit key alone selects the same device — and does it with
     // float comparisons that an ordered index reproduces bit-for-bit.
-    // Best fit among devices without affinity labels…
-    if prov.is_on() {
-        for d in &candidates {
-            let rule = if d.aff.is_empty() {
-                "best_fit"
-            } else {
-                "worst_fit"
-            };
-            prov.candidate_with(rule, d.fit_key(), || d.id.as_str());
-        }
+    for d in &candidates {
+        let rule = if d.aff.is_empty() {
+            "best_fit"
+        } else {
+            "worst_fit"
+        };
+        prov.candidate_with(rule, d.fit_key(), || d.id.as_str());
     }
+    // Best fit among devices without affinity labels…
     let best = candidates
         .iter()
         .filter(|d| d.aff.is_empty())
@@ -245,7 +252,7 @@ pub fn schedule_indexed(req: &SchedRequest, pool: &mut VgpuPool) -> Decision {
 /// survivor — faithful to this implementation's work, which may differ
 /// from the reference path's candidate set even though the chosen device
 /// never does.
-pub fn schedule_indexed_prov(
+fn schedule_indexed_prov(
     req: &SchedRequest,
     pool: &mut VgpuPool,
     prov: &mut SchedProv,
@@ -256,13 +263,9 @@ pub fn schedule_indexed_prov(
             let d = pool.get(id).expect("indexed device in pool");
             prov.candidate_with("affinity", d.fit_key(), || d.id.as_str());
             prov.note_static("affinity label binds to its existing carrier (see candidates)");
-            if !excl_matches(&req.locality.exclusion, &d.excl) {
-                prov.reject(ReasonCode::AffinityExcluded);
-                return Decision::Reject(RejectReason::ExclusionConflict);
-            }
-            if anti_aff_conflicts(&req.locality.anti_affinity, d) {
-                prov.reject(ReasonCode::AntiAffinityConflict);
-                return Decision::Reject(RejectReason::AntiAffinityConflict);
+            if let Some((code, reason)) = locality_conflict(&req.locality, d) {
+                prov.reject(code);
+                return Decision::Reject(reason);
             }
             if !has_capacity(req, d) {
                 prov.reject(ReasonCode::AffinityNoCapacity);
@@ -286,105 +289,64 @@ pub fn schedule_indexed_prov(
     // idle), so clamping the bound to 2.0 keeps them in range even when
     // the request alone could never fit an existing device.
     let min_fit = (req.util + req.mem - FIT_RANGE_MARGIN).clamp(0.0, 2.0);
-    let passes = |d: &PoolDevice| {
-        d.is_idle()
-            || (excl_matches(&req.locality.exclusion, &d.excl)
-                && !anti_aff_conflicts(&req.locality.anti_affinity, d)
-                && has_capacity(req, d))
-    };
-    // The scans below are the only per-device work at cluster scale, so
-    // the disabled-collector path runs them with no instrumentation at
-    // all — not even a counter — and the capturing path stages `(fit
-    // key, id)` pairs into a small stack buffer (hot lines, pipelined
-    // stores), building the collector's candidate records in a burst
-    // after the loop. Writing the 48-byte candidate records inside the
-    // pointer-chasing scan instead stalls the store buffer for ~130 ns
-    // per captured candidate at the 10k-GPU sweep point, and the winner's
-    // capture slot is tracked so the string-searching
-    // [`SchedProv::choose`] is skipped.
-    if !prov.is_on() {
-        for d in pool.plain_fit_range(min_fit) {
-            if passes(d) {
-                return Decision::Assign(d.id.clone());
-            }
-        }
-        for d in pool.labeled_fit_range_desc(min_fit) {
-            if passes(d) {
-                return Decision::Assign(d.id.clone());
-            }
-        }
-        return Decision::NewDevice(pool.fresh_id());
-    }
-    let mut chosen: Option<(GpuId, f64)> = None;
-    let mut winner_slot: Option<usize> = None;
-    let mut scanned = 0usize;
-    let mut seen: [(f64, &str); SchedProv::MAX_CANDIDATES] = Default::default();
-    let mut cap = 0usize;
-    let room = prov.scan_room();
-    for d in pool.plain_fit_range(min_fit) {
-        scanned += 1;
-        let pushed = cap < room;
-        if pushed {
-            seen[cap] = (d.fit_key(), d.id.as_str());
-            cap += 1;
-        }
-        if passes(d) {
-            chosen = Some((d.id.clone(), d.fit_key()));
-            if pushed {
-                winner_slot = Some(cap - 1);
-            }
-            break;
-        }
-    }
-    prov.add_considered(scanned);
-    for &(key, id) in &seen[..cap] {
-        prov.scan_push("best_fit", key, id);
-    }
-    if let Some((id, key)) = &chosen {
-        match winner_slot {
-            Some(i) => prov.choose_at(i, "best_fit", *key),
-            None => prov.choose_append(id.as_str(), "best_fit", *key),
-        }
+    if let Some(d) = scan_first(pool.plain_fit_range(min_fit), "best_fit", req, prov) {
         prov.note_static("best_fit: first survivor of ascending plain-fit scan");
+        return Decision::Assign(d.id.clone());
     }
-    if let Some((id, _)) = chosen {
-        return Decision::Assign(id);
-    }
-    scanned = 0;
-    winner_slot = None;
-    let mut cap = 0usize;
-    let room = prov.scan_room();
-    for d in pool.labeled_fit_range_desc(min_fit) {
-        scanned += 1;
-        let pushed = cap < room;
-        if pushed {
-            seen[cap] = (d.fit_key(), d.id.as_str());
-            cap += 1;
-        }
-        if passes(d) {
-            chosen = Some((d.id.clone(), d.fit_key()));
-            if pushed {
-                winner_slot = Some(cap - 1);
-            }
-            break;
-        }
-    }
-    prov.add_considered(scanned);
-    for &(key, id) in &seen[..cap] {
-        prov.scan_push("worst_fit", key, id);
-    }
-    if let Some((id, key)) = &chosen {
-        match winner_slot {
-            Some(i) => prov.choose_at(i, "worst_fit", *key),
-            None => prov.choose_append(id.as_str(), "worst_fit", *key),
-        }
+    if let Some(d) = scan_first(pool.labeled_fit_range_desc(min_fit), "worst_fit", req, prov) {
         prov.note_static("worst_fit: first survivor of descending labeled-fit scan");
-    }
-    if let Some((id, _)) = chosen {
-        return Decision::Assign(id);
+        return Decision::Assign(d.id.clone());
     }
     prov.note_static("no indexed device in fit range passes; new device");
     Decision::NewDevice(pool.fresh_id())
+}
+
+/// The indexed path's fit-range scan: the first device of `scan` that
+/// [`passes`] the filter, marked as the winner under `rule`.
+///
+/// This loop is the only per-device work at cluster scale. Examined
+/// devices are staged as `(fit key, id)` pairs in a stack buffer (hot
+/// lines, pipelined stores) while the collector has room — with the
+/// collector off, [`SchedProv::scan_room`] is 0 and nothing is staged —
+/// and become candidate records in one burst after the loop. Writing the
+/// 48-byte records inside the pointer-chasing scan instead stalls the
+/// store buffer for ~130 ns per captured candidate at the 10k-GPU sweep
+/// point. A staged winner is marked by its slot, offset past the
+/// candidates the collector already held, so the string-searching
+/// [`SchedProv::choose`] is never needed.
+fn scan_first<'a>(
+    scan: impl Iterator<Item = &'a PoolDevice>,
+    rule: &'static str,
+    req: &SchedRequest,
+    prov: &mut SchedProv,
+) -> Option<&'a PoolDevice> {
+    let base = prov.candidates().len();
+    let room = prov.scan_room();
+    let mut seen: [(f64, &str); SchedProv::MAX_CANDIDATES] = Default::default();
+    let (mut staged, mut scanned) = (0usize, 0usize);
+    let mut winner = None;
+    for d in scan {
+        scanned += 1;
+        let pushed = staged < room;
+        if pushed {
+            seen[staged] = (d.fit_key(), d.id.as_str());
+            staged += 1;
+        }
+        if passes(req, d) {
+            winner = Some((d, pushed));
+            break;
+        }
+    }
+    prov.add_considered(scanned);
+    for &(key, id) in &seen[..staged] {
+        prov.scan_push(rule, key, id);
+    }
+    match winner {
+        Some((d, true)) => prov.choose_at(base + staged - 1, rule, d.fit_key()),
+        Some((d, false)) => prov.choose_append(d.id.as_str(), rule, d.fit_key()),
+        None => {}
+    }
+    winner.map(|(d, _)| d)
 }
 
 /// Runs Algorithm 1 with the implementation selected by `mode`; both are
@@ -446,7 +408,7 @@ pub fn schedule_spatial(req: &SchedRequest, pool: &mut VgpuPool) -> Decision {
 
 /// [`schedule_spatial`] with a provenance collector capturing the
 /// fragmentation score of every placeable candidate.
-pub fn schedule_spatial_prov(
+fn schedule_spatial_prov(
     req: &SchedRequest,
     pool: &mut VgpuPool,
     prov: &mut SchedProv,
@@ -465,13 +427,9 @@ pub fn schedule_spatial_prov(
         if let Some(d) = target {
             prov.candidate_with("affinity", 0.0, || d.id.as_str());
             prov.note(|| format!("affinity '{aff}' binds to {}", d.id));
-            if !excl_matches(&req.locality.exclusion, &d.excl) {
-                prov.reject(ReasonCode::AffinityExcluded);
-                return Decision::Reject(RejectReason::ExclusionConflict);
-            }
-            if anti_aff_conflicts(&req.locality.anti_affinity, d) {
-                prov.reject(ReasonCode::AntiAffinityConflict);
-                return Decision::Reject(RejectReason::AntiAffinityConflict);
+            if let Some((code, reason)) = locality_conflict(&req.locality, d) {
+                prov.reject(code);
+                return Decision::Reject(reason);
             }
             let table = d.partition.as_ref().expect("spatial device");
             if !table.can_place(profile) {
@@ -504,11 +462,7 @@ pub fn schedule_spatial_prov(
     }
 
     // ---- Step 2: filter ----
-    let passes = |d: &PoolDevice| {
-        d.is_idle()
-            || (excl_matches(&req.locality.exclusion, &d.excl)
-                && !anti_aff_conflicts(&req.locality.anti_affinity, d))
-    };
+    let passes = |d: &PoolDevice| d.is_idle() || locality_conflict(&req.locality, d).is_none();
 
     // ---- Step 3: fragmentation-aware placement ----
     // Pool-wide (free, reachable) totals over every schedulable device of
@@ -541,23 +495,16 @@ pub fn schedule_spatial_prov(
             (1.0 - (reach_total - reach_before + reach_after) / free_after).clamp(0.0, 1.0)
         };
         prov.candidate_with("frag_score", score, || d.id.as_str());
-        let better = match &best {
-            None => true,
-            Some((bs, bid)) => match score.total_cmp(bs) {
-                std::cmp::Ordering::Less => true,
-                std::cmp::Ordering::Equal => d.id < *bid,
-                std::cmp::Ordering::Greater => false,
-            },
-        };
-        if better {
+        if best
+            .as_ref()
+            .is_none_or(|(bs, bid)| score.total_cmp(bs).then_with(|| d.id.cmp(bid)).is_lt())
+        {
             best = Some((score, d.id.clone()));
         }
     }
     if let Some((score, id)) = best {
         prov.choose(id.as_str(), "frag_score", score);
-        prov.note(|| {
-            "frag_score: placement leaving the pool least fragmented (id tie-break)".to_string()
-        });
+        prov.note_static("frag_score: placement leaving the pool least fragmented (id tie-break)");
         return Decision::Assign(id);
     }
 
@@ -573,17 +520,13 @@ pub fn schedule_spatial_prov(
         if table.state() != TableState::Active || table.free_slots() < profile.slots() {
             continue;
         }
-        prov.candidate_with("reconfigure", f64::from(table.free_slots()), || {
-            d.id.as_str().to_string()
-        });
-        let better = match &target {
-            None => true,
-            Some((fs, tid)) => {
-                table.free_slots() > *fs || (table.free_slots() == *fs && d.id < *tid)
-            }
-        };
-        if better {
-            target = Some((table.free_slots(), d.id.clone()));
+        let free = table.free_slots();
+        prov.candidate_with("reconfigure", f64::from(free), || d.id.as_str());
+        if target
+            .as_ref()
+            .is_none_or(|(fs, tid)| free > *fs || (free == *fs && d.id < *tid))
+        {
+            target = Some((free, d.id.clone()));
         }
     }
     if let Some((fs, id)) = target {
@@ -707,21 +650,19 @@ pub fn schedule_batch(
     entries: &[BatchEntry],
     pool: &mut VgpuPool,
 ) -> Vec<(Uid, Decision)> {
-    entries
-        .iter()
-        .map(|e| {
-            let decision = schedule_with(mode, &e.req, pool);
-            apply_decision(pool, e, &decision);
-            (e.uid, decision)
-        })
-        .collect()
+    schedule_batch_recorded(
+        mode,
+        entries,
+        pool,
+        SimTime::ZERO,
+        &FlightRecorder::disabled(),
+    )
 }
 
 /// [`schedule_batch`] with every decision's provenance appended to a
-/// [`FlightRecorder`]. With a disabled recorder this is decision-identical
-/// to [`schedule_batch`] at the cost of one branch per entry — the
-/// recorder-overhead guard in `ks-bench sched_scale` times exactly this
-/// pair.
+/// [`FlightRecorder`]; with a disabled recorder it *is* [`schedule_batch`].
+/// The recorder-overhead guard in `ks-bench sched_scale` times the two
+/// against each other.
 pub fn schedule_batch_recorded(
     mode: SchedMode,
     entries: &[BatchEntry],
@@ -989,6 +930,35 @@ mod tests {
         p.detach(&ids[0], Uid(1)); // idle again, labels cleared
         let r = req_loc(0.5, 0.5, Locality::none().with_exclusion("tenant-b"));
         assert_eq!(schedule(&r, &mut p), Decision::Assign(ids[0].clone()));
+    }
+
+    #[test]
+    fn worst_fit_winner_is_marked_after_best_fit_captures() {
+        // Both plain devices are tenant-a's, so the indexed best-fit scan
+        // captures them as failures before the worst-fit scan reaches the
+        // group device. The mark must land on the group device, not on
+        // the best-fit capture in the same slot.
+        let (mut p, ids) = pool(3);
+        p.attach(&ids[0], Uid(1), 0.2, 0.2, None, None, Some("tenant-a"));
+        p.attach(&ids[1], Uid(2), 0.3, 0.3, None, None, Some("tenant-a"));
+        p.attach(&ids[2], Uid(3), 0.2, 0.2, Some("grp"), None, None);
+        for mode in [SchedMode::Reference, SchedMode::Indexed] {
+            let mut prov = SchedProv::on();
+            let d = schedule_with_prov(mode, &req(0.1, 0.1), &mut p, &mut prov);
+            assert_eq!(d, Decision::Assign(ids[2].clone()), "{mode:?}");
+            let chosen: Vec<_> = prov.candidates().iter().filter(|c| c.chosen).collect();
+            assert_eq!(chosen.len(), 1, "{mode:?}: {:?}", prov.candidates());
+            assert!(chosen[0].target == ids[2].as_str(), "{mode:?}");
+            assert_eq!(chosen[0].rule, "worst_fit");
+            assert_eq!(chosen[0].score, p.get(&ids[2]).unwrap().fit_key());
+        }
+        // The indexed best-fit captures keep their own rule and score.
+        let mut prov = SchedProv::on();
+        schedule_indexed_prov(&req(0.1, 0.1), &mut p, &mut prov);
+        let first = prov.candidates()[0];
+        assert!(first.target == ids[1].as_str());
+        let key = p.get(&ids[1]).unwrap().fit_key();
+        assert_eq!((first.rule, first.score), ("best_fit", key));
     }
 
     // ---- locality edge cases, run against BOTH implementations ----

@@ -38,7 +38,8 @@ use ks_vgpu::ShareSpec;
 use ks_partition::Profile;
 
 use crate::algorithm::{
-    fit_residual, outcome_of, schedule_substrate_prov, Decision, SchedMode, SchedRequest,
+    fit_residual, has_capacity, outcome_of, schedule_substrate_prov, Decision, RejectReason,
+    SchedMode, SchedRequest,
 };
 use crate::gpuid::GpuId;
 use crate::pool::VgpuPool;
@@ -1469,6 +1470,11 @@ impl KubeShareSystem {
         }
         let submitted = sharepod.meta.created_at;
         let spec = sharepod.spec.clone();
+        let req = SchedRequest {
+            util: spec.share.request,
+            mem: spec.share.mem,
+            locality: spec.locality.clone(),
+        };
         let mut prov = SchedProv::for_recorder(&self.recorder);
         let decide_start = std::time::Instant::now();
         let decision = match &spec.gpuid {
@@ -1484,8 +1490,7 @@ impl KubeShareSystem {
                             .map(|p| table.can_place(p))
                             .unwrap_or(false)
                     } else {
-                        d.util_free + 1e-9 >= spec.share.request
-                            && d.mem_free + 1e-9 >= spec.share.mem
+                        has_capacity(&req, d)
                     };
                     prov.candidate_with("pinned", d.fit_key(), || d.id.as_str().to_string());
                     if !d.releasing && fits {
@@ -1495,7 +1500,7 @@ impl KubeShareSystem {
                     } else {
                         prov.reject(ReasonCode::PinnedUnfit);
                         prov.note(|| format!("spec pins GPUID {id}; it cannot host the demand"));
-                        Decision::Reject(crate::algorithm::RejectReason::InsufficientCapacity)
+                        Decision::Reject(RejectReason::InsufficientCapacity)
                     }
                 }
                 None => {
@@ -1503,20 +1508,13 @@ impl KubeShareSystem {
                     Decision::NewDevice(id.clone())
                 }
             },
-            None => {
-                let req = SchedRequest {
-                    util: spec.share.request,
-                    mem: spec.share.mem,
-                    locality: spec.locality.clone(),
-                };
-                schedule_substrate_prov(
-                    self.cfg.sched_mode,
-                    spec.substrate,
-                    &req,
-                    &mut self.pool,
-                    &mut prov,
-                )
-            }
+            None => schedule_substrate_prov(
+                self.cfg.sched_mode,
+                spec.substrate,
+                &req,
+                &mut self.pool,
+                &mut prov,
+            ),
         };
         let decide_ns = decide_start.elapsed().as_nanos() as f64;
 
@@ -1542,11 +1540,6 @@ impl KubeShareSystem {
                 .histogram_seconds("ks_sched_decision_seconds", &[])
                 .observe(now.saturating_since(submitted).as_secs_f64());
             if let Decision::Assign(gpuid) = &decision {
-                let req = SchedRequest {
-                    util: spec.share.request,
-                    mem: spec.share.mem,
-                    locality: spec.locality.clone(),
-                };
                 // util + mem residual each in [0,1] → fit score in [0,2].
                 if let Some(r) = fit_residual(&req, &self.pool, gpuid) {
                     self.telemetry
@@ -3224,6 +3217,33 @@ mod tests {
         // Both GPUs in use: none left.
         let free = eng.world.ks.cluster.node_free("node-0").unwrap();
         assert_eq!(free.extended_count(NVIDIA_GPU), 0);
+    }
+
+    #[test]
+    fn native_pod_pinned_to_unknown_node_is_unschedulable() {
+        let mut eng = engine(1, 1);
+        let now = eng.now();
+        let mut spec = PodSpec::new(
+            "cuda:11",
+            ResourceList::cpu_mem(1000, 1 << 30).with_extended(NVIDIA_GPU, 1),
+        );
+        spec.node_name = Some("no-such-node".into());
+        let mut out = Vec::new();
+        let pod = eng.world.ks.submit_native_pod(now, "lost", spec, &mut out);
+        seed(&mut eng, out);
+        eng.run_to_completion(1000);
+        assert_eq!(
+            eng.world.ks.cluster.pod(pod).unwrap().status.phase,
+            ks_cluster::PodPhase::Pending
+        );
+        assert!(eng.world.notices.iter().any(|(_, n)| matches!(
+            n,
+            KsNotice::Cluster(ClusterNotice::PodUnschedulable { pod: p }) if *p == pod
+        )));
+        // The cluster is otherwise unaffected: a sharePod still runs.
+        let sp = submit(&mut eng, "shared", sp_spec(0.5, 1.0, 0.5));
+        eng.run_to_completion(20_000);
+        assert!(running_notice(&eng.world, sp).is_some());
     }
 
     #[test]
