@@ -34,7 +34,7 @@ use ks_telemetry::provenance::{DecisionKind, FlightRecorder, Outcome, ReasonCode
 
 use crate::gpuid::GpuId;
 use crate::locality::Locality;
-use crate::pool::{PoolDevice, VgpuPool};
+use crate::pool::{DeviceIdx, PoolDevice, VgpuPool};
 
 /// A container's scheduling requirements (`r` in Algorithm 1).
 #[derive(Debug, Clone)]
@@ -97,16 +97,20 @@ fn locality_conflict(loc: &Locality, dev: &PoolDevice) -> Option<(ReasonCode, Re
     }
 }
 
-/// Whether `dev` has the residual capacity `req` asks for, with a `1e-9`
-/// margin per axis for accumulated float error.
-pub(crate) fn has_capacity(req: &SchedRequest, dev: &PoolDevice) -> bool {
-    req.util <= dev.util_free + 1e-9 && req.mem <= dev.mem_free + 1e-9
-}
-
 /// Step 2's filter on a time-sliced device: idle devices are clean and
 /// always pass; others must agree on locality and have the capacity.
 fn passes(req: &SchedRequest, dev: &PoolDevice) -> bool {
-    dev.is_idle() || (locality_conflict(&req.locality, dev).is_none() && has_capacity(req, dev))
+    dev.is_idle()
+        || (locality_conflict(&req.locality, dev).is_none() && dev.fits(req.util, req.mem))
+}
+
+/// A time-slice decision with, for `Assign`, the winner's slab handle:
+/// the batch drain attaches through it instead of looking the id up.
+type Decided = (Decision, Option<DeviceIdx>);
+
+/// `Assign` to the device behind `idx`.
+fn assign(idx: DeviceIdx, id: &GpuId) -> Decided {
+    (Decision::Assign(id.clone()), Some(idx))
 }
 
 /// The fit metric of placing `req` on an existing device: the total
@@ -122,54 +126,54 @@ pub fn fit_residual(req: &SchedRequest, pool: &VgpuPool, gpuid: &GpuId) -> Optio
 /// Runs Algorithm 1. Pure with respect to pool *contents*; only consumes a
 /// fresh id from the pool's id counter when a new device is needed.
 pub fn schedule(req: &SchedRequest, pool: &mut VgpuPool) -> Decision {
-    schedule_prov(req, pool, &mut SchedProv::off())
+    schedule_prov(req, pool, &mut SchedProv::off()).0
 }
 
 /// [`schedule`] with a provenance collector. The collector is a pure
 /// observer: every capture call is gated on its enablement and mutates
 /// nothing the algorithm reads, so decisions are identical with `prov` on
 /// or off (enforced by the differential oracles).
-fn schedule_prov(req: &SchedRequest, pool: &mut VgpuPool, prov: &mut SchedProv) -> Decision {
+fn schedule_prov(req: &SchedRequest, pool: &mut VgpuPool, prov: &mut SchedProv) -> Decided {
     // ---- Step 1: affinity (lines 1–14) ----
     if let Some(aff) = &req.locality.affinity {
         let target = pool
-            .devices()
-            .find(|d| !d.releasing && !d.is_spatial() && d.aff.contains(aff));
-        if let Some(d) = target {
+            .devices_at()
+            .find(|(_, d)| !d.releasing && !d.is_spatial() && d.aff.contains(aff));
+        if let Some((idx, d)) = target {
             prov.candidate_with("affinity", d.fit_key(), || d.id.as_str());
             prov.note(|| format!("affinity '{aff}' binds to {}", d.id));
             if let Some((code, reason)) = locality_conflict(&req.locality, d) {
                 prov.reject(code);
-                return Decision::Reject(reason);
+                return (Decision::Reject(reason), None);
             }
-            if !has_capacity(req, d) {
+            if !d.fits(req.util, req.mem) {
                 prov.reject(ReasonCode::AffinityNoCapacity);
-                return Decision::Reject(RejectReason::InsufficientCapacity);
+                return (Decision::Reject(RejectReason::InsufficientCapacity), None);
             }
             prov.choose(d.id.as_str(), "affinity", d.fit_key());
-            return Decision::Assign(d.id.clone());
+            return assign(idx, &d.id);
         }
         // No device carries the label yet: prefer an idle device so the
         // affinity group has maximal room (lines 9–14).
-        if let Some(d) = pool
-            .devices()
-            .find(|d| !d.releasing && !d.is_spatial() && d.is_idle())
+        if let Some((idx, d)) = pool
+            .devices_at()
+            .find(|(_, d)| !d.releasing && !d.is_spatial() && d.is_idle())
         {
             prov.candidate_with("idle", d.fit_key(), || d.id.as_str());
             prov.choose(d.id.as_str(), "idle", d.fit_key());
             prov.note(|| format!("no device carries affinity '{aff}'; seed group on idle device"));
-            return Decision::Assign(d.id.clone());
+            return assign(idx, &d.id);
         }
         prov.note(|| format!("no device carries affinity '{aff}' and none idle; new device"));
-        return Decision::NewDevice(pool.fresh_id());
+        return (Decision::NewDevice(pool.fresh_id()), None);
     }
 
     // ---- Step 2: filter (lines 15–20) ----
     // Releasing devices were handed back; spatial ones are on the slice
     // substrate.
-    let candidates: Vec<&PoolDevice> = pool
-        .devices()
-        .filter(|d| !d.releasing && !d.is_spatial() && passes(req, d))
+    let candidates: Vec<(DeviceIdx, &PoolDevice)> = pool
+        .devices_at()
+        .filter(|(_, d)| !d.releasing && !d.is_spatial() && passes(req, d))
         .collect();
     prov.note(|| {
         format!(
@@ -184,7 +188,7 @@ fn schedule_prov(req: &SchedRequest, pool: &mut VgpuPool, prov: &mut SchedProv) 
     // the request term is constant across candidates, so ordering by the
     // device's fit key alone selects the same device — and does it with
     // float comparisons that an ordered index reproduces bit-for-bit.
-    for d in &candidates {
+    for (_, d) in &candidates {
         let rule = if d.aff.is_empty() {
             "best_fit"
         } else {
@@ -195,38 +199,38 @@ fn schedule_prov(req: &SchedRequest, pool: &mut VgpuPool, prov: &mut SchedProv) 
     // Best fit among devices without affinity labels…
     let best = candidates
         .iter()
-        .filter(|d| d.aff.is_empty())
-        .min_by(|a, b| {
+        .filter(|(_, d)| d.aff.is_empty())
+        .min_by(|(_, a), (_, b)| {
             a.fit_key()
                 .total_cmp(&b.fit_key())
                 .then_with(|| a.id.cmp(&b.id))
         });
-    if let Some(d) = best {
+    if let Some(&(idx, d)) = best {
         prov.choose(d.id.as_str(), "best_fit", d.fit_key());
         prov.note_static("best_fit over plain devices (min fit key, id tie-break)");
-        return Decision::Assign(d.id.clone());
+        return assign(idx, &d.id);
     }
     // …worst fit among devices with affinity labels…
     let worst = candidates
         .iter()
-        .filter(|d| !d.aff.is_empty())
-        .max_by(|a, b| {
+        .filter(|(_, d)| !d.aff.is_empty())
+        .max_by(|(_, a), (_, b)| {
             a.fit_key()
                 .total_cmp(&b.fit_key())
                 .then_with(|| b.id.cmp(&a.id))
         });
-    if let Some(d) = worst {
+    if let Some(&(idx, d)) = worst {
         prov.choose(d.id.as_str(), "worst_fit", d.fit_key());
         prov.note_static("worst_fit over affinity devices (max fit key, id tie-break)");
-        return Decision::Assign(d.id.clone());
+        return assign(idx, &d.id);
     }
     // …else a brand-new vGPU.
     prov.note_static("no existing device passes; new device");
-    Decision::NewDevice(pool.fresh_id())
+    (Decision::NewDevice(pool.fresh_id()), None)
 }
 
 /// Margin subtracted from the fit-range lower bound so the indexed scan
-/// provably includes every device [`has_capacity`] (epsilon `1e-9` per
+/// provably includes every device [`PoolDevice::fits`] (epsilon `1e-9` per
 /// axis) would admit: a device passing both axes has fit key at least
 /// `need − 2e-9`, and `2e-9 < 1e-8` with room for rounding to spare.
 const FIT_RANGE_MARGIN: f64 = 1e-8;
@@ -244,7 +248,7 @@ const FIT_RANGE_MARGIN: f64 = 1e-8;
 ///   fit key (ascending id within a key), so the first survivor is the
 ///   reference's maximum with the same smallest-id tie-break.
 pub fn schedule_indexed(req: &SchedRequest, pool: &mut VgpuPool) -> Decision {
-    schedule_indexed_prov(req, pool, &mut SchedProv::off())
+    schedule_indexed_prov(req, pool, &mut SchedProv::off()).0
 }
 
 /// [`schedule_indexed`] with a provenance collector. Candidates captured
@@ -252,36 +256,31 @@ pub fn schedule_indexed(req: &SchedRequest, pool: &mut VgpuPool) -> Decision {
 /// survivor — faithful to this implementation's work, which may differ
 /// from the reference path's candidate set even though the chosen device
 /// never does.
-fn schedule_indexed_prov(
-    req: &SchedRequest,
-    pool: &mut VgpuPool,
-    prov: &mut SchedProv,
-) -> Decision {
+fn schedule_indexed_prov(req: &SchedRequest, pool: &mut VgpuPool, prov: &mut SchedProv) -> Decided {
     // ---- Step 1: affinity ----
     if let Some(aff) = &req.locality.affinity {
-        if let Some(id) = pool.affinity_target(aff) {
-            let d = pool.get(id).expect("indexed device in pool");
+        if let Some((_, idx)) = pool.affinity_target_at(aff) {
+            let d = pool.slot(idx);
             prov.candidate_with("affinity", d.fit_key(), || d.id.as_str());
             prov.note_static("affinity label binds to its existing carrier (see candidates)");
             if let Some((code, reason)) = locality_conflict(&req.locality, d) {
                 prov.reject(code);
-                return Decision::Reject(reason);
+                return (Decision::Reject(reason), None);
             }
-            if !has_capacity(req, d) {
+            if !d.fits(req.util, req.mem) {
                 prov.reject(ReasonCode::AffinityNoCapacity);
-                return Decision::Reject(RejectReason::InsufficientCapacity);
+                return (Decision::Reject(RejectReason::InsufficientCapacity), None);
             }
             prov.choose(d.id.as_str(), "affinity", d.fit_key());
-            return Decision::Assign(d.id.clone());
+            return assign(idx, &d.id);
         }
-        if let Some(id) = pool.first_unattached() {
-            let id = id.clone();
+        if let Some((id, idx)) = pool.first_unattached_at() {
             prov.choose(id.as_str(), "idle", 2.0);
             prov.note_static("no device carries the affinity label; seed group on idle device");
-            return Decision::Assign(id);
+            return assign(idx, id);
         }
         prov.note_static("no device carries the affinity label and none idle; new device");
-        return Decision::NewDevice(pool.fresh_id());
+        return (Decision::NewDevice(pool.fresh_id()), None);
     }
 
     // ---- Steps 2+3 fused: range-scan, filter, first survivor wins ----
@@ -289,20 +288,22 @@ fn schedule_indexed_prov(
     // idle), so clamping the bound to 2.0 keeps them in range even when
     // the request alone could never fit an existing device.
     let min_fit = (req.util + req.mem - FIT_RANGE_MARGIN).clamp(0.0, 2.0);
-    if let Some(d) = scan_first(pool.plain_fit_range(min_fit), "best_fit", req, prov) {
+    if let Some((idx, d)) = scan_first(pool.plain_fit_range_at(min_fit), "best_fit", req, prov) {
         prov.note_static("best_fit: first survivor of ascending plain-fit scan");
-        return Decision::Assign(d.id.clone());
+        return assign(idx, &d.id);
     }
-    if let Some(d) = scan_first(pool.labeled_fit_range_desc(min_fit), "worst_fit", req, prov) {
+    let worst_fit = pool.labeled_fit_range_desc_at(min_fit);
+    if let Some((idx, d)) = scan_first(worst_fit, "worst_fit", req, prov) {
         prov.note_static("worst_fit: first survivor of descending labeled-fit scan");
-        return Decision::Assign(d.id.clone());
+        return assign(idx, &d.id);
     }
     prov.note_static("no indexed device in fit range passes; new device");
-    Decision::NewDevice(pool.fresh_id())
+    (Decision::NewDevice(pool.fresh_id()), None)
 }
 
 /// The indexed path's fit-range scan: the first device of `scan` that
-/// [`passes`] the filter, marked as the winner under `rule`.
+/// [`passes`] the filter, with its handle, marked as the winner under
+/// `rule`.
 ///
 /// This loop is the only per-device work at cluster scale. Examined
 /// devices are staged as `(fit key, id)` pairs in a stack buffer (hot
@@ -315,17 +316,17 @@ fn schedule_indexed_prov(
 /// candidates the collector already held, so the string-searching
 /// [`SchedProv::choose`] is never needed.
 fn scan_first<'a>(
-    scan: impl Iterator<Item = &'a PoolDevice>,
+    scan: impl Iterator<Item = (DeviceIdx, &'a PoolDevice)>,
     rule: &'static str,
     req: &SchedRequest,
     prov: &mut SchedProv,
-) -> Option<&'a PoolDevice> {
+) -> Option<(DeviceIdx, &'a PoolDevice)> {
     let base = prov.candidates().len();
     let room = prov.scan_room();
     let mut seen: [(f64, &str); SchedProv::MAX_CANDIDATES] = Default::default();
     let (mut staged, mut scanned) = (0usize, 0usize);
     let mut winner = None;
-    for d in scan {
+    for (idx, d) in scan {
         scanned += 1;
         let pushed = staged < room;
         if pushed {
@@ -333,7 +334,7 @@ fn scan_first<'a>(
             staged += 1;
         }
         if passes(req, d) {
-            winner = Some((d, pushed));
+            winner = Some((idx, d, pushed));
             break;
         }
     }
@@ -342,11 +343,11 @@ fn scan_first<'a>(
         prov.scan_push(rule, key, id);
     }
     match winner {
-        Some((d, true)) => prov.choose_at(base + staged - 1, rule, d.fit_key()),
-        Some((d, false)) => prov.choose_append(d.id.as_str(), rule, d.fit_key()),
+        Some((_, d, true)) => prov.choose_at(base + staged - 1, rule, d.fit_key()),
+        Some((_, d, false)) => prov.choose_append(d.id.as_str(), rule, d.fit_key()),
         None => {}
     }
-    winner.map(|(d, _)| d)
+    winner.map(|(idx, d, _)| (idx, d))
 }
 
 /// Runs Algorithm 1 with the implementation selected by `mode`; both are
@@ -362,6 +363,16 @@ pub fn schedule_with_prov(
     pool: &mut VgpuPool,
     prov: &mut SchedProv,
 ) -> Decision {
+    decide(mode, req, pool, prov).0
+}
+
+/// [`schedule_with_prov`], keeping the winner's handle.
+fn decide(
+    mode: SchedMode,
+    req: &SchedRequest,
+    pool: &mut VgpuPool,
+    prov: &mut SchedProv,
+) -> Decided {
     match mode {
         SchedMode::Reference => schedule_prov(req, pool, prov),
         SchedMode::Indexed => schedule_indexed_prov(req, pool, prov),
@@ -614,20 +625,23 @@ pub struct BatchEntry {
     pub req: SchedRequest,
 }
 
-/// Applies one [`schedule_batch`] decision to the pool. The time-slice
-/// path never proposes a reconfiguration.
-fn apply_decision(pool: &mut VgpuPool, e: &BatchEntry, decision: &Decision) {
-    let id = match decision {
-        Decision::Assign(id) => id,
-        Decision::NewDevice(id) => {
-            pool.insert_creating(id.clone());
-            id
+/// Applies one [`schedule_batch`] decision to the pool: an `Assign`
+/// attaches through the handle its decision carried, a `NewDevice`
+/// through the handle its insert returns, so no id is looked up. The
+/// time-slice path never proposes a reconfiguration.
+fn apply_decision(pool: &mut VgpuPool, e: &BatchEntry, (decision, winner): &Decided) {
+    let idx = match decision {
+        Decision::Assign(id) => {
+            let idx = winner.expect("an Assign carries its winner's handle");
+            debug_assert_eq!(&pool.slot(idx).id, id, "stale winner handle");
+            idx
         }
+        Decision::NewDevice(id) => pool.insert_creating_at(id.clone()),
         Decision::Reconfigure(_) | Decision::Reject(_) => return,
     };
     let loc = &e.req.locality;
-    pool.attach(
-        id,
+    pool.attach_at(
+        idx,
         e.uid,
         e.req.util,
         e.req.mem,
@@ -680,8 +694,9 @@ pub fn schedule_batch_recorded(
     entries
         .iter()
         .map(|e| {
-            let decision = schedule_with_prov(mode, &e.req, pool, &mut prov);
-            apply_decision(pool, e, &decision);
+            let decided = decide(mode, &e.req, pool, &mut prov);
+            apply_decision(pool, e, &decided);
+            let (decision, _) = decided;
             if recorder.is_enabled() {
                 let outcome = outcome_of(&decision, &prov);
                 session.record_scratch(at, e.uid.0, 0, DecisionKind::Schedule, outcome, &mut prov);
@@ -1277,6 +1292,49 @@ mod tests {
             assert_eq!(out[1].1, Decision::Assign(ids[1].clone()));
             assert_eq!(p.get(&ids[0]).unwrap().attached.len(), 1);
             assert_eq!(p.get(&ids[1]).unwrap().attached.len(), 1);
+            p.verify_indexes().unwrap();
+        }
+    }
+
+    #[test]
+    fn batch_attaches_through_a_reused_slot_handle() {
+        // Two tenant-a devices, and a removed device whose slot is on the
+        // free list. The first tenant-b entry fits nowhere, so its new
+        // device reuses that slot; the last one is assigned to the new
+        // device through the handle its decision carried.
+        let build = || {
+            let (mut p, ids) = pool(3);
+            p.attach(&ids[0], Uid(1), 0.5, 0.5, None, None, Some("tenant-a"));
+            p.attach(&ids[2], Uid(2), 0.5, 0.5, None, None, Some("tenant-a"));
+            let freed = p.idx(&ids[1]);
+            p.remove(&ids[1]);
+            (p, ids, freed)
+        };
+        let entry = |uid, share, tenant| BatchEntry {
+            uid: Uid(uid),
+            req: req_loc(share, share, Locality::none().with_exclusion(tenant)),
+        };
+        let entries = [
+            entry(10, 0.3, "tenant-b"),
+            entry(11, 0.2, "tenant-a"),
+            entry(12, 0.3, "tenant-b"),
+        ];
+        let reference = schedule_batch(SchedMode::Reference, &entries, &mut build().0);
+        for mode in [SchedMode::Reference, SchedMode::Indexed] {
+            let (mut p, ids, freed) = build();
+            let out = schedule_batch(mode, &entries, &mut p);
+            assert_eq!(out, reference, "{mode:?}");
+            let Decision::NewDevice(new) = &out[0].1 else {
+                panic!("{mode:?}: expected NewDevice, got {:?}", out[0].1);
+            };
+            assert_eq!(p.idx(new), freed, "{mode:?}: the freed slot is reused");
+            assert_eq!(out[1].1, Decision::Assign(ids[0].clone()), "{mode:?}");
+            assert_eq!(out[2].1, Decision::Assign(new.clone()), "{mode:?}");
+            let tenants =
+                |id: &GpuId| -> Vec<Uid> { p.get(id).unwrap().attached.keys().copied().collect() };
+            assert_eq!(tenants(new), [Uid(10), Uid(12)], "{mode:?}");
+            assert_eq!(tenants(&ids[0]), [Uid(1), Uid(11)], "{mode:?}");
+            assert_eq!(tenants(&ids[2]), [Uid(2)], "{mode:?}");
             p.verify_indexes().unwrap();
         }
     }

@@ -139,13 +139,22 @@ impl PoolDevice {
     pub fn fit_key(&self) -> f64 {
         self.util_free + self.mem_free
     }
+
+    /// Whether the residual capacity covers `util` compute and `mem`
+    /// memory, with a `1e-9` margin per axis for accumulated float error:
+    /// Algorithm 1's capacity filter and the pool's over-commit guard.
+    pub fn fits(&self, util: f64, mem: f64) -> bool {
+        util <= self.util_free + 1e-9 && mem <= self.mem_free + 1e-9
+    }
 }
 
-/// Dense handle of a device's slot in the pool's slab. Private to the
-/// pool: the public API stays [`GpuId`]-based, and a handle is reused once
-/// its device is removed.
+/// Dense handle of a device's slot in the pool's slab. Crate-visible so
+/// Algorithm 1's batch drain can carry a decision's winner to its attach
+/// without looking the id up again; the public API stays
+/// [`GpuId`]-based. A handle is valid until its device is removed, after
+/// which the next insert reuses the slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct DeviceIdx(u32);
+pub(crate) struct DeviceIdx(u32);
 
 impl DeviceIdx {
     fn new(slot: usize) -> Self {
@@ -464,7 +473,7 @@ impl VgpuPool {
     ///
     /// # Panics
     /// Panics if the id is not in the pool.
-    fn idx(&self, id: &GpuId) -> DeviceIdx {
+    pub(crate) fn idx(&self, id: &GpuId) -> DeviceIdx {
         *self.ids.get(id).expect("vGPU in pool")
     }
 
@@ -474,7 +483,7 @@ impl VgpuPool {
     }
 
     /// The live device behind a handle taken from `ids` or an index.
-    fn slot(&self, idx: DeviceIdx) -> &PoolDevice {
+    pub(crate) fn slot(&self, idx: DeviceIdx) -> &PoolDevice {
         self.live(idx).expect("live slab slot")
     }
 
@@ -485,7 +494,8 @@ impl VgpuPool {
     }
 
     /// Places a new device in a freed slot (or a new one) and indexes it.
-    fn insert_device(&mut self, d: PoolDevice) {
+    /// Returns its handle.
+    fn insert_device(&mut self, d: PoolDevice) -> DeviceIdx {
         assert!(
             !self.ids.contains_key(&d.id),
             "vGPU {} already in pool",
@@ -505,6 +515,7 @@ impl VgpuPool {
         );
         self.ids.insert(d.id.clone(), idx);
         self.slots[idx.at()] = Some(d);
+        idx
     }
 
     /// Adds a new vGPU in `Creating` phase under the given id.
@@ -512,7 +523,12 @@ impl VgpuPool {
     /// # Panics
     /// Panics if the id already exists.
     pub fn insert_creating(&mut self, id: GpuId) {
-        self.insert_device(PoolDevice::fresh(id));
+        self.insert_creating_at(id);
+    }
+
+    /// [`VgpuPool::insert_creating`], returning the new device's handle.
+    pub(crate) fn insert_creating_at(&mut self, id: GpuId) -> DeviceIdx {
+        self.insert_device(PoolDevice::fresh(id))
     }
 
     /// Adds a new *partitioned* vGPU in `Creating` phase under the given
@@ -562,15 +578,31 @@ impl VgpuPool {
         anti_aff: Option<&str>,
         excl: Option<&str>,
     ) {
-        let idx = self.idx(id);
+        self.attach_at(self.idx(id), sharepod, request, mem, aff, anti_aff, excl);
+    }
+
+    /// [`VgpuPool::attach`] on the device behind a handle.
+    #[allow(clippy::too_many_arguments)] // mirrors Algorithm 1's request tuple
+    pub(crate) fn attach_at(
+        &mut self,
+        idx: DeviceIdx,
+        sharepod: Uid,
+        request: f64,
+        mem: f64,
+        aff: Option<&str>,
+        anti_aff: Option<&str>,
+        excl: Option<&str>,
+    ) {
         let d = live_mut(&mut self.slots, idx);
         assert!(
             !d.is_spatial(),
-            "token-lease attach on partitioned vGPU {id}; use attach_slice"
+            "token-lease attach on partitioned vGPU {}; use attach_slice",
+            d.id
         );
         assert!(
-            d.util_free + 1e-9 >= request && d.mem_free + 1e-9 >= mem,
-            "over-committing vGPU {id}: free=({:.3},{:.3}) need=({request:.3},{mem:.3})",
+            d.fits(request, mem),
+            "over-committing vGPU {}: free=({:.3},{:.3}) need=({request:.3},{mem:.3})",
+            d.id,
             d.util_free,
             d.mem_free
         );
@@ -816,7 +848,12 @@ impl VgpuPool {
 
     /// All devices in deterministic id order.
     pub fn devices(&self) -> impl Iterator<Item = &PoolDevice> {
-        self.ids.values().map(move |&idx| self.slot(idx))
+        self.devices_at().map(|(_, d)| d)
+    }
+
+    /// [`VgpuPool::devices`] with each device's handle.
+    pub(crate) fn devices_at(&self) -> impl Iterator<Item = (DeviceIdx, &PoolDevice)> {
+        self.ids.values().map(move |&idx| (idx, self.slot(idx)))
     }
 
     /// Devices currently idle and not already being released (candidates
@@ -834,13 +871,24 @@ impl VgpuPool {
     /// First (id order) schedulable device with no attached sharePods —
     /// Algorithm 1's idle-device preference in the affinity step.
     pub fn first_unattached(&self) -> Option<&GpuId> {
-        self.ix.unattached.keys().next()
+        self.first_unattached_at().map(|(id, _)| id)
+    }
+
+    /// [`VgpuPool::first_unattached`] with the device's handle.
+    pub(crate) fn first_unattached_at(&self) -> Option<(&GpuId, DeviceIdx)> {
+        self.ix.unattached.iter().next().map(|(id, &idx)| (id, idx))
     }
 
     /// First (id order) schedulable device carrying the affinity label —
     /// the binding target of Algorithm 1's affinity step.
     pub fn affinity_target(&self, label: &str) -> Option<&GpuId> {
-        self.ix.aff_index.get(label).and_then(|s| s.keys().next())
+        self.affinity_target_at(label).map(|(id, _)| id)
+    }
+
+    /// [`VgpuPool::affinity_target`] with the device's handle.
+    pub(crate) fn affinity_target_at(&self, label: &str) -> Option<(&GpuId, DeviceIdx)> {
+        let bucket = self.ix.aff_index.get(label)?;
+        bucket.iter().next().map(|(id, &idx)| (id, idx))
     }
 
     /// Devices hosted on a node (releasing devices included), in id order.
@@ -856,22 +904,38 @@ impl VgpuPool {
     /// least `min_fit`, ascending by (fit key, id) — the best-fit scan
     /// order (tightest candidate first, id as the tie-break).
     pub fn plain_fit_range(&self, min_fit: f64) -> impl Iterator<Item = &PoolDevice> {
+        self.plain_fit_range_at(min_fit).map(|(_, d)| d)
+    }
+
+    /// [`VgpuPool::plain_fit_range`] with each device's handle.
+    pub(crate) fn plain_fit_range_at(
+        &self,
+        min_fit: f64,
+    ) -> impl Iterator<Item = (DeviceIdx, &PoolDevice)> {
         self.ix
             .plain_fit
             .range((OrdF64::of(min_fit), min_id().clone())..)
-            .map(move |(_, &idx)| self.slot(idx))
+            .map(move |(_, &idx)| (idx, self.slot(idx)))
     }
 
     /// Schedulable devices *with* affinity labels whose fit key is at least
     /// `min_fit`, descending by fit key with ascending id inside one key —
     /// the worst-fit scan order (roomiest candidate first, id tie-break).
     pub fn labeled_fit_range_desc(&self, min_fit: f64) -> impl Iterator<Item = &PoolDevice> {
+        self.labeled_fit_range_desc_at(min_fit).map(|(_, d)| d)
+    }
+
+    /// [`VgpuPool::labeled_fit_range_desc`] with each device's handle.
+    pub(crate) fn labeled_fit_range_desc_at(
+        &self,
+        min_fit: f64,
+    ) -> impl Iterator<Item = (DeviceIdx, &PoolDevice)> {
         let min_fit = OrdF64::of(min_fit);
         self.ix
             .labeled_fit
             .iter()
             .take_while(move |((Reverse(fit), _), _)| *fit >= min_fit)
-            .map(move |(_, &idx)| self.slot(idx))
+            .map(move |(_, &idx)| (idx, self.slot(idx)))
     }
 
     /// Cross-checks the slab's handle map and the incrementally-maintained

@@ -38,8 +38,8 @@ use ks_vgpu::ShareSpec;
 use ks_partition::Profile;
 
 use crate::algorithm::{
-    fit_residual, has_capacity, outcome_of, schedule_substrate_prov, Decision, RejectReason,
-    SchedMode, SchedRequest,
+    fit_residual, outcome_of, schedule_substrate_prov, Decision, RejectReason, SchedMode,
+    SchedRequest,
 };
 use crate::gpuid::GpuId;
 use crate::pool::VgpuPool;
@@ -1490,7 +1490,7 @@ impl KubeShareSystem {
                             .map(|p| table.can_place(p))
                             .unwrap_or(false)
                     } else {
-                        has_capacity(&req, d)
+                        d.fits(req.util, req.mem)
                     };
                     prov.candidate_with("pinned", d.fit_key(), || d.id.as_str().to_string());
                     if !d.releasing && fits {

@@ -602,20 +602,35 @@ pub struct DecisionRecord {
 
 /// Per-decision scratch collector threaded through the decision paths.
 ///
-/// `SchedProv::off()` is inert for candidate/chain capture (one branch per
-/// call, no allocation — `Vec::new` does not allocate), but the typed
-/// [`ReasonCode`] is tracked unconditionally: it is a `Copy` store on
-/// rejection paths only, and keeping it live means
+/// The typed [`ReasonCode`] is tracked unconditionally: it is a `Copy`
+/// store on rejection paths only, and keeping it live means
 /// `ks_sched_rejections_total` uses the same taxonomy whether or not a
-/// recorder is installed.
+/// recorder is installed. Everything else lives in one heap block that
+/// only an on collector has. `SchedProv::off()` is therefore two words:
+/// building, resetting and dropping it touches no capture state, and
+/// every capture call is one branch. `SchedProv::on()` allocates the
+/// block once, so a batch drain that reuses one collector allocates once
+/// per batch, not per decision.
 #[derive(Debug, Default)]
 pub struct SchedProv {
-    on: bool,
     reason: Option<ReasonCode>,
+    capture: Option<Box<Capture>>,
+}
+
+/// An on collector's capture state.
+#[derive(Debug, Default)]
+struct Capture {
     candidates: CandidateList,
     considered: usize,
     chain: ChainList,
 }
+
+/// What an off collector reads as: nothing captured.
+static NO_CAPTURE: Capture = Capture {
+    candidates: CandidateList::new(),
+    considered: 0,
+    chain: ChainList::new(),
+};
 
 impl SchedProv {
     /// Captured candidates per record; `considered` keeps the full count.
@@ -629,8 +644,8 @@ impl SchedProv {
     /// A capturing collector.
     pub fn on() -> Self {
         SchedProv {
-            on: true,
-            ..SchedProv::default()
+            reason: None,
+            capture: Some(Box::default()),
         }
     }
 
@@ -646,7 +661,12 @@ impl SchedProv {
     /// Whether candidate/chain capture is live.
     #[inline]
     pub fn is_on(&self) -> bool {
-        self.on
+        self.capture.is_some()
+    }
+
+    /// The capture state, empty when off.
+    fn captured(&self) -> &Capture {
+        self.capture.as_deref().unwrap_or(&NO_CAPTURE)
     }
 
     /// Clears captured state so one collector can be reused across a
@@ -657,10 +677,12 @@ impl SchedProv {
     #[inline]
     pub fn reset(&mut self) {
         self.reason = None;
-        self.considered = 0;
-        self.candidates.len = 0;
-        self.chain.len = 0;
-        self.chain.dropped = 0;
+        if let Some(c) = &mut self.capture {
+            c.considered = 0;
+            c.candidates.len = 0;
+            c.chain.len = 0;
+            c.chain.dropped = 0;
+        }
     }
 
     /// Notes the typed reason behind a refusal or hold. Always tracked.
@@ -684,12 +706,12 @@ impl SchedProv {
         score: f64,
         target: impl FnOnce() -> T,
     ) {
-        if !self.on {
+        let Some(c) = &mut self.capture else {
             return;
-        }
-        self.considered += 1;
-        if self.candidates.len() < Self::MAX_CANDIDATES {
-            self.candidates.push(CandidateScore {
+        };
+        c.considered += 1;
+        if c.candidates.len() < Self::MAX_CANDIDATES {
+            c.candidates.push(CandidateScore {
                 target: target().into(),
                 score,
                 rule,
@@ -704,11 +726,9 @@ impl SchedProv {
     /// compare per examined device instead of a call into the collector.
     #[inline]
     pub fn scan_room(&self) -> usize {
-        if self.on {
-            Self::MAX_CANDIDATES.saturating_sub(self.candidates.len())
-        } else {
-            0
-        }
+        self.capture.as_ref().map_or(0, |c| {
+            Self::MAX_CANDIDATES.saturating_sub(c.candidates.len())
+        })
     }
 
     /// Captures one scanned candidate *without* bumping `considered` —
@@ -717,19 +737,21 @@ impl SchedProv {
     /// [`SchedProv::scan_room`].
     #[inline]
     pub fn scan_push(&mut self, rule: &'static str, score: f64, target: &str) {
-        self.candidates.push(CandidateScore {
-            target: target.into(),
-            score,
-            rule,
-            chosen: false,
-        });
+        if let Some(c) = &mut self.capture {
+            c.candidates.push(CandidateScore {
+                target: target.into(),
+                score,
+                rule,
+                chosen: false,
+            });
+        }
     }
 
     /// Adds a bulk count of examined candidates (no-op when off).
     #[inline]
     pub fn add_considered(&mut self, n: usize) {
-        if self.on {
-            self.considered += n;
+        if let Some(c) = &mut self.capture {
+            c.considered += n;
         }
     }
 
@@ -738,21 +760,21 @@ impl SchedProv {
     /// present in the record.
     #[inline]
     pub fn choose(&mut self, target: &str, rule: &'static str, score: f64) {
-        if !self.on {
+        let Some(c) = &mut self.capture else {
             return;
-        }
-        if let Some(c) = self
+        };
+        if let Some(cand) = c
             .candidates
             .visible_mut()
             .iter_mut()
-            .find(|c| c.target == target)
+            .find(|cand| cand.target == target)
         {
-            c.chosen = true;
-            c.rule = rule;
-            c.score = score;
+            cand.chosen = true;
+            cand.rule = rule;
+            cand.score = score;
             return;
         }
-        self.candidates.push(CandidateScore {
+        c.candidates.push(CandidateScore {
             target: SmallStr::from(target),
             score,
             rule,
@@ -766,13 +788,13 @@ impl SchedProv {
     /// target-string search. Out-of-range slots are ignored.
     #[inline]
     pub fn choose_at(&mut self, idx: usize, rule: &'static str, score: f64) {
-        if !self.on {
+        let Some(c) = &mut self.capture else {
             return;
-        }
-        if let Some(c) = self.candidates.visible_mut().get_mut(idx) {
-            c.chosen = true;
-            c.rule = rule;
-            c.score = score;
+        };
+        if let Some(cand) = c.candidates.visible_mut().get_mut(idx) {
+            cand.chosen = true;
+            cand.rule = rule;
+            cand.score = score;
         }
     }
 
@@ -782,21 +804,20 @@ impl SchedProv {
     /// target-string search.
     #[inline]
     pub fn choose_append(&mut self, target: &str, rule: &'static str, score: f64) {
-        if !self.on {
-            return;
+        if let Some(c) = &mut self.capture {
+            c.candidates.push(CandidateScore {
+                target: SmallStr::from(target),
+                score,
+                rule,
+                chosen: true,
+            });
         }
-        self.candidates.push(CandidateScore {
-            target: SmallStr::from(target),
-            score,
-            rule,
-            chosen: true,
-        });
     }
 
     /// Appends one comparator-chain step (lazily built).
     pub fn note(&mut self, step: impl FnOnce() -> String) {
-        if self.on {
-            self.chain.push(std::borrow::Cow::Owned(step()));
+        if let Some(c) = &mut self.capture {
+            c.chain.push(std::borrow::Cow::Owned(step()));
         }
     }
 
@@ -804,24 +825,24 @@ impl SchedProv {
     /// hot-path variant of [`SchedProv::note`] for fixed rule text.
     #[inline]
     pub fn note_static(&mut self, step: &'static str) {
-        if self.on {
-            self.chain.push(std::borrow::Cow::Borrowed(step));
+        if let Some(c) = &mut self.capture {
+            c.chain.push(std::borrow::Cow::Borrowed(step));
         }
     }
 
     /// Candidates captured so far (empty when off).
     pub fn candidates(&self) -> &[CandidateScore] {
-        &self.candidates
+        &self.captured().candidates
     }
 
     /// The comparator chain captured so far.
     pub fn chain(&self) -> &[std::borrow::Cow<'static, str>] {
-        &self.chain
+        &self.captured().chain
     }
 
     /// Total candidates examined (0 when off).
     pub fn considered(&self) -> usize {
-        self.considered
+        self.captured().considered
     }
 
     /// Consumes the collector into a record (seq assigned at
@@ -834,6 +855,7 @@ impl SchedProv {
         kind: DecisionKind,
         outcome: Outcome,
     ) -> DecisionRecord {
+        let c = self.capture.map(|c| *c).unwrap_or_default();
         DecisionRecord {
             seq: 0,
             at,
@@ -841,9 +863,9 @@ impl SchedProv {
             trace,
             kind,
             outcome,
-            candidates: self.candidates,
-            considered: self.considered,
-            chain: self.chain,
+            candidates: c.candidates,
+            considered: c.considered,
+            chain: c.chain,
             fields: Vec::new(),
         }
     }
@@ -908,9 +930,10 @@ impl RecorderState {
         slot.trace = trace;
         slot.kind = kind;
         slot.outcome = outcome;
-        slot.considered = prov.considered;
-        slot.candidates.copy_from(&prov.candidates);
-        slot.chain.copy_from(&prov.chain);
+        let c = prov.captured();
+        slot.considered = c.considered;
+        slot.candidates.copy_from(&c.candidates);
+        slot.chain.copy_from(&c.chain);
         slot.fields.clear();
         seq
     }
