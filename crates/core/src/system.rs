@@ -1476,7 +1476,6 @@ impl KubeShareSystem {
             locality: spec.locality.clone(),
         };
         let mut prov = SchedProv::for_recorder(&self.recorder);
-        let decide_start = std::time::Instant::now();
         let decision = match &spec.gpuid {
             // Explicit GPUID: an existing vGPU binds directly; a
             // non-existent GPUID asks DevMgr to create one (paper §4.4).
@@ -1516,15 +1515,8 @@ impl KubeShareSystem {
                 &mut prov,
             ),
         };
-        let decide_ns = decide_start.elapsed().as_nanos() as f64;
 
         if self.telemetry.is_enabled() {
-            let mode = self.cfg.sched_mode.label();
-            // Wall-clock cost of running Algorithm 1 itself (not the
-            // simulated sched_latency): 10ns .. 1s log-spaced.
-            self.telemetry
-                .histogram_log("sched_decision_ns", &[("mode", mode)], 1e1, 1e9, 40)
-                .observe(decide_ns);
             let outcome = match &decision {
                 Decision::Assign(_) => "assign",
                 Decision::NewDevice(_) => "new_device",
@@ -2806,11 +2798,6 @@ mod tests {
                 snap.histogram_count_sum("sched_batch_len", &[]).is_some(),
                 "batch length histogram recorded"
             );
-            // The decision histogram is labeled with the path that ran.
-            let (count, _) = snap
-                .histogram_count_sum("sched_decision_ns", &[("mode", mode.label())])
-                .expect("decision timing histogram recorded");
-            assert!(count >= 4, "one timing sample per decision");
         }
     }
 

@@ -15,8 +15,10 @@
 //!
 //! The backend is a passive state machine: methods append the events that
 //! must be scheduled (grant-effective, expiry, retry) to an output vector,
-//! and the embedding simulation routes them back into [`TokenBackend`]
-//! handler methods. Epoch counters make stale events harmless.
+//! and the embedding routes them back into [`TokenBackend`] handler
+//! methods. Epoch counters make stale events harmless. The simulation
+//! ([`crate::shared`]) and the OS-thread driver ([`crate::realtime`]) embed
+//! this one machine.
 
 use std::cell::OnceCell;
 
@@ -216,6 +218,11 @@ impl TokenBackend {
         }
     }
 
+    /// The causal trace context attached to `client`, or [`TraceCtx::NONE`].
+    pub fn client_ctx(&self, client: ClientId) -> TraceCtx {
+        *self.client_ctx.get(&client).unwrap_or(&TraceCtx::NONE)
+    }
+
     /// Records the end of the current hold: how much of the quota the
     /// holder actually consumed.
     fn observe_hold_end(&mut self, now: SimTime) {
@@ -256,11 +263,7 @@ impl TokenBackend {
                     .counter("ks_vgpu_lease_reclaims_total", &[("gpu", &self.gpu_label)])
             })
             .inc();
-        let ctx = self
-            .client_ctx
-            .get(&reclaimed)
-            .copied()
-            .unwrap_or(TraceCtx::NONE);
+        let ctx = self.client_ctx(reclaimed);
         self.telemetry.trace_event_in(
             now,
             ctx,
@@ -352,15 +355,10 @@ impl TokenBackend {
     /// Deregisters a departing container, releasing the token if held.
     pub fn deregister(&mut self, now: SimTime, client: ClientId, out: &mut Vec<BackendTimer>) {
         self.unwant(client);
-        self.waiting_since.remove(&client);
         match self.state {
             TokenState::Held { by, .. } if by == client => {
-                self.window.end_hold(now, client);
                 let held_from = self.held_since;
-                self.observe_hold_end(now);
-                self.state = TokenState::Free;
-                self.epoch += 1;
-                self.dispatch(now, out);
+                self.hand_back(now, client, out);
                 self.observe_reclaim(now, client, held_from);
             }
             TokenState::InTransit { to, .. } if to == client => {
@@ -413,17 +411,12 @@ impl TokenBackend {
     /// a cached token afterwards.
     pub fn retract(&mut self, now: SimTime, client: ClientId, out: &mut Vec<BackendTimer>) -> bool {
         self.unwant(client);
-        self.waiting_since.remove(&client);
         if let TokenState::Held { by, .. } = self.state {
             if by == client {
                 if self.wants.is_empty() {
                     return true; // keep the token cached
                 }
-                self.window.end_hold(now, client);
-                self.observe_hold_end(now);
-                self.state = TokenState::Free;
-                self.epoch += 1;
-                self.dispatch(now, out);
+                self.hand_back(now, client, out);
             }
         }
         false
@@ -432,16 +425,21 @@ impl TokenBackend {
     /// The holder voluntarily hands the token back (no more queued work).
     pub fn release(&mut self, now: SimTime, client: ClientId, out: &mut Vec<BackendTimer>) {
         self.unwant(client);
-        self.waiting_since.remove(&client);
         if let TokenState::Held { by, .. } = self.state {
             if by == client {
-                self.window.end_hold(now, client);
-                self.observe_hold_end(now);
-                self.state = TokenState::Free;
-                self.epoch += 1;
-                self.dispatch(now, out);
+                self.hand_back(now, client, out);
             }
         }
+    }
+
+    /// Ends `holder`'s hold at `now` and hands the token to the next
+    /// waiter.
+    fn hand_back(&mut self, now: SimTime, holder: ClientId, out: &mut Vec<BackendTimer>) {
+        self.window.end_hold(now, holder);
+        self.observe_hold_end(now);
+        self.state = TokenState::Free;
+        self.epoch += 1;
+        self.dispatch(now, out);
     }
 
     /// A previously emitted [`BackendTimer::GrantEffective`] fired.
@@ -488,7 +486,7 @@ impl TokenBackend {
                     // causal analyzer orders by timestamp, so a span whose
                     // begin lies in the past is fine. Cached-token regrants
                     // never waited; they begin at the handoff start.
-                    let ctx = self.client_ctx.get(&to).copied().unwrap_or(TraceCtx::NONE);
+                    let ctx = self.client_ctx(to);
                     let begin = waited_from
                         .unwrap_or_else(|| {
                             SimTime::from_micros(
@@ -523,14 +521,10 @@ impl TokenBackend {
     ) -> Option<ClientId> {
         match self.state {
             TokenState::Held { by, epoch: e, .. } if e == epoch => {
-                self.window.end_hold(now, by);
                 let held_from = self.held_since;
-                self.observe_hold_end(now);
-                self.state = TokenState::Free;
-                self.epoch += 1;
                 // The holder keeps its place in `wants` (it re-requests by
                 // staying blocked); dispatch picks the next holder.
-                self.dispatch(now, out);
+                self.hand_back(now, by, out);
                 // A regrant to a different client is a reclamation: the
                 // expired holder never handed back voluntarily.
                 if !matches!(self.state, TokenState::InTransit { to, .. } if to == by) {
@@ -571,11 +565,13 @@ impl TokenBackend {
         }
     }
 
-    /// Drops `client` from the wait queue, if it is there.
+    /// Drops `client` from the wait queue, if it is there, and forgets when
+    /// it began waiting.
     fn unwant(&mut self, client: ClientId) {
         if let Ok(i) = self.wants.binary_search(&client) {
             self.wants.remove(i);
         }
+        self.waiting_since.remove(&client);
     }
 
     fn dispatch(&mut self, now: SimTime, out: &mut Vec<BackendTimer>) {
@@ -599,10 +595,10 @@ impl TokenBackend {
                     // the counter feeds a zero-rate SLO rule that would
                     // surface a policy regression.
                     let winner = candidates.iter().find(|c| c.client == next);
-                    let winner_over = winner.is_some_and(|w| w.usage >= w.spec.request - 1e-9);
+                    let winner_over = winner.is_some_and(|w| !w.below_request());
                     let someone_under = candidates
                         .iter()
-                        .any(|c| c.client != next && c.usage < c.spec.request - 1e-9);
+                        .any(|c| c.client != next && c.below_request());
                     if winner_over && someone_under {
                         self.metrics
                             .guarantee_violations
@@ -643,6 +639,13 @@ impl TokenBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TokenBackend {
+        /// Containers waiting on (or consuming) the token, sorted by id.
+        pub(crate) fn waiters(&self) -> &[ClientId] {
+            &self.wants
+        }
+    }
 
     const A: ClientId = ClientId(1);
     const B: ClientId = ClientId(2);

@@ -13,10 +13,10 @@
 //!   costs a handoff round trip, which is the overhead Fig. 7 measures.
 //!
 //! [`shared::SharedGpu`] packages a simulated device with the library for
-//! discrete-event experiments; [`realtime`] is a genuinely multi-threaded
-//! implementation of the same protocol (frontends in application threads
-//! blocking on a backend daemon thread), demonstrating that the protocol is
-//! not simulation-bound.
+//! discrete-event experiments; [`realtime`] drives the same
+//! [`TokenBackend`] state machine from OS threads (frontends in application
+//! threads blocking on a backend daemon), demonstrating that the protocol
+//! is not simulation-bound.
 
 #![warn(missing_docs)]
 

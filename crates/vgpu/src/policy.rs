@@ -28,6 +28,13 @@ pub struct Candidate {
 /// Floating-point slack so a holder at exactly its cap is filtered.
 const EPS: f64 = 1e-9;
 
+impl Candidate {
+    /// Still below its `gpu_request`: step 2 serves these first.
+    pub(crate) fn below_request(&self) -> bool {
+        self.usage < self.spec.request - EPS
+    }
+}
+
 /// Selects the next token holder, or `None` if every requester is at its
 /// limit (the token then stays idle until usage decays).
 pub fn select_next(candidates: &[Candidate]) -> Option<ClientId> {
@@ -36,16 +43,14 @@ pub fn select_next(candidates: &[Candidate]) -> Option<ClientId> {
     let eligible = || candidates.iter().filter(|c| c.usage < c.spec.limit - EPS);
 
     // Step 2: prefer the candidate farthest below its gpu_request.
-    let below_request = eligible()
-        .filter(|c| c.usage < c.spec.request - EPS)
-        .max_by(|a, b| {
-            let da = a.spec.request - a.usage;
-            let db = b.spec.request - b.usage;
-            da.partial_cmp(&db)
-                .unwrap()
-                // Deterministic tie-break by client id.
-                .then_with(|| b.client.cmp(&a.client))
-        });
+    let below_request = eligible().filter(|c| c.below_request()).max_by(|a, b| {
+        let da = a.spec.request - a.usage;
+        let db = b.spec.request - b.usage;
+        da.partial_cmp(&db)
+            .unwrap()
+            // Deterministic tie-break by client id.
+            .then_with(|| b.client.cmp(&a.client))
+    });
     if let Some(c) = below_request {
         return Some(c.client);
     }

@@ -1,34 +1,38 @@
-//! A real, multi-threaded implementation of the token protocol.
+//! The token protocol on real OS threads: a thin driver around the same
+//! [`TokenBackend`] state machine the discrete-event model runs.
+//! Application threads (the "containers") block in [`RtFrontend::acquire`]
+//! until the machine grants them the token, exactly as the paper's
+//! LD_PRELOAD frontend blocks intercepted CUDA calls.
 //!
-//! The discrete-event model in [`crate::shared`] drives the paper's
-//! experiments; this module demonstrates the same frontend/backend protocol
-//! with actual OS threads: application threads (the "containers") block in
-//! [`RtFrontend::acquire`] until the backend's policy grants them the
-//! token, exactly as the paper's LD_PRELOAD frontend blocks intercepted
-//! CUDA calls. Synchronization uses `parking_lot` mutex + condvar.
+//! A `parking_lot` mutex guards the machine and the memory guard, and each
+//! frontend has its own condvar, so a grant wakes only the thread it went
+//! to; wall-clock instants map onto `SimTime` from the backend's start.
+//! The handoff is zero and each grant takes effect at once, under the
+//! lock. Dropping a [`TokenLease`] releases the token to the policy's
+//! winner among the frontends waiting at that moment, so a releaser cannot
+//! barge back in.
 //!
-//! Expiry is enforced the way the paper's is: cooperatively at the API
-//! boundary. A holder's lease turns invalid when its deadline passes, and
-//! any waiter can then reap the hold and trigger a re-grant; the previous
-//! holder's next launch re-enters `acquire`.
-//!
-//! On top of the cooperative path, the backend runs a **reaper daemon
-//! thread** (the fault-tolerance layer): every quarter quota it reaps any
-//! hold whose deadline has passed and wakes all waiters. This is what
-//! reclaims the token when a frontend is killed outright (`kill -9` — its
-//! [`TokenLease`] destructor never runs): the lease times out and the next
-//! waiter is granted within one quota, even if no waiter happens to be
-//! polling. The thread holds only a [`std::sync::Weak`] reference and
-//! exits once the backend and all its frontends are gone.
+//! Expiry is cooperative, as in the paper: a lease turns
+//! [`TokenLease::expired`] at its deadline and the holder drops it. The
+//! **reaper daemon thread** takes the token only from a holder that cannot
+//! hand it back. A holder whose [`RtFrontend`] was dropped (`kill -9`: its
+//! lease destructor never runs) is reaped at its lease deadline, so the
+//! next waiter gets the token within about one quota. A live holder is
+//! reaped only a crash timeout past its deadline, so an OS preemption
+//! inside a critical section is not mistaken for a crash. The reaper
+//! removes a dropped frontend's registration, usage history and memory
+//! entry once it no longer holds the token. It also fires the machine's
+//! retry timer; it holds only a [`std::sync::Weak`] reference and exits
+//! once the backend and its frontends are gone.
 
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::policy::{select_next, Candidate};
+use crate::backend::{BackendTimer, TokenBackend, TokenState, VgpuConfig};
 use crate::spec::ShareSpec;
-use crate::window::{ClientId, UsageWindow};
+use crate::window::ClientId;
 use ks_sim_core::fxhash::FxHashMap;
 use ks_sim_core::time::{SimDuration, SimTime};
 use ks_telemetry::{Counter, Histo, Telemetry, TraceCtx};
@@ -54,30 +58,32 @@ impl Default for RtConfig {
     }
 }
 
-struct Holder {
-    id: ClientId,
-    gen: u64,
-    deadline: Instant,
+/// How long past its deadline a live holder may keep the token before the
+/// reaper presumes it crashed: ten quotas, and never under a second.
+fn crash_timeout(quota: Duration) -> SimDuration {
+    sim_duration((quota * 10).max(Duration::from_secs(1)))
+}
+
+fn sim_duration(d: Duration) -> SimDuration {
+    SimDuration::from_micros(d.as_micros() as u64)
 }
 
 struct State {
-    holder: Option<Holder>,
-    waiting: std::collections::BTreeSet<ClientId>,
-    window: UsageWindow,
-    specs: FxHashMap<ClientId, ShareSpec>,
-    /// Causal trace context per client, so realtime grants and reaps land
-    /// in the same sharePod span trees as the discrete-event backend's.
-    ctxs: FxHashMap<ClientId, TraceCtx>,
+    machine: TokenBackend,
+    /// When the machine's pending retry timer fires.
+    retry_at: Option<SimTime>,
+    /// Clients whose frontend was dropped; the reaper deregisters each
+    /// once it no longer holds the token.
+    gone: Vec<ClientId>,
+    /// Each client's wake-up, signalled when it is granted the token.
+    wakers: FxHashMap<ClientId, Arc<Condvar>>,
     /// Device-memory bytes allocated per client (the memory guard).
     mem_used: FxHashMap<ClientId, u64>,
     next_id: u64,
-    next_gen: u64,
-    grants: u64,
 }
 
 struct Inner {
     mu: Mutex<State>,
-    cv: Condvar,
     start: Instant,
     cfg: RtConfig,
     /// Wall-clock instants are mapped onto `SimTime` through `start`, so
@@ -95,28 +101,71 @@ impl Inner {
         SimTime::from_micros(at.duration_since(self.start).as_micros() as u64)
     }
 
-    /// Ends the current hold if its deadline has passed. Must hold the lock.
-    fn reap_expired(&self, st: &mut State, now: Instant) {
-        if let Some(h) = &st.holder {
-            if now >= h.deadline {
-                let end = self.sim_now(h.deadline);
-                let id = h.id;
-                st.holder = None;
-                st.window.end_hold(end, id);
+    /// Runs one machine call, then applies the timers it emitted: a grant
+    /// takes effect at once and wakes its client, a retry waits for the
+    /// reaper, and quota expiry is the reaper's rule. The clock is read
+    /// under the lock, so the machine sees time run forward across threads.
+    fn drive<R>(
+        &self,
+        st: &mut State,
+        call: impl FnOnce(&mut TokenBackend, SimTime, &mut Vec<BackendTimer>) -> R,
+    ) -> R {
+        let now = self.sim_now(Instant::now());
+        let mut timers = Vec::new();
+        let result = call(&mut st.machine, now, &mut timers);
+        while let Some(timer) = timers.pop() {
+            match timer {
+                BackendTimer::GrantEffective { epoch, .. } => {
+                    let to = st.machine.on_grant_effective(now, epoch, &mut timers);
+                    if self.telemetry.is_enabled() {
+                        self.grants_total
+                            .get_or_init(|| self.telemetry.counter("ks_vgpu_rt_grants_total", &[]))
+                            .inc();
+                    }
+                    if let Some(wake) = to.and_then(|id| st.wakers.get(&id)) {
+                        wake.notify_one();
+                    }
+                }
+                BackendTimer::Retry { at } => st.retry_at = Some(at),
+                BackendTimer::Expiry { .. } => {}
+            }
+        }
+        result
+    }
+
+    /// One reaper tick: releases a holder that is gone and past its
+    /// deadline, or live and past the crash timeout; deregisters the gone
+    /// clients that no longer hold; fires a due retry.
+    fn reap(&self, st: &mut State) {
+        let now = self.sim_now(Instant::now());
+        if let TokenState::Held { by, expires, .. } = st.machine.state() {
+            let gone = st.gone.contains(&by);
+            if now >= expires && (gone || now >= expires + crash_timeout(self.cfg.quota)) {
                 if self.telemetry.is_enabled() {
                     self.lease_reaps
                         .get_or_init(|| self.telemetry.counter("ks_vgpu_rt_lease_reaps_total", &[]))
                         .inc();
-                    let ctx = st.ctxs.get(&id).copied().unwrap_or(TraceCtx::NONE);
-                    self.telemetry.trace_event_in(
-                        end,
-                        ctx,
-                        "vgpu",
-                        "rt_lease_reaped",
-                        &[("client", id.label().as_str())],
-                    );
+                    let ctx = st.machine.client_ctx(by);
+                    let client = by.label();
+                    let fields = [("client", client.as_str())];
+                    self.telemetry
+                        .trace_event_in(now, ctx, "vgpu", "rt_lease_reaped", &fields);
                 }
+                self.drive(st, |m, now, out| m.release(now, by, out));
             }
+        }
+        for id in std::mem::take(&mut st.gone) {
+            if matches!(st.machine.state(), TokenState::Held { by, .. } if by == id) {
+                st.gone.push(id);
+            } else {
+                self.drive(st, |m, now, out| m.deregister(now, id, out));
+                st.wakers.remove(&id);
+                st.mem_used.remove(&id);
+            }
+        }
+        if st.retry_at.is_some_and(|at| now >= at) {
+            st.retry_at = None;
+            self.drive(st, |m, now, out| m.on_retry(now, out));
         }
     }
 }
@@ -136,19 +185,21 @@ impl RtBackend {
     /// Like [`RtBackend::new`], with metrics/traces recorded to `telemetry`
     /// (wall-clock stamps mapped onto `SimTime` from the backend's start).
     pub fn new_with_telemetry(cfg: RtConfig, telemetry: Telemetry) -> Self {
+        let machine = TokenBackend::new(VgpuConfig {
+            quota: sim_duration(cfg.quota),
+            handoff: SimDuration::ZERO,
+            window: sim_duration(cfg.window),
+            ..VgpuConfig::default()
+        });
         let inner = Arc::new(Inner {
             mu: Mutex::new(State {
-                holder: None,
-                waiting: Default::default(),
-                window: UsageWindow::new(SimDuration::from_micros(cfg.window.as_micros() as u64)),
-                specs: Default::default(),
-                ctxs: Default::default(),
+                machine,
+                retry_at: None,
+                gone: Vec::new(),
+                wakers: Default::default(),
                 mem_used: Default::default(),
                 next_id: 1,
-                next_gen: 1,
-                grants: 0,
             }),
-            cv: Condvar::new(),
             start: Instant::now(),
             cfg,
             telemetry,
@@ -163,11 +214,7 @@ impl RtBackend {
             .spawn(move || {
                 // Weak: the reaper must not keep a dead backend alive.
                 while let Some(inner) = weak.upgrade() {
-                    {
-                        let mut st = inner.mu.lock();
-                        inner.reap_expired(&mut st, Instant::now());
-                    }
-                    inner.cv.notify_all();
+                    inner.reap(&mut inner.mu.lock());
                     drop(inner);
                     std::thread::sleep(interval);
                 }
@@ -182,16 +229,19 @@ impl RtBackend {
         let mut st = self.inner.mu.lock();
         let id = ClientId(st.next_id);
         st.next_id += 1;
-        st.specs.insert(id, spec);
+        st.machine.register(id, spec).expect("fresh client id");
+        let wake = Arc::new(Condvar::new());
+        st.wakers.insert(id, Arc::clone(&wake));
         RtFrontend {
             inner: Arc::clone(&self.inner),
             id,
+            wake,
         }
     }
 
     /// Total grants performed.
     pub fn grant_count(&self) -> u64 {
-        self.inner.mu.lock().grants
+        self.inner.mu.lock().machine.grant_count()
     }
 }
 
@@ -199,6 +249,7 @@ impl RtBackend {
 pub struct RtFrontend {
     inner: Arc<Inner>,
     id: ClientId,
+    wake: Arc<Condvar>,
 }
 
 impl RtFrontend {
@@ -212,26 +263,22 @@ impl RtFrontend {
     /// discrete-event backend's `set_client_ctx`. Passing
     /// [`TraceCtx::NONE`] detaches.
     pub fn set_trace_ctx(&self, ctx: TraceCtx) {
-        let mut st = self.inner.mu.lock();
-        if ctx.is_none() {
-            st.ctxs.remove(&self.id);
-        } else {
-            st.ctxs.insert(self.id, ctx);
-        }
+        self.inner.mu.lock().machine.set_client_ctx(self.id, ctx);
     }
 
     /// Sliding-window usage of this container.
     pub fn usage(&self) -> f64 {
         let mut st = self.inner.mu.lock();
         let now = self.inner.sim_now(Instant::now());
-        st.window.usage(now, self.id)
+        st.machine.usage(now, self.id)
     }
 
     /// `cuMemAlloc` through the memory guard: fails once the container
     /// would exceed its `gpu_mem` share of the device.
     pub fn mem_alloc(&self, bytes: u64) -> Result<(), ks_gpu::types::CudaError> {
         let mut st = self.inner.mu.lock();
-        let quota = (st.specs[&self.id].mem * self.inner.cfg.memory_bytes as f64) as u64;
+        let spec = st.machine.spec(self.id).expect("frontend is registered");
+        let quota = (spec.mem * self.inner.cfg.memory_bytes as f64) as u64;
         let used = st.mem_used.get(&self.id).copied().unwrap_or(0);
         if used.saturating_add(bytes) > quota {
             return Err(ks_gpu::types::CudaError::OutOfMemory {
@@ -261,91 +308,52 @@ impl RtFrontend {
             .unwrap_or(0)
     }
 
-    /// Blocks until this container holds a valid token. Returns the lease;
+    /// Blocks until this container holds the token. Returns the lease;
     /// kernel launches are legal until [`TokenLease::expired`].
     pub fn acquire(&self) -> TokenLease {
+        let inner = &*self.inner;
         let wait_start = Instant::now();
-        let mut st = self.inner.mu.lock();
-        st.waiting.insert(self.id);
-        loop {
-            let now = Instant::now();
-            self.inner.reap_expired(&mut st, now);
-            if st.holder.is_none() {
-                let sim_now = self.inner.sim_now(now);
-                let waiting: Vec<ClientId> = st.waiting.iter().copied().collect();
-                let cands: Vec<Candidate> = waiting
-                    .into_iter()
-                    .map(|c| Candidate {
-                        client: c,
-                        spec: st.specs[&c],
-                        usage: st.window.usage(sim_now, c),
-                    })
-                    .collect();
-                match select_next(&cands) {
-                    Some(winner) if winner == self.id => {
-                        let gen = st.next_gen;
-                        st.next_gen += 1;
-                        let deadline = now + self.inner.cfg.quota;
-                        st.holder = Some(Holder {
-                            id: self.id,
-                            gen,
-                            deadline,
-                        });
-                        st.grants += 1;
-                        st.window.begin_hold(sim_now, self.id);
-                        st.waiting.remove(&self.id);
-                        let inner = &*self.inner;
-                        let telemetry = &inner.telemetry;
-                        if telemetry.is_enabled() {
-                            inner
-                                .grants_total
-                                .get_or_init(|| telemetry.counter("ks_vgpu_rt_grants_total", &[]))
-                                .inc();
-                            inner
-                                .acquire_wait
-                                .get_or_init(|| {
-                                    telemetry
-                                        .histogram_seconds("ks_vgpu_rt_acquire_wait_seconds", &[])
-                                })
-                                .observe(now.duration_since(wait_start).as_secs_f64());
-                            // Retroactive span covering the acquire wait,
-                            // parented into the client's causal trace (if
-                            // one was attached via `set_trace_ctx`).
-                            let ctx = st.ctxs.get(&self.id).copied().unwrap_or(TraceCtx::NONE);
-                            let begin = self.inner.sim_now(wait_start).min(sim_now);
-                            let span = telemetry.span_begin_in(
-                                begin,
-                                ctx,
-                                "vgpu",
-                                "rt_token_grant",
-                                &[("client", self.id.label().as_str())],
-                            );
-                            telemetry.span_end(sim_now, span, &[]);
-                        }
-                        return TokenLease {
-                            inner: Arc::clone(&self.inner),
-                            id: self.id,
-                            gen,
-                            deadline,
-                        };
-                    }
-                    Some(_) => {
-                        // Someone else should take it; wake them.
-                        self.inner.cv.notify_all();
-                    }
-                    None => {
-                        // Everyone at their limit; poll as usage decays.
-                    }
-                }
+        let mut st = inner.mu.lock();
+        let expires = loop {
+            // Re-requesting is idempotent, and re-queues a waiter whose
+            // grant the reaper took back before its thread woke.
+            let requested = inner.drive(&mut st, |m, now, out| m.request(now, self.id, out));
+            requested.expect("frontend is registered");
+            match st.machine.state() {
+                TokenState::Held { by, expires, .. } if by == self.id => break expires,
+                _ => self.wake.wait(&mut st),
             }
-            // Sleep until the holder's deadline or a short poll interval.
-            let wake_at = st
-                .holder
-                .as_ref()
-                .map(|h| h.deadline)
-                .unwrap_or_else(|| Instant::now() + self.inner.cfg.quota / 10);
-            self.inner.cv.wait_until(&mut st, wake_at);
+        };
+        let telemetry = &inner.telemetry;
+        if telemetry.is_enabled() {
+            let now = Instant::now();
+            inner
+                .acquire_wait
+                .get_or_init(|| telemetry.histogram_seconds("ks_vgpu_rt_acquire_wait_seconds", &[]))
+                .observe(now.duration_since(wait_start).as_secs_f64());
+            // Retroactive span covering the acquire wait, parented into the
+            // client's causal trace (if one was attached via `set_trace_ctx`).
+            let ctx = st.machine.client_ctx(self.id);
+            let end = inner.sim_now(now);
+            let begin = inner.sim_now(wait_start).min(end);
+            let client = self.id.label();
+            let fields = [("client", client.as_str())];
+            let span = telemetry.span_begin_in(begin, ctx, "vgpu", "rt_token_grant", &fields);
+            telemetry.span_end(end, span, &[]);
         }
+        TokenLease {
+            inner: Arc::clone(&self.inner),
+            id: self.id,
+            deadline: inner.start + Duration::from_micros(expires.as_micros()),
+        }
+    }
+}
+
+impl Drop for RtFrontend {
+    fn drop(&mut self) {
+        // Its lease may still run, or was leaked by a killed container, so
+        // the reaper deregisters it once it no longer holds the token.
+        self.inner.mu.lock().gone.push(self.id);
     }
 }
 
@@ -353,7 +361,6 @@ impl RtFrontend {
 pub struct TokenLease {
     inner: Arc<Inner>,
     id: ClientId,
-    gen: u64,
     deadline: Instant,
 }
 
@@ -372,16 +379,10 @@ impl TokenLease {
 
 impl Drop for TokenLease {
     fn drop(&mut self) {
-        let mut st = self.inner.mu.lock();
-        if let Some(h) = &st.holder {
-            if h.id == self.id && h.gen == self.gen {
-                let now = Instant::now().min(self.deadline);
-                let end = self.inner.sim_now(now);
-                st.holder = None;
-                st.window.end_hold(end, self.id);
-            }
-        }
-        self.inner.cv.notify_all();
+        let inner = &*self.inner;
+        inner.drive(&mut inner.mu.lock(), |m, now, out| {
+            m.release(now, self.id, out)
+        });
     }
 }
 
@@ -426,6 +427,41 @@ mod tests {
     }
 
     #[test]
+    fn release_hands_the_token_to_a_waiter_before_the_releaser_returns() {
+        let be = RtBackend::new(cfg(500, 5000));
+        // A asks for far more than B, so the policy prefers A whenever
+        // both are waiting: A's small usage leaves it farther below its
+        // request than B is below its own.
+        let a = be.register(ShareSpec::new(0.9, 1.0, 0.5).unwrap());
+        let b = be.register(ShareSpec::new(0.1, 1.0, 0.5).unwrap());
+        let b_id = b.id();
+        // Let the window age first, so A's short hold keeps its usage small.
+        thread::sleep(Duration::from_millis(100));
+        let lease_a = a.acquire();
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let t = thread::spawn({
+            let order = Arc::clone(&order);
+            move || {
+                let lease_b = b.acquire();
+                order.lock().push("b");
+                drop(lease_b);
+            }
+        });
+        while !be.inner.mu.lock().machine.waiters().contains(&b_id) {
+            thread::sleep(Duration::from_millis(1));
+        }
+        // A releases and re-acquires at once; B was already waiting, so
+        // the release hands B the token before A can ask again.
+        drop(lease_a);
+        let lease_a = a.acquire();
+        order.lock().push("a");
+        drop(lease_a);
+        t.join().unwrap();
+        assert_eq!(*order.lock(), ["b", "a"], "the releaser barged ahead");
+        assert_eq!(be.grant_count(), 3);
+    }
+
+    #[test]
     fn expiry_lets_waiter_steal() {
         let be = RtBackend::new(cfg(30, 5000));
         let a = be.register(ShareSpec::new(0.5, 1.0, 1.0).unwrap());
@@ -443,6 +479,73 @@ mod tests {
             "b must wait for a's quota"
         );
         assert!(lease_a.expired());
+    }
+
+    #[test]
+    fn live_holder_keeps_the_token_until_the_crash_timeout() {
+        let quota = Duration::from_millis(20);
+        let be = RtBackend::new(cfg(20, 5000));
+        let a = be.register(ShareSpec::new(0.5, 1.0, 1.0).unwrap());
+        let b = be.register(ShareSpec::new(0.5, 1.0, 1.0).unwrap());
+        let start = Instant::now();
+        // A's frontend stays alive, so overrunning its quota is a stall,
+        // not a crash: the reaper leaves it the token until the timeout.
+        let lease_a = a.acquire();
+        let t = thread::spawn(move || {
+            let _lease_b = b.acquire();
+            Instant::now()
+        });
+        let waited = t.join().unwrap().duration_since(start);
+        let timeout = Duration::from_micros(crash_timeout(quota).as_micros());
+        assert!(
+            waited >= quota + timeout,
+            "reaped a live holder after {waited:?}"
+        );
+        assert!(
+            waited <= quota + timeout + Duration::from_millis(500),
+            "reaper took {waited:?} to take the token back"
+        );
+        assert!(lease_a.expired());
+        drop(lease_a);
+        assert_eq!(be.grant_count(), 2, "the late release grants nothing");
+    }
+
+    #[test]
+    fn dropped_frontends_are_deregistered() {
+        let be = RtBackend::new(cfg(200, 5000));
+        let registered = |id| {
+            let st = be.inner.mu.lock();
+            st.machine.spec(id).is_some()
+                || st.wakers.contains_key(&id)
+                || st.mem_used.contains_key(&id)
+        };
+        let a = be.register(ShareSpec::new(0.3, 1.0, 0.3).unwrap());
+        let b = be.register(ShareSpec::new(0.3, 1.0, 0.3).unwrap());
+        let c = be.register(ShareSpec::new(0.3, 1.0, 0.3).unwrap());
+        let (a_id, b_id, c_id) = (a.id(), b.id(), c.id());
+        a.mem_alloc(100).unwrap();
+        b.mem_alloc(100).unwrap();
+        c.mem_alloc(100).unwrap();
+        // A's frontend goes while A holds; its lease ends later and B takes
+        // the token. Then B's frontend goes while B holds and its lease is
+        // leaked (a killed container), all within one reaper interval.
+        let lease_a = a.acquire();
+        drop(a);
+        drop(lease_a);
+        let lease_b = b.acquire();
+        drop(b);
+        std::mem::forget(lease_b);
+        // B is reaped at its deadline; both are then deregistered.
+        let lease_c = c.acquire();
+        drop(lease_c);
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while (registered(a_id) || registered(b_id)) && Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(5));
+        }
+        assert!(!registered(a_id), "A's registration outlived its frontend");
+        assert!(!registered(b_id), "B's registration outlived its frontend");
+        assert!(registered(c_id));
+        assert_eq!(c.mem_used(), 100);
     }
 
     #[test]
