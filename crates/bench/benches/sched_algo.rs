@@ -6,7 +6,7 @@ use ks_cluster::api::Uid;
 use ks_sim_core::rng::SimRng;
 use kubeshare::algorithm::{schedule, SchedRequest};
 use kubeshare::locality::Locality;
-use kubeshare::pool::VgpuPool;
+use kubeshare::pool::{frac, VgpuPool};
 
 fn build_pool(n: usize, seed: u64) -> VgpuPool {
     let mut rng = SimRng::seed_from_u64(seed);
@@ -23,7 +23,7 @@ fn build_pool(n: usize, seed: u64) -> VgpuPool {
     for s in 0..n {
         let dev = &ids[s % devices];
         let request = 0.05 + 0.2 * rng.uniform();
-        if pool.get(dev).unwrap().util_free < request + 0.05 {
+        if frac(pool.get(dev).unwrap().util_free) < request + 0.05 {
             continue;
         }
         let aff = (s % 7 == 0).then(|| format!("grp-{}", s % 5));

@@ -8,13 +8,15 @@
 //!   reservation on a bursty workload — reservation trades held-idle GPU
 //!   time for much faster second-wave creation.
 
+use std::cmp::Reverse;
+
 use ks_cluster::api::Uid;
 use ks_sim_core::rng::SimRng;
 use ks_sim_core::time::{SimDuration, SimTime};
 use ks_vgpu::{ShareSpec, VgpuConfig};
 use ks_workloads::job::JobKind;
 use kubeshare::locality::Locality;
-use kubeshare::pool::VgpuPool;
+use kubeshare::pool::{units, VgpuPool};
 use kubeshare::system::{KsConfig, PoolPolicy};
 
 use crate::harness::jobs::JobSpec;
@@ -37,19 +39,20 @@ pub enum PlacementRule {
 pub fn pack(rule: PlacementRule, demands: &[f64]) -> usize {
     let mut pool = VgpuPool::new();
     for (i, &d) in demands.iter().enumerate() {
+        let need = units(d);
         let candidates: Vec<_> = pool
             .devices()
-            .filter(|dev| dev.util_free + 1e-9 >= d)
+            .filter(|dev| dev.fits((need, need)))
             .map(|dev| (dev.id.clone(), dev.util_free))
             .collect();
         let chosen = match rule {
             PlacementRule::BestFit => candidates
                 .iter()
-                .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)))
+                .min_by_key(|(id, free)| (free, id))
                 .map(|(id, _)| id.clone()),
             PlacementRule::WorstFit => candidates
                 .iter()
-                .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(b.0.cmp(&a.0)))
+                .max_by_key(|(id, free)| (free, Reverse(id)))
                 .map(|(id, _)| id.clone()),
             PlacementRule::FirstFit => candidates.first().map(|(id, _)| id.clone()),
         };

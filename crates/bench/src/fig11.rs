@@ -14,7 +14,7 @@ use ks_cluster::api::Uid;
 use ks_sim_core::rng::SimRng;
 use kubeshare::algorithm::{schedule, SchedRequest};
 use kubeshare::locality::Locality;
-use kubeshare::pool::VgpuPool;
+use kubeshare::pool::{frac, VgpuPool};
 
 use crate::report::{f3, Table};
 
@@ -48,7 +48,7 @@ pub fn measure(n: usize, iters: u32, seed: u64) -> Point {
     for s in 0..n {
         let dev = &ids[s % devices];
         let request = 0.05 + 0.2 * rng.uniform();
-        if pool.get(dev).unwrap().util_free < request + 0.05 {
+        if frac(pool.get(dev).unwrap().util_free) < request + 0.05 {
             continue;
         }
         let aff = (s % 7 == 0).then(|| format!("grp-{}", s % 5));

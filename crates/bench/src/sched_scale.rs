@@ -248,11 +248,17 @@ const OVERHEAD_TRIALS: usize = 3;
 /// The recorder-overhead bound `--bin sched_scale` enforces.
 pub const OVERHEAD_BOUND: f64 = 0.05;
 
-/// Measures one sweep point.
-pub fn run_point(gpus: usize, pods: usize, seed: u64) -> ScalePoint {
+/// The pre-loaded pool and pending queue of one sweep point.
+pub fn inputs(gpus: usize, pods: usize, seed: u64) -> (VgpuPool, Vec<BatchEntry>) {
     let mut rng = SimRng::seed_from_u64(seed ^ (gpus as u64).rotate_left(17));
     let pool = build_pool(gpus, &mut rng);
     let entries = gen_entries(gpus, pods, &mut rng);
+    (pool, entries)
+}
+
+/// Measures one sweep point.
+pub fn run_point(gpus: usize, pods: usize, seed: u64) -> ScalePoint {
+    let (pool, entries) = inputs(gpus, pods, seed);
     let (ref_out, reference_dps, _) = time_mode(SchedMode::Reference, &pool, &entries);
     let mut best = time_overhead_pair(&pool, &entries);
     for _ in 1..OVERHEAD_TRIALS {

@@ -27,14 +27,16 @@
 
 pub use ks_cluster::scheduler::SchedMode;
 
+use std::cmp::Reverse;
+
 use ks_cluster::api::Uid;
-use ks_partition::{Profile, Substrate, TableState, SLOTS_PER_GPU};
+use ks_partition::{Profile, Substrate, TableState};
 use ks_sim_core::time::SimTime;
 use ks_telemetry::provenance::{DecisionKind, FlightRecorder, Outcome, ReasonCode, SchedProv};
 
 use crate::gpuid::GpuId;
 use crate::locality::Locality;
-use crate::pool::{DeviceIdx, PoolDevice, VgpuPool};
+use crate::pool::{frac, units, DeviceIdx, PoolDevice, VgpuPool, FULL, SLOT};
 
 /// A container's scheduling requirements (`r` in Algorithm 1).
 #[derive(Debug, Clone)]
@@ -45,6 +47,13 @@ pub struct SchedRequest {
     pub mem: f64,
     /// Locality labels.
     pub locality: Locality,
+}
+
+impl SchedRequest {
+    /// The (compute, memory) demand in share units.
+    pub fn need(&self) -> (u32, u32) {
+        (units(self.util), units(self.mem))
+    }
 }
 
 /// The algorithm's output.
@@ -98,10 +107,10 @@ fn locality_conflict(loc: &Locality, dev: &PoolDevice) -> Option<(ReasonCode, Re
 }
 
 /// Step 2's filter on a time-sliced device: idle devices are clean and
-/// always pass; others must agree on locality and have the capacity.
-fn passes(req: &SchedRequest, dev: &PoolDevice) -> bool {
-    dev.is_idle()
-        || (locality_conflict(&req.locality, dev).is_none() && dev.fits(req.util, req.mem))
+/// always pass; others must agree on locality and cover `req`'s demand
+/// `need`.
+fn passes(req: &SchedRequest, need: (u32, u32), dev: &PoolDevice) -> bool {
+    dev.is_idle() || (locality_conflict(&req.locality, dev).is_none() && dev.fits(need))
 }
 
 /// A time-slice decision with, for `Assign`, the winner's slab handle:
@@ -114,13 +123,14 @@ fn assign(idx: DeviceIdx, id: &GpuId) -> Decided {
 }
 
 /// The fit metric of placing `req` on an existing device: the total
-/// residual after placement, which best-fit minimizes (pack tight) and
-/// worst-fit maximizes (keep room). Exposed so KubeShare-Sched can record
-/// the fit score of the decision it just made. `None` if the device is
-/// not in the pool.
+/// residual after placement as a fraction of a GPU (0 to 2), which
+/// best-fit minimizes (pack tight) and worst-fit maximizes (keep room).
+/// Exposed so KubeShare-Sched can record the fit score of the decision it
+/// just made. `None` if the device is not in the pool.
 pub fn fit_residual(req: &SchedRequest, pool: &VgpuPool, gpuid: &GpuId) -> Option<f64> {
+    let (util, mem) = req.need();
     pool.get(gpuid)
-        .map(|d| (d.util_free - req.util) + (d.mem_free - req.mem))
+        .map(|d| frac(d.fit_key().saturating_sub(util.saturating_add(mem))))
 }
 
 /// Runs Algorithm 1. Pure with respect to pool *contents*; only consumes a
@@ -134,23 +144,24 @@ pub fn schedule(req: &SchedRequest, pool: &mut VgpuPool) -> Decision {
 /// nothing the algorithm reads, so decisions are identical with `prov` on
 /// or off (enforced by the differential oracles).
 fn schedule_prov(req: &SchedRequest, pool: &mut VgpuPool, prov: &mut SchedProv) -> Decided {
+    let need = req.need();
     // ---- Step 1: affinity (lines 1–14) ----
     if let Some(aff) = &req.locality.affinity {
         let target = pool
             .devices_at()
             .find(|(_, d)| !d.releasing && !d.is_spatial() && d.aff.contains(aff));
         if let Some((idx, d)) = target {
-            prov.candidate_with("affinity", d.fit_key(), || d.id.as_str());
+            prov.candidate_with("affinity", frac(d.fit_key()), || d.id.as_str());
             prov.note(|| format!("affinity '{aff}' binds to {}", d.id));
             if let Some((code, reason)) = locality_conflict(&req.locality, d) {
                 prov.reject(code);
                 return (Decision::Reject(reason), None);
             }
-            if !d.fits(req.util, req.mem) {
+            if !d.fits(need) {
                 prov.reject(ReasonCode::AffinityNoCapacity);
                 return (Decision::Reject(RejectReason::InsufficientCapacity), None);
             }
-            prov.choose(d.id.as_str(), "affinity", d.fit_key());
+            prov.choose(d.id.as_str(), "affinity", frac(d.fit_key()));
             return assign(idx, &d.id);
         }
         // No device carries the label yet: prefer an idle device so the
@@ -159,8 +170,8 @@ fn schedule_prov(req: &SchedRequest, pool: &mut VgpuPool, prov: &mut SchedProv) 
             .devices_at()
             .find(|(_, d)| !d.releasing && !d.is_spatial() && d.is_idle())
         {
-            prov.candidate_with("idle", d.fit_key(), || d.id.as_str());
-            prov.choose(d.id.as_str(), "idle", d.fit_key());
+            prov.candidate_with("idle", frac(d.fit_key()), || d.id.as_str());
+            prov.choose(d.id.as_str(), "idle", frac(d.fit_key()));
             prov.note(|| format!("no device carries affinity '{aff}'; seed group on idle device"));
             return assign(idx, &d.id);
         }
@@ -173,7 +184,7 @@ fn schedule_prov(req: &SchedRequest, pool: &mut VgpuPool, prov: &mut SchedProv) 
     // substrate.
     let candidates: Vec<(DeviceIdx, &PoolDevice)> = pool
         .devices_at()
-        .filter(|(_, d)| !d.releasing && !d.is_spatial() && passes(req, d))
+        .filter(|(_, d)| !d.releasing && !d.is_spatial() && passes(req, need, d))
         .collect();
     prov.note(|| {
         format!(
@@ -186,27 +197,23 @@ fn schedule_prov(req: &SchedRequest, pool: &mut VgpuPool, prov: &mut SchedProv) 
     // ---- Step 3: placement (lines 21–26) ----
     // The fit metric is the residual after placement, `fit_key − (u+m)`;
     // the request term is constant across candidates, so ordering by the
-    // device's fit key alone selects the same device — and does it with
-    // float comparisons that an ordered index reproduces bit-for-bit.
+    // device's integer fit key alone selects the same device, which an
+    // ordered index reproduces exactly.
     for (_, d) in &candidates {
         let rule = if d.aff.is_empty() {
             "best_fit"
         } else {
             "worst_fit"
         };
-        prov.candidate_with(rule, d.fit_key(), || d.id.as_str());
+        prov.candidate_with(rule, frac(d.fit_key()), || d.id.as_str());
     }
     // Best fit among devices without affinity labels…
     let best = candidates
         .iter()
         .filter(|(_, d)| d.aff.is_empty())
-        .min_by(|(_, a), (_, b)| {
-            a.fit_key()
-                .total_cmp(&b.fit_key())
-                .then_with(|| a.id.cmp(&b.id))
-        });
+        .min_by_key(|(_, d)| (d.fit_key(), &d.id));
     if let Some(&(idx, d)) = best {
-        prov.choose(d.id.as_str(), "best_fit", d.fit_key());
+        prov.choose(d.id.as_str(), "best_fit", frac(d.fit_key()));
         prov.note_static("best_fit over plain devices (min fit key, id tie-break)");
         return assign(idx, &d.id);
     }
@@ -214,13 +221,9 @@ fn schedule_prov(req: &SchedRequest, pool: &mut VgpuPool, prov: &mut SchedProv) 
     let worst = candidates
         .iter()
         .filter(|(_, d)| !d.aff.is_empty())
-        .max_by(|(_, a), (_, b)| {
-            a.fit_key()
-                .total_cmp(&b.fit_key())
-                .then_with(|| b.id.cmp(&a.id))
-        });
+        .max_by_key(|(_, d)| (d.fit_key(), Reverse(&d.id)));
     if let Some(&(idx, d)) = worst {
-        prov.choose(d.id.as_str(), "worst_fit", d.fit_key());
+        prov.choose(d.id.as_str(), "worst_fit", frac(d.fit_key()));
         prov.note_static("worst_fit over affinity devices (max fit key, id tie-break)");
         return assign(idx, &d.id);
     }
@@ -228,12 +231,6 @@ fn schedule_prov(req: &SchedRequest, pool: &mut VgpuPool, prov: &mut SchedProv) 
     prov.note_static("no existing device passes; new device");
     (Decision::NewDevice(pool.fresh_id()), None)
 }
-
-/// Margin subtracted from the fit-range lower bound so the indexed scan
-/// provably includes every device [`PoolDevice::fits`] (epsilon `1e-9` per
-/// axis) would admit: a device passing both axes has fit key at least
-/// `need − 2e-9`, and `2e-9 < 1e-8` with room for rounding to spare.
-const FIT_RANGE_MARGIN: f64 = 1e-8;
 
 /// Runs Algorithm 1 over the pool's capacity indexes. Same decision as
 /// [`schedule`], step by step:
@@ -257,21 +254,22 @@ pub fn schedule_indexed(req: &SchedRequest, pool: &mut VgpuPool) -> Decision {
 /// from the reference path's candidate set even though the chosen device
 /// never does.
 fn schedule_indexed_prov(req: &SchedRequest, pool: &mut VgpuPool, prov: &mut SchedProv) -> Decided {
+    let need = req.need();
     // ---- Step 1: affinity ----
     if let Some(aff) = &req.locality.affinity {
         if let Some((_, idx)) = pool.affinity_target_at(aff) {
             let d = pool.slot(idx);
-            prov.candidate_with("affinity", d.fit_key(), || d.id.as_str());
+            prov.candidate_with("affinity", frac(d.fit_key()), || d.id.as_str());
             prov.note_static("affinity label binds to its existing carrier (see candidates)");
             if let Some((code, reason)) = locality_conflict(&req.locality, d) {
                 prov.reject(code);
                 return (Decision::Reject(reason), None);
             }
-            if !d.fits(req.util, req.mem) {
+            if !d.fits(need) {
                 prov.reject(ReasonCode::AffinityNoCapacity);
                 return (Decision::Reject(RejectReason::InsufficientCapacity), None);
             }
-            prov.choose(d.id.as_str(), "affinity", d.fit_key());
+            prov.choose(d.id.as_str(), "affinity", frac(d.fit_key()));
             return assign(idx, &d.id);
         }
         if let Some((id, idx)) = pool.first_unattached_at() {
@@ -284,16 +282,17 @@ fn schedule_indexed_prov(req: &SchedRequest, pool: &mut VgpuPool, prov: &mut Sch
     }
 
     // ---- Steps 2+3 fused: range-scan, filter, first survivor wins ----
-    // Idle devices sit at fit key 2.0 exactly (the pool snaps residuals on
-    // idle), so clamping the bound to 2.0 keeps them in range even when
-    // the request alone could never fit an existing device.
-    let min_fit = (req.util + req.mem - FIT_RANGE_MARGIN).clamp(0.0, 2.0);
-    if let Some((idx, d)) = scan_first(pool.plain_fit_range_at(min_fit), "best_fit", req, prov) {
+    // A device that covers the demand has fit key at least its sum. Idle
+    // devices sit at `2 × FULL` and always pass, so capping the bound
+    // there keeps them in range even when the request could never fit.
+    let min_fit = need.0.saturating_add(need.1).min(2 * FULL);
+    let best_fit = pool.plain_fit_range_at(min_fit);
+    if let Some((idx, d)) = scan_first(best_fit, "best_fit", req, need, prov) {
         prov.note_static("best_fit: first survivor of ascending plain-fit scan");
         return assign(idx, &d.id);
     }
     let worst_fit = pool.labeled_fit_range_desc_at(min_fit);
-    if let Some((idx, d)) = scan_first(worst_fit, "worst_fit", req, prov) {
+    if let Some((idx, d)) = scan_first(worst_fit, "worst_fit", req, need, prov) {
         prov.note_static("worst_fit: first survivor of descending labeled-fit scan");
         return assign(idx, &d.id);
     }
@@ -302,8 +301,8 @@ fn schedule_indexed_prov(req: &SchedRequest, pool: &mut VgpuPool, prov: &mut Sch
 }
 
 /// The indexed path's fit-range scan: the first device of `scan` that
-/// [`passes`] the filter, with its handle, marked as the winner under
-/// `rule`.
+/// [`passes`] the filter for `req` and its demand `need`, with its
+/// handle, marked as the winner under `rule`.
 ///
 /// This loop is the only per-device work at cluster scale. Examined
 /// devices are staged as `(fit key, id)` pairs in a stack buffer (hot
@@ -319,11 +318,12 @@ fn scan_first<'a>(
     scan: impl Iterator<Item = (DeviceIdx, &'a PoolDevice)>,
     rule: &'static str,
     req: &SchedRequest,
+    need: (u32, u32),
     prov: &mut SchedProv,
 ) -> Option<(DeviceIdx, &'a PoolDevice)> {
     let base = prov.candidates().len();
     let room = prov.scan_room();
-    let mut seen: [(f64, &str); SchedProv::MAX_CANDIDATES] = Default::default();
+    let mut seen: [(u32, &str); SchedProv::MAX_CANDIDATES] = Default::default();
     let (mut staged, mut scanned) = (0usize, 0usize);
     let mut winner = None;
     for (idx, d) in scan {
@@ -333,18 +333,18 @@ fn scan_first<'a>(
             seen[staged] = (d.fit_key(), d.id.as_str());
             staged += 1;
         }
-        if passes(req, d) {
+        if passes(req, need, d) {
             winner = Some((idx, d, pushed));
             break;
         }
     }
     prov.add_considered(scanned);
     for &(key, id) in &seen[..staged] {
-        prov.scan_push(rule, key, id);
+        prov.scan_push(rule, frac(key), id);
     }
     match winner {
-        Some((_, d, true)) => prov.choose_at(base + staged - 1, rule, d.fit_key()),
-        Some((_, d, false)) => prov.choose_append(d.id.as_str(), rule, d.fit_key()),
+        Some((_, d, true)) => prov.choose_at(base + staged - 1, rule, frac(d.fit_key())),
+        Some((_, d, false)) => prov.choose_append(d.id.as_str(), rule, frac(d.fit_key())),
         None => {}
     }
     winner.map(|(idx, d, _)| (idx, d))
@@ -376,19 +376,6 @@ fn decide(
     match mode {
         SchedMode::Reference => schedule_prov(req, pool, prov),
         SchedMode::Indexed => schedule_indexed_prov(req, pool, prov),
-    }
-}
-
-/// A device's (free, reachable) capacity fractions for the pool
-/// fragmentation score — `largest_alloc == free` on time-sliced devices,
-/// the largest placeable profile on partitioned ones.
-fn free_view(d: &PoolDevice) -> (f64, f64) {
-    match &d.partition {
-        Some(t) => (
-            f64::from(t.free_slots()) / f64::from(SLOTS_PER_GPU),
-            f64::from(t.largest_placeable_slots()) / f64::from(SLOTS_PER_GPU),
-        ),
-        None => (d.util_free, d.util_free),
     }
 }
 
@@ -476,16 +463,15 @@ fn schedule_spatial_prov(
     let passes = |d: &PoolDevice| d.is_idle() || locality_conflict(&req.locality, d).is_none();
 
     // ---- Step 3: fragmentation-aware placement ----
-    // Pool-wide (free, reachable) totals over every schedulable device of
-    // either substrate; each candidate's score is an O(1) delta on them.
-    let mut free_total = 0.0;
-    let mut reach_total = 0.0;
+    // Pool-wide (free, reachable) share-unit totals over every schedulable
+    // device of either substrate; each candidate's score is an O(1) delta
+    // on them.
+    let (mut free_total, mut reach_total) = (0u64, 0u64);
     for d in pool.devices().filter(|d| !d.releasing) {
-        let (f, r) = free_view(d);
-        free_total += f;
-        reach_total += r;
+        let (f, r) = d.free_view();
+        free_total += u64::from(f);
+        reach_total += u64::from(r);
     }
-    let frac = profile.frac();
     let mut best: Option<(f64, GpuId)> = None;
     for d in pool.spatial_devices() {
         if !passes(d) {
@@ -495,15 +481,18 @@ fn schedule_spatial_prov(
         if !table.can_place(profile) {
             continue;
         }
-        let (_, reach_before) = free_view(d);
+        let (_, reach_before) = d.free_view();
         let mut after = table.clone();
         after.alloc(profile).expect("can_place checked");
-        let reach_after = f64::from(after.largest_placeable_slots()) / f64::from(SLOTS_PER_GPU);
-        let free_after = free_total - frac;
-        let score = if free_after <= 1e-9 {
+        let reach_after = SLOT * u32::from(after.largest_placeable_slots());
+        // The pool's fragmentation after the placement, from exact totals:
+        // reachable capacity never exceeds free capacity, so it is in [0, 1].
+        let reach = reach_total - u64::from(reach_before) + u64::from(reach_after);
+        let free_after = free_total - u64::from(SLOT * u32::from(profile.slots()));
+        let score = if free_after == 0 {
             0.0
         } else {
-            (1.0 - (reach_total - reach_before + reach_after) / free_after).clamp(0.0, 1.0)
+            1.0 - reach as f64 / free_after as f64
         };
         prov.candidate_with("frag_score", score, || d.id.as_str());
         if best
@@ -965,14 +954,14 @@ mod tests {
             assert_eq!(chosen.len(), 1, "{mode:?}: {:?}", prov.candidates());
             assert!(chosen[0].target == ids[2].as_str(), "{mode:?}");
             assert_eq!(chosen[0].rule, "worst_fit");
-            assert_eq!(chosen[0].score, p.get(&ids[2]).unwrap().fit_key());
+            assert_eq!(chosen[0].score, frac(p.get(&ids[2]).unwrap().fit_key()));
         }
         // The indexed best-fit captures keep their own rule and score.
         let mut prov = SchedProv::on();
         schedule_indexed_prov(&req(0.1, 0.1), &mut p, &mut prov);
         let first = prov.candidates()[0];
         assert!(first.target == ids[1].as_str());
-        let key = p.get(&ids[1]).unwrap().fit_key();
+        let key = frac(p.get(&ids[1]).unwrap().fit_key());
         assert_eq!((first.rule, first.score), ("best_fit", key));
     }
 

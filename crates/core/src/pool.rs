@@ -7,6 +7,10 @@
 //! *creating* (anchor pod launching) → *active* (sharePods attached) →
 //! *idle* (none attached) → *deleted* (GPU released back to Kubernetes).
 //!
+//! Capacity is counted in integer share units, [`FULL`] per GPU on each
+//! axis (10^6 per MIG slot), so residuals, conservation and [`fits`] are
+//! exact (DESIGN.md §10, "Exact capacity").
+//!
 //! # Capacity indexes
 //!
 //! Devices live in a dense slab addressed by private slot handles; an
@@ -46,7 +50,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 
 use ks_cluster::api::Uid;
-use ks_cluster::scheduler::OrdF64;
 use ks_partition::{
     DeviceFreeView, PartitionError, PartitionTable, Profile, TableState, SLOTS_PER_GPU,
 };
@@ -54,6 +57,30 @@ use ks_sim_core::time::{SimDuration, SimTime};
 use serde::Serialize;
 
 use crate::gpuid::GpuId;
+
+/// Share units per MIG slot.
+pub(crate) const SLOT: u32 = 1_000_000;
+
+/// Share units in one whole GPU, on each axis.
+pub const FULL: u32 = SLOT * SLOTS_PER_GPU as u32;
+
+/// Converts a spec fraction to share units, rounding to nearest so a
+/// literal's last-ulp noise is no unit. Negative and NaN give 0.
+pub fn units(frac: f64) -> u32 {
+    (frac * f64::from(FULL)).round() as u32
+}
+
+/// The one `f64` view of share units, as a fraction of a GPU: for gauges,
+/// fit scores and display.
+pub fn frac(units: u32) -> f64 {
+    f64::from(units) / f64::from(FULL)
+}
+
+/// The one capacity predicate: whether residual `free` covers demand
+/// `need`, both (compute, memory) in share units.
+pub fn fits(free: (u32, u32), need: (u32, u32)) -> bool {
+    need.0 <= free.0 && need.1 <= free.1
+}
 
 /// Lifecycle phase of a vGPU (paper §4.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -77,24 +104,24 @@ pub struct PoolDevice {
     pub node: Option<String>,
     /// Physical driver UUID (known once the anchor pod runs).
     pub uuid: Option<String>,
-    /// Residual computing capacity: `1 − Σ gpu_request` of attached pods.
-    pub util_free: f64,
-    /// Residual memory fraction: `1 − Σ gpu_mem` of attached pods.
-    pub mem_free: f64,
+    /// Residual compute in share units: `FULL − Σ gpu_request` of attached pods.
+    pub util_free: u32,
+    /// Residual memory in share units: `FULL − Σ gpu_mem` of attached pods.
+    pub mem_free: u32,
     /// Affinity labels present on this device.
     pub aff: BTreeSet<String>,
     /// Anti-affinity labels present on this device.
     pub anti_aff: BTreeSet<String>,
     /// Exclusion label of this device (single, overwritten on assignment).
     pub excl: Option<String>,
-    /// Attached sharePods and their (request, mem) for release accounting.
-    pub attached: BTreeMap<Uid, (f64, f64)>,
+    /// Attached sharePods and their (request, mem) units for release accounting.
+    pub attached: BTreeMap<Uid, (u32, u32)>,
     /// Set once DevMgr decided to release the GPU back to Kubernetes; the
     /// anchor pod is being torn down and no new sharePod may bind here.
     pub releasing: bool,
     /// Spatial substrate: the MIG-style slice layout when this device is
     /// partitioned, `None` for the paper's time-sliced devices. The
-    /// `util_free`/`mem_free` residuals mirror `free_slots / 7` exactly so
+    /// `util_free`/`mem_free` residuals mirror its free slots so
     /// node-capacity accounting and gauges work unchanged.
     pub partition: Option<PartitionTable>,
     /// Slice tenants: sharePod → start slot of the slice it occupies.
@@ -108,8 +135,8 @@ impl PoolDevice {
             phase: VgpuPhase::Creating,
             node: None,
             uuid: None,
-            util_free: 1.0,
-            mem_free: 1.0,
+            util_free: FULL,
+            mem_free: FULL,
             aff: BTreeSet::new(),
             anti_aff: BTreeSet::new(),
             excl: None,
@@ -133,18 +160,28 @@ impl PoolDevice {
     }
 
     /// The fit key Algorithm 1 orders placement candidates by: total
-    /// residual capacity. Best-fit minimizes it, worst-fit maximizes it;
+    /// residual share units. Best-fit minimizes it, worst-fit maximizes it;
     /// for a fixed request the placement residual is this sum minus a
     /// constant, so ordering by the sum is ordering by the residual.
-    pub fn fit_key(&self) -> f64 {
+    pub fn fit_key(&self) -> u32 {
         self.util_free + self.mem_free
     }
 
-    /// Whether the residual capacity covers `util` compute and `mem`
-    /// memory, with a `1e-9` margin per axis for accumulated float error:
-    /// Algorithm 1's capacity filter and the pool's over-commit guard.
-    pub fn fits(&self, util: f64, mem: f64) -> bool {
-        util <= self.util_free + 1e-9 && mem <= self.mem_free + 1e-9
+    /// The (free, reachable) compute units the fragmentation score counts:
+    /// reachable is the largest placeable profile on a partitioned device.
+    pub(crate) fn free_view(&self) -> (u32, u32) {
+        match &self.partition {
+            Some(t) => (
+                self.util_free,
+                SLOT * u32::from(t.largest_placeable_slots()),
+            ),
+            None => (self.util_free, self.util_free),
+        }
+    }
+
+    /// [`fits`] on this device's residual.
+    pub fn fits(&self, need: (u32, u32)) -> bool {
+        fits((self.util_free, self.mem_free), need)
     }
 }
 
@@ -211,7 +248,7 @@ struct Placement {
     /// A non-releasing time-sliced device's fit entry: its key and whether
     /// it sits in `labeled_fit`. Such a device also has one `aff_index`
     /// entry per affinity label.
-    fit: Option<(OrdF64, bool)>,
+    fit: Option<(u32, bool)>,
     /// In `unattached`.
     unattached: bool,
     /// In `idle`.
@@ -238,7 +275,7 @@ impl Placement {
         } else {
             Placement {
                 spatial: false,
-                fit: Some((OrdF64::of(d.fit_key()), !d.aff.is_empty())),
+                fit: Some((d.fit_key(), !d.aff.is_empty())),
                 unattached: d.attached.is_empty(),
                 idle: d.phase == VgpuPhase::Idle,
             }
@@ -259,14 +296,14 @@ enum LabelChange<'a> {
 
 /// The capacity indexes over the device slab. Kept in a dedicated struct so
 /// maintenance and verification share one update routine.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 struct PoolIndexes {
     /// Schedulable devices without affinity labels, ascending by
     /// (fit key, id): the best-fit scan order.
-    plain_fit: BTreeMap<(OrdF64, GpuId), DeviceIdx>,
+    plain_fit: BTreeMap<(u32, GpuId), DeviceIdx>,
     /// Schedulable devices with affinity labels, by fit key descending
     /// and id ascending within a key: the worst-fit scan order.
-    labeled_fit: BTreeMap<(Reverse<OrdF64>, GpuId), DeviceIdx>,
+    labeled_fit: BTreeMap<(Reverse<u32>, GpuId), DeviceIdx>,
     /// Schedulable devices with no attached sharePods, in id order.
     unattached: IdMap,
     /// Non-releasing devices in the `Idle` phase, in id order.
@@ -599,18 +636,19 @@ impl VgpuPool {
             "token-lease attach on partitioned vGPU {}; use attach_slice",
             d.id
         );
+        let need = (units(request), units(mem));
         assert!(
-            d.fits(request, mem),
+            d.fits(need),
             "over-committing vGPU {}: free=({:.3},{:.3}) need=({request:.3},{mem:.3})",
             d.id,
-            d.util_free,
-            d.mem_free
+            frac(d.util_free),
+            frac(d.mem_free)
         );
         let before = Placement::of(d);
-        d.util_free = (d.util_free - request).max(0.0);
-        d.mem_free = (d.mem_free - mem).max(0.0);
+        d.util_free -= need.0;
+        d.mem_free -= need.1;
         let labels = add_labels(d, aff, anti_aff, excl);
-        d.attached.insert(sharepod, (request, mem));
+        d.attached.insert(sharepod, need);
         if d.phase != VgpuPhase::Creating {
             set_phase(&mut self.tally, d, VgpuPhase::Active);
         }
@@ -650,12 +688,12 @@ impl VgpuPool {
         let before = Placement::of(d);
         let table = d.partition.as_mut().expect("checked above");
         let start = table.alloc(profile).expect("can_place checked");
-        let free = f64::from(table.free_slots()) / f64::from(SLOTS_PER_GPU);
+        let free = SLOT * u32::from(table.free_slots());
         d.util_free = free;
         d.mem_free = free;
         d.slice_of.insert(sharepod, start);
         let labels = add_labels(d, aff, anti_aff, excl);
-        d.attached.insert(sharepod, (request, mem));
+        d.attached.insert(sharepod, (units(request), units(mem)));
         if d.phase != VgpuPhase::Creating {
             set_phase(&mut self.tally, d, VgpuPhase::Active);
         }
@@ -679,22 +717,17 @@ impl VgpuPool {
         if let Some(table) = d.partition.as_mut() {
             let start = d.slice_of.remove(&sharepod).expect("slice tenant");
             table.free(start).expect("resident slice");
-            let free = f64::from(table.free_slots()) / f64::from(SLOTS_PER_GPU);
+            let free = SLOT * u32::from(table.free_slots());
             d.util_free = free;
             d.mem_free = free;
         } else {
-            d.util_free = (d.util_free + request).min(1.0);
-            d.mem_free = (d.mem_free + mem).min(1.0);
+            d.util_free += request;
+            d.mem_free += mem;
         }
         let became_idle = d.attached.is_empty();
         let mut cleared = BTreeSet::new();
         if became_idle {
-            // Full restore, exactly: an idle device has no tenants, so its
-            // residuals are whole by definition. Snapping to 1.0 (instead
-            // of keeping the float round-trip) keeps every idle device at
-            // fit key 2.0 exactly, which the capacity indexes rely on.
-            d.util_free = 1.0;
-            d.mem_free = 1.0;
+            debug_assert_eq!((d.util_free, d.mem_free), (FULL, FULL), "idle {}", d.id);
             cleared = std::mem::take(&mut d.aff);
             d.anti_aff.clear();
             d.excl = None;
@@ -787,16 +820,12 @@ impl VgpuPool {
         let views: Vec<DeviceFreeView> = self
             .devices()
             .filter(|d| !d.releasing)
-            .map(|d| match &d.partition {
-                Some(t) => DeviceFreeView {
-                    free: f64::from(t.free_slots()) / f64::from(SLOTS_PER_GPU),
-                    largest_alloc: f64::from(t.largest_placeable_slots())
-                        / f64::from(SLOTS_PER_GPU),
-                },
-                None => DeviceFreeView {
-                    free: d.util_free,
-                    largest_alloc: d.util_free,
-                },
+            .map(|d| {
+                let (free, reachable) = d.free_view();
+                DeviceFreeView {
+                    free: frac(free),
+                    largest_alloc: frac(reachable),
+                }
             })
             .collect();
         ks_partition::pool_fragmentation(&views)
@@ -903,34 +932,33 @@ impl VgpuPool {
     /// Schedulable devices *without* affinity labels whose fit key is at
     /// least `min_fit`, ascending by (fit key, id) — the best-fit scan
     /// order (tightest candidate first, id as the tie-break).
-    pub fn plain_fit_range(&self, min_fit: f64) -> impl Iterator<Item = &PoolDevice> {
+    pub fn plain_fit_range(&self, min_fit: u32) -> impl Iterator<Item = &PoolDevice> {
         self.plain_fit_range_at(min_fit).map(|(_, d)| d)
     }
 
     /// [`VgpuPool::plain_fit_range`] with each device's handle.
     pub(crate) fn plain_fit_range_at(
         &self,
-        min_fit: f64,
+        min_fit: u32,
     ) -> impl Iterator<Item = (DeviceIdx, &PoolDevice)> {
         self.ix
             .plain_fit
-            .range((OrdF64::of(min_fit), min_id().clone())..)
+            .range((min_fit, min_id().clone())..)
             .map(move |(_, &idx)| (idx, self.slot(idx)))
     }
 
     /// Schedulable devices *with* affinity labels whose fit key is at least
     /// `min_fit`, descending by fit key with ascending id inside one key —
     /// the worst-fit scan order (roomiest candidate first, id tie-break).
-    pub fn labeled_fit_range_desc(&self, min_fit: f64) -> impl Iterator<Item = &PoolDevice> {
+    pub fn labeled_fit_range_desc(&self, min_fit: u32) -> impl Iterator<Item = &PoolDevice> {
         self.labeled_fit_range_desc_at(min_fit).map(|(_, d)| d)
     }
 
     /// [`VgpuPool::labeled_fit_range_desc`] with each device's handle.
     pub(crate) fn labeled_fit_range_desc_at(
         &self,
-        min_fit: f64,
+        min_fit: u32,
     ) -> impl Iterator<Item = (DeviceIdx, &PoolDevice)> {
-        let min_fit = OrdF64::of(min_fit);
         self.ix
             .labeled_fit
             .iter()
@@ -1002,7 +1030,7 @@ impl VgpuPool {
                     t.slice_count()
                 ));
             }
-            let free = f64::from(t.free_slots()) / f64::from(SLOTS_PER_GPU);
+            let free = SLOT * u32::from(t.free_slots());
             if d.util_free != free || d.mem_free != free {
                 return Err(format!(
                     "device {}: residual mirror ({}, {}) != {free} free slots",
@@ -1010,54 +1038,30 @@ impl VgpuPool {
                 ));
             }
         }
+        // Name the first index that differs from a rebuild.
         let fresh = PoolIndexes::rebuild(&self.slots);
-        if fresh == self.ix {
-            return Ok(());
+        macro_rules! first_drift {
+            ($($index:ident),*) => {$(
+                if self.ix.$index != fresh.$index {
+                    return Err(format!(
+                        "index {} drifted: incremental {:?} != rebuilt {:?}",
+                        stringify!($index),
+                        self.ix.$index,
+                        fresh.$index
+                    ));
+                }
+            )*};
         }
-        for (name, got, want) in [
-            (
-                "plain_fit",
-                format!("{:?}", self.ix.plain_fit),
-                format!("{:?}", fresh.plain_fit),
-            ),
-            (
-                "labeled_fit",
-                format!("{:?}", self.ix.labeled_fit),
-                format!("{:?}", fresh.labeled_fit),
-            ),
-            (
-                "unattached",
-                format!("{:?}", self.ix.unattached),
-                format!("{:?}", fresh.unattached),
-            ),
-            (
-                "idle",
-                format!("{:?}", self.ix.idle),
-                format!("{:?}", fresh.idle),
-            ),
-            (
-                "aff_index",
-                format!("{:?}", self.ix.aff_index),
-                format!("{:?}", fresh.aff_index),
-            ),
-            (
-                "by_node",
-                format!("{:?}", self.ix.by_node),
-                format!("{:?}", fresh.by_node),
-            ),
-            (
-                "spatial",
-                format!("{:?}", self.ix.spatial),
-                format!("{:?}", fresh.spatial),
-            ),
-        ] {
-            if got != want {
-                return Err(format!(
-                    "index {name} drifted: incremental {got} != rebuilt {want}"
-                ));
-            }
-        }
-        Err("index drift in unknown structure".into())
+        first_drift!(
+            plain_fit,
+            labeled_fit,
+            unattached,
+            idle,
+            aff_index,
+            by_node,
+            spatial
+        );
+        Ok(())
     }
 
     /// Device count per phase as `(creating, active, idle)`, maintained
@@ -1131,26 +1135,36 @@ mod tests {
         p.attach(&ids[0], Uid(1), 0.3, 0.4, None, None, None);
         p.attach(&ids[0], Uid(2), 0.5, 0.2, None, None, None);
         let d = p.get(&ids[0]).unwrap();
-        assert!((d.util_free - 0.2).abs() < 1e-9);
-        assert!((d.mem_free - 0.4).abs() < 1e-9);
+        assert_eq!((d.util_free, d.mem_free), (units(0.2), units(0.4)));
+        assert_eq!(d.attached[&Uid(2)], (units(0.5), units(0.2)));
         p.detach(&ids[0], Uid(1));
         let d = p.get(&ids[0]).unwrap();
-        assert!((d.util_free - 0.5).abs() < 1e-9);
+        assert_eq!((d.util_free, d.mem_free), (units(0.5), units(0.8)));
+    }
+
+    #[test]
+    fn units_round_to_nearest() {
+        assert_eq!(units(1.0), FULL);
+        assert_eq!(units(0.3), 2_100_000);
+        assert_eq!(units(0.1 + 0.2), units(0.3), "one ulp of noise is no unit");
+        assert_eq!(units(1.0 / 7.0), FULL / 7);
+        assert_eq!(units(0.0), 0);
+        assert_eq!(frac(FULL), 1.0);
+        assert_eq!(frac(units(0.125)), 0.125);
     }
 
     #[test]
     fn detach_to_idle_restores_exact_full_capacity() {
         let (mut p, ids) = pool_with_ready(1);
-        // 0.7 + 0.3 does not round-trip exactly in f64; the idle reset
-        // must snap back to a bit-exact 1.0 anyway.
+        // 1 − 0.3 − 0.1 + 0.3 + 0.1 does not round-trip in f64; in share
+        // units it does, in any detach order.
         p.attach(&ids[0], Uid(1), 0.3, 0.3, None, None, None);
         p.attach(&ids[0], Uid(2), 0.1, 0.1, None, None, None);
         p.detach(&ids[0], Uid(1));
         p.detach(&ids[0], Uid(2));
         let d = p.get(&ids[0]).unwrap();
-        assert_eq!(d.util_free, 1.0);
-        assert_eq!(d.mem_free, 1.0);
-        assert_eq!(d.fit_key(), 2.0);
+        assert_eq!((d.util_free, d.mem_free), (FULL, FULL));
+        assert_eq!(d.fit_key(), 2 * FULL);
     }
 
     #[test]
@@ -1203,7 +1217,7 @@ mod tests {
         p.mark_releasing(&ids[0]);
         assert_eq!(p.idle_count(), 1);
         assert_eq!(p.first_unattached(), Some(&ids[1]));
-        assert!(p.plain_fit_range(0.0).all(|d| d.id != ids[0]));
+        assert!(p.plain_fit_range(0).all(|d| d.id != ids[0]));
         // Still visible by node for failure handling.
         assert_eq!(p.devices_on_node("node-0").next(), Some(&ids[0]));
         p.verify_indexes().unwrap();
@@ -1215,14 +1229,14 @@ mod tests {
         p.attach(&ids[0], Uid(1), 0.6, 0.6, None, None, None); // fit 0.8
         p.attach(&ids[1], Uid(2), 0.2, 0.2, None, None, None); // fit 1.6
                                                                // ids[2] idle: fit 2.0
-        let order: Vec<&GpuId> = p.plain_fit_range(0.0).map(|d| &d.id).collect();
+        let order: Vec<&GpuId> = p.plain_fit_range(0).map(|d| &d.id).collect();
         assert_eq!(order, vec![&ids[0], &ids[1], &ids[2]]);
-        let bounded: Vec<&GpuId> = p.plain_fit_range(1.0).map(|d| &d.id).collect();
+        let bounded: Vec<&GpuId> = p.plain_fit_range(FULL).map(|d| &d.id).collect();
         assert_eq!(bounded, vec![&ids[1], &ids[2]]);
         // Labeled devices live in the other index, scanned descending.
         p.attach(&ids[2], Uid(3), 0.5, 0.5, Some("g"), None, None); // fit 1.0
         p.attach(&ids[1], Uid(4), 0.1, 0.1, Some("g"), None, None); // fit 1.4
-        let desc: Vec<&GpuId> = p.labeled_fit_range_desc(0.0).map(|d| &d.id).collect();
+        let desc: Vec<&GpuId> = p.labeled_fit_range_desc(0).map(|d| &d.id).collect();
         assert_eq!(desc, vec![&ids[1], &ids[2]]);
         p.verify_indexes().unwrap();
     }
@@ -1300,7 +1314,7 @@ mod tests {
         assert_eq!(p.spatial_count(), 1);
         assert_eq!(p.first_unattached(), None);
         assert_eq!(p.idle_count(), 0);
-        assert_eq!(p.plain_fit_range(0.0).count(), 0);
+        assert_eq!(p.plain_fit_range(0).count(), 0);
         p.attach_slice(
             &ids[0],
             Uid(1),
@@ -1326,11 +1340,12 @@ mod tests {
             .unwrap();
         assert_eq!(p.slice_tenant(&ids[0], start), Some(Uid(1)));
         let d = p.get(&ids[0]).unwrap();
-        assert_eq!(d.util_free, 4.0 / 7.0);
+        assert_eq!((d.util_free, d.mem_free), (4 * FULL / 7, 4 * FULL / 7));
+        assert_eq!(d.attached[&Uid(1)], (units(0.4), units(0.3)));
         assert_eq!(d.phase, VgpuPhase::Active);
         assert!(p.detach(&ids[0], Uid(1)), "becomes idle");
         let d = p.get(&ids[0]).unwrap();
-        assert_eq!(d.util_free, 1.0);
+        assert_eq!((d.util_free, d.mem_free), (FULL, FULL));
         assert_eq!(d.phase, VgpuPhase::Idle);
         assert_eq!(p.slice_tenant(&ids[0], start), None);
         p.verify_indexes().unwrap();
@@ -1394,7 +1409,7 @@ mod tests {
             let d = p.get(&sid).unwrap();
             let largest = d.partition.as_ref().unwrap().largest_placeable_slots();
             let expect = 1.0 - (1.0 + f64::from(largest) / 7.0) / (1.0 + 5.0 / 7.0);
-            assert!((f - expect).abs() < 1e-12, "got {f}, want {expect}");
+            assert_eq!(f, expect);
         }
         p.verify_indexes().unwrap();
     }

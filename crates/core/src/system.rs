@@ -42,7 +42,7 @@ use crate::algorithm::{
     SchedRequest,
 };
 use crate::gpuid::GpuId;
-use crate::pool::VgpuPool;
+use crate::pool::{frac, VgpuPool};
 use crate::sharepod::{SharePod, SharePodPhase, SharePodSpec};
 
 /// When to release idle vGPUs back to Kubernetes (paper §4.4).
@@ -1489,11 +1489,12 @@ impl KubeShareSystem {
                             .map(|p| table.can_place(p))
                             .unwrap_or(false)
                     } else {
-                        d.fits(req.util, req.mem)
+                        d.fits(req.need())
                     };
-                    prov.candidate_with("pinned", d.fit_key(), || d.id.as_str().to_string());
+                    let score = frac(d.fit_key());
+                    prov.candidate_with("pinned", score, || d.id.as_str().to_string());
                     if !d.releasing && fits {
-                        prov.choose(d.id.as_str(), "pinned", d.fit_key());
+                        prov.choose(d.id.as_str(), "pinned", score);
                         prov.note(|| format!("spec pins GPUID {id}; it fits"));
                         Decision::Assign(id.clone())
                     } else {
@@ -2552,7 +2553,7 @@ fn lift(cluster_out: ks_cluster::sim::ClusterEmit, out: &mut KsEmit) {
 mod tests {
     use super::*;
     use crate::locality::Locality;
-    use crate::pool::VgpuPhase;
+    use crate::pool::{units, VgpuPhase};
     use ks_cluster::api::NodeConfig;
     use ks_cluster::device_plugin::UnitAssignPolicy;
     use ks_cluster::latency::LatencyModel;
@@ -3277,7 +3278,7 @@ mod tests {
             .any(|(_, n)| matches!(n, KsNotice::SharePodRequeued { sp: s, .. } if *s == sp)));
         // Capacity accounting survived the round trip.
         let d = eng.world.ks.pool().devices().next().unwrap();
-        assert!((d.util_free - 0.5).abs() < 1e-9);
+        assert_eq!(d.util_free, units(0.5));
     }
 
     #[test]

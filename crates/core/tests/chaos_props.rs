@@ -5,9 +5,10 @@
 //! The invariants checked after every injected operation (with the event
 //! queue drained, i.e. at control-plane quiescence):
 //!
-//! 1. per-device residuals stay normalized: `util_free`, `mem_free` ∈ [0, 1];
-//! 2. conservation: Σ attached demand + residual == device capacity (1.0),
-//!    for both compute and memory;
+//! 1. per-device residuals stay normalized: `util_free`, `mem_free` ∈
+//!    [0, FULL] share units;
+//! 2. conservation: Σ attached demand + residual == device capacity
+//!    (`FULL`), exactly, for both compute and memory;
 //! 3. no leaked vGPU lives on a failed node;
 //! 4. every bound sharePod points at a device that exists and carries its
 //!    attachment (no dangling GPUID after recovery shuffles the pool).
@@ -20,6 +21,7 @@ use ks_cluster::scheduler::ScorePolicy;
 use ks_cluster::sim::{ClusterConfig, GpuPluginKind};
 use ks_sim_core::prelude::*;
 use ks_vgpu::ShareSpec;
+use kubeshare::pool::FULL;
 use kubeshare::sharepod::{SharePodPhase, SharePodSpec};
 use kubeshare::system::KsEmit;
 use kubeshare::{KsConfig, KsEvent, KsNotice, KubeShareSystem};
@@ -144,30 +146,30 @@ fn check_invariants(w: &World, down: &[bool; NODES]) {
     for d in w.ks.pool().devices() {
         // 1. residuals normalized.
         prop_assert!(
-            (-1e-9..=1.0 + 1e-9).contains(&d.util_free),
+            d.util_free <= FULL,
             "{}: util_free {} out of range",
             d.id,
             d.util_free
         );
         prop_assert!(
-            (-1e-9..=1.0 + 1e-9).contains(&d.mem_free),
+            d.mem_free <= FULL,
             "{}: mem_free {} out of range",
             d.id,
             d.mem_free
         );
-        // 2. conservation against unit capacity.
-        let used_util: f64 = d.attached.values().map(|&(u, _)| u).sum();
-        let used_mem: f64 = d.attached.values().map(|&(_, m)| m).sum();
+        // 2. conservation against unit capacity, exactly.
+        let used_util: u32 = d.attached.values().map(|&(u, _)| u).sum();
+        let used_mem: u32 = d.attached.values().map(|&(_, m)| m).sum();
         prop_assert!(
-            (used_util + d.util_free - 1.0).abs() < 1e-6,
-            "{}: Σutil {} + free {} ≠ 1",
+            used_util + d.util_free == FULL,
+            "{}: Σutil {} + free {} ≠ {FULL}",
             d.id,
             used_util,
             d.util_free
         );
         prop_assert!(
-            (used_mem + d.mem_free - 1.0).abs() < 1e-6,
-            "{}: Σmem {} + free {} ≠ 1",
+            used_mem + d.mem_free == FULL,
+            "{}: Σmem {} + free {} ≠ {FULL}",
             d.id,
             used_mem,
             d.mem_free

@@ -21,19 +21,19 @@
 mod pool_ops;
 
 use kubeshare::gpuid::GpuId;
-use kubeshare::pool::{PoolDevice, VgpuPhase, VgpuPool};
+use kubeshare::pool::{PoolDevice, VgpuPhase, VgpuPool, FULL};
 use pool_ops::{apply, gen_op, pick};
 use proptest::prelude::*;
 
-/// A probe bound: an existing device's exact fit key (picked by index)
-/// or a free value in `[0, 2.1]`.
-fn gen_probe() -> impl Strategy<Value = (bool, usize, f64)> {
-    (any::<bool>(), 0usize..64, 0.0f64..2.1)
+/// A probe bound in share units: an existing device's exact fit key
+/// (picked by index) or a free value in `[0, 2.1]` GPUs.
+fn gen_probe() -> impl Strategy<Value = (bool, usize, u32)> {
+    (any::<bool>(), 0usize..64, 0..=2 * FULL + FULL / 10)
 }
 
 /// Time-sliced, schedulable devices with fit key `>= x` and the given
 /// labelled-ness, in id order.
-fn fit_candidates(pool: &VgpuPool, x: f64, labeled: bool) -> Vec<&PoolDevice> {
+fn fit_candidates(pool: &VgpuPool, x: u32, labeled: bool) -> Vec<&PoolDevice> {
     pool.devices()
         .filter(|d| !d.releasing && !d.is_spatial())
         .filter(|d| d.aff.is_empty() != labeled && d.fit_key() >= x)
@@ -45,7 +45,7 @@ fn ids<'a>(devs: impl IntoIterator<Item = &'a PoolDevice>) -> Vec<GpuId> {
 }
 
 /// Every index-backed query against brute force over `devices()`.
-fn check(pool: &VgpuPool, (exact, which, free): (bool, usize, f64)) {
+fn check(pool: &VgpuPool, (exact, which, free): (bool, usize, u32)) {
     pool.verify_indexes().unwrap();
     let x = match pick(pool, which) {
         Some(id) if exact => pool.get(&id).unwrap().fit_key(),
@@ -53,7 +53,7 @@ fn check(pool: &VgpuPool, (exact, which, free): (bool, usize, f64)) {
     };
 
     let mut asc = fit_candidates(pool, x, false);
-    asc.sort_by(|a, b| a.fit_key().total_cmp(&b.fit_key()).then(a.id.cmp(&b.id)));
+    asc.sort_by(|a, b| a.fit_key().cmp(&b.fit_key()).then(a.id.cmp(&b.id)));
     assert_eq!(
         ids(pool.plain_fit_range(x)),
         ids(asc),
@@ -61,7 +61,7 @@ fn check(pool: &VgpuPool, (exact, which, free): (bool, usize, f64)) {
     );
 
     let mut desc = fit_candidates(pool, x, true);
-    desc.sort_by(|a, b| b.fit_key().total_cmp(&a.fit_key()).then(a.id.cmp(&b.id)));
+    desc.sort_by(|a, b| b.fit_key().cmp(&a.fit_key()).then(a.id.cmp(&b.id)));
     assert_eq!(
         ids(pool.labeled_fit_range_desc(x)),
         ids(desc),

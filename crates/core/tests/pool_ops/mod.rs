@@ -8,7 +8,7 @@
 use ks_cluster::api::Uid;
 use ks_partition::Profile;
 use kubeshare::gpuid::GpuId;
-use kubeshare::pool::{VgpuPhase, VgpuPool};
+use kubeshare::pool::{units, VgpuPhase, VgpuPool};
 use proptest::prelude::*;
 
 /// Demand fractions: few and dyadic, so fit keys collide exactly.
@@ -122,7 +122,7 @@ pub fn apply(pool: &mut VgpuPool, op: &Op, next_uid: &mut u64) {
             let Some(id) = pick(pool, dev) else { return };
             let d = pool.get(&id).unwrap();
             let (util, mem) = (FRACTIONS[util], FRACTIONS[mem]);
-            if d.is_spatial() || d.releasing || d.util_free < util || d.mem_free < mem {
+            if d.is_spatial() || d.releasing || !d.fits((units(util), units(mem))) {
                 return;
             }
             *next_uid += 1;

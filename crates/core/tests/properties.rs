@@ -4,7 +4,7 @@
 use ks_cluster::api::Uid;
 use kubeshare::algorithm::{schedule, Decision, SchedRequest};
 use kubeshare::locality::Locality;
-use kubeshare::pool::VgpuPool;
+use kubeshare::pool::{VgpuPool, FULL};
 use proptest::prelude::*;
 
 /// A generated request: fractional demands plus optional labels drawn from
@@ -97,10 +97,9 @@ proptest! {
     fn no_device_overcommitted(reqs in proptest::collection::vec(gen_req(), 1..60)) {
         let (pool, _) = drive(&reqs);
         for d in pool.devices() {
-            prop_assert!(d.util_free >= -1e-9);
-            prop_assert!(d.mem_free >= -1e-9);
-            let total: f64 = d.attached.values().map(|&(u, _)| u).sum();
-            prop_assert!(total <= 1.0 + 1e-9, "Σrequest = {total}");
+            let used = d.attached.values().fold((0, 0), |s, &(u, m)| (s.0 + u, s.1 + m));
+            prop_assert!(used.0 <= FULL && used.1 <= FULL, "Σ(request, mem) = {:?}", used);
+            prop_assert_eq!((d.util_free, d.mem_free), (FULL - used.0, FULL - used.1));
         }
     }
 
@@ -194,8 +193,7 @@ proptest! {
             }
         }
         for d in pool.devices() {
-            prop_assert!((d.util_free - 1.0).abs() < 1e-9);
-            prop_assert!((d.mem_free - 1.0).abs() < 1e-9);
+            prop_assert_eq!((d.util_free, d.mem_free), (FULL, FULL));
             prop_assert!(d.aff.is_empty() && d.anti_aff.is_empty() && d.excl.is_none());
             prop_assert!(d.is_idle());
         }

@@ -21,7 +21,7 @@ use ks_cluster::api::Uid;
 use ks_telemetry::provenance::SchedProv;
 use kubeshare::algorithm::{schedule_with_prov, Decision, SchedMode, SchedRequest};
 use kubeshare::locality::Locality;
-use kubeshare::pool::VgpuPool;
+use kubeshare::pool::{frac, VgpuPool};
 use pool_ops::{apply, gen_op, label, lbl, Op, FRACTIONS};
 use proptest::prelude::*;
 
@@ -65,7 +65,7 @@ fn decide_checked(mode: SchedMode, req: &SchedRequest, pool: &mut VgpuPool) -> D
             assert!(chosen[0].target == id.as_str(), "{context}");
             assert_eq!(
                 chosen[0].score,
-                pool.get(id).unwrap().fit_key(),
+                frac(pool.get(id).unwrap().fit_key()),
                 "{context}"
             );
         }

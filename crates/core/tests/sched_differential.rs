@@ -228,8 +228,8 @@ proptest! {
         prop_assert_eq!(ref_pool.len(), idx_pool.len());
         for (a, b) in ref_pool.devices().zip(idx_pool.devices()) {
             prop_assert_eq!(&a.id, &b.id);
-            prop_assert_eq!(a.util_free.to_bits(), b.util_free.to_bits());
-            prop_assert_eq!(a.mem_free.to_bits(), b.mem_free.to_bits());
+            prop_assert_eq!(a.util_free, b.util_free);
+            prop_assert_eq!(a.mem_free, b.mem_free);
             prop_assert_eq!(&a.aff, &b.aff);
         }
     }
@@ -404,8 +404,8 @@ mod recorder_axis {
         assert_eq!(a.len(), b.len(), "pool sizes diverged");
         for (x, y) in a.devices().zip(b.devices()) {
             assert_eq!(x.id, y.id);
-            assert_eq!(x.util_free.to_bits(), y.util_free.to_bits(), "{}", x.id);
-            assert_eq!(x.mem_free.to_bits(), y.mem_free.to_bits(), "{}", x.id);
+            assert_eq!(x.util_free, y.util_free, "{}", x.id);
+            assert_eq!(x.mem_free, y.mem_free, "{}", x.id);
             assert_eq!(x.aff, y.aff);
             assert_eq!(x.anti_aff, y.anti_aff);
             assert_eq!(x.excl, y.excl);

@@ -208,8 +208,8 @@ fn assert_time_slice_devices_identical(a: &VgpuPool, b: &VgpuPool) {
     assert_eq!(da.len(), db.len(), "pool sizes diverged");
     for (x, y) in da.iter().zip(&db) {
         assert_eq!(x.id, y.id);
-        assert_eq!(x.util_free.to_bits(), y.util_free.to_bits(), "{}", x.id);
-        assert_eq!(x.mem_free.to_bits(), y.mem_free.to_bits(), "{}", x.id);
+        assert_eq!(x.util_free, y.util_free, "{}", x.id);
+        assert_eq!(x.mem_free, y.mem_free, "{}", x.id);
         assert_eq!(x.aff, y.aff);
         assert_eq!(x.anti_aff, y.anti_aff);
         assert_eq!(x.excl, y.excl);

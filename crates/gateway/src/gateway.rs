@@ -27,6 +27,7 @@ use ks_sim_core::time::SimTime;
 use ks_telemetry::provenance::{DecisionKind, Outcome, ReasonCode, SchedProv};
 use ks_telemetry::{FlightRecorder, LogLevel, Logger, Telemetry};
 use kubeshare::gpuid::GpuId;
+use kubeshare::pool::{fits, frac, units};
 use kubeshare::sharepod::{SharePodPhase, SharePodSpec};
 use kubeshare::system::{KsEmit, KsEvent, KsNotice, KubeShareSystem};
 
@@ -789,13 +790,16 @@ impl<A: Authenticator> Gateway<A> {
         out: &mut KsEmit,
         notices: &mut Vec<KsNotice>,
     ) -> usize {
-        // Pending demand, priority descending, uid ascending.
-        let mut pending: Vec<(u8, Uid, f64, f64)> = self
+        // Pending demand (share units), priority descending, uid ascending.
+        let mut pending: Vec<(u8, Uid, (u32, u32))> = self
             .system
             .sharepods()
             .iter()
             .filter(|(_, s)| s.status.phase == SharePodPhase::Pending)
-            .map(|(u, s)| (s.spec.priority, u, s.spec.share.request, s.spec.share.mem))
+            .map(|(u, s)| {
+                let need = (units(s.spec.share.request), units(s.spec.share.mem));
+                (s.spec.priority, u, need)
+            })
             .collect();
         pending.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
         // Nothing above the floor class can ever preempt.
@@ -806,7 +810,7 @@ impl<A: Authenticator> Gateway<A> {
 
         // Local capacity view, debited as earlier pending entries claim
         // room (their decisions only land at the drain).
-        let mut dev_free: BTreeMap<GpuId, (f64, f64)> = self
+        let mut dev_free: BTreeMap<GpuId, (u32, u32)> = self
             .system
             .pool()
             .devices()
@@ -827,19 +831,14 @@ impl<A: Authenticator> Gateway<A> {
         let mut victims_left = self.cfg.max_victims_per_pump;
         let mut preempted = 0usize;
 
-        'pending: for (prio, starved, req_u, req_m) in pending {
+        'pending: for (prio, starved, need) in pending {
             if victims_left == 0 {
                 break;
             }
             // Already fits on some live vGPU?
-            if let Some((id, _)) = dev_free
-                .iter()
-                .find(|(_, &(u, m))| u + 1e-9 >= req_u && m + 1e-9 >= req_m)
-            {
-                let id = id.clone();
-                let slot = dev_free.get_mut(&id).expect("just found");
-                slot.0 -= req_u;
-                slot.1 -= req_m;
+            if let Some(free) = dev_free.values_mut().find(|free| fits(**free, need)) {
+                free.0 -= need.0;
+                free.1 -= need.1;
                 continue;
             }
             // A new vGPU can still be anchored on a free physical GPU?
@@ -853,7 +852,9 @@ impl<A: Authenticator> Gateway<A> {
             prov.note(|| {
                 format!(
                     "sharePod {starved} (priority {prio}) starved: \
-                     no vGPU fits {req_u:.2} util / {req_m:.2} mem and no free physical GPU"
+                     no vGPU fits {:.2} util / {:.2} mem and no free physical GPU",
+                    frac(need.0),
+                    frac(need.1)
                 )
             });
             let mut best: Option<(usize, GpuId, Vec<Uid>)> = None;
@@ -861,30 +862,30 @@ impl<A: Authenticator> Gateway<A> {
                 if d.releasing || d.uuid.is_none() {
                     continue;
                 }
-                let Some(&(mut u_free, mut m_free)) = dev_free.get(&d.id) else {
+                let Some(&(mut free)) = dev_free.get(&d.id) else {
                     continue;
                 };
                 // Candidate victims on this device, lowest class first,
                 // newest (largest uid) first within a class.
-                let mut cands: Vec<(u8, Uid, f64, f64)> = d
+                let mut cands: Vec<(u8, Uid, (u32, u32))> = d
                     .attached
                     .iter()
-                    .filter_map(|(&uid, &(u, m))| {
+                    .filter_map(|(&uid, &held)| {
                         let p = self.system.sharepod(uid)?.spec.priority;
-                        (p < prio).then_some((p, uid, u, m))
+                        (p < prio).then_some((p, uid, held))
                     })
                     .collect();
                 cands.sort_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
                 let mut chosen = Vec::new();
-                for (_, uid, u, m) in cands {
-                    if u_free + 1e-9 >= req_u && m_free + 1e-9 >= req_m {
+                for (_, uid, held) in cands {
+                    if fits(free, need) {
                         break;
                     }
-                    u_free += u;
-                    m_free += m;
+                    free.0 += held.0;
+                    free.1 += held.1;
                     chosen.push(uid);
                 }
-                if u_free + 1e-9 >= req_u && m_free + 1e-9 >= req_m && !chosen.is_empty() {
+                if fits(free, need) && !chosen.is_empty() {
                     // Candidate score is evictions needed (fewer wins).
                     prov.candidate_with("evictions_needed", chosen.len() as f64, || {
                         d.id.as_str().to_string()
@@ -1004,10 +1005,11 @@ impl<A: Authenticator> Gateway<A> {
             // Claim the freed room if the device survived (it may be
             // releasing now if the evictions idled it under an on-demand
             // pool policy — then the preemptor rides the new-device path
-            // once the physical GPU frees).
+            // once the physical GPU frees). A device whose room does not
+            // cover the claim (the victim budget ran out) leaves the view.
             match self.system.pool().get(&dev) {
-                Some(d) if !d.releasing => {
-                    dev_free.insert(dev, (d.util_free - req_u, d.mem_free - req_m));
+                Some(d) if !d.releasing && d.fits(need) => {
+                    dev_free.insert(dev, (d.util_free - need.0, d.mem_free - need.1));
                 }
                 _ => {
                     dev_free.remove(&dev);

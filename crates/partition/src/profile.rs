@@ -70,9 +70,8 @@ impl Profile {
     /// the slice a request `max(gpu_request, gpu_mem) == demand` needs.
     /// `None` when the demand exceeds a whole device.
     ///
-    /// Uses the same `1e-9` epsilon as Algorithm 1's capacity test so a
-    /// demand of exactly `k/7` maps to the k-slot profile despite float
-    /// round-trips.
+    /// Allows `1e-9` of float slack so a demand of exactly `k/7`, computed
+    /// in floating point, maps to the k-slot profile.
     pub fn smallest_covering(demand: f64) -> Option<Profile> {
         if demand > 1.0 + 1e-9 {
             return None;

@@ -462,26 +462,6 @@ mod tests {
     }
 
     #[test]
-    fn expiry_lets_waiter_steal() {
-        let be = RtBackend::new(cfg(30, 5000));
-        let a = be.register(ShareSpec::new(0.5, 1.0, 1.0).unwrap());
-        let b = be.register(ShareSpec::new(0.5, 1.0, 1.0).unwrap());
-        let lease_a = a.acquire();
-        // b blocks; a never releases voluntarily but the quota expires.
-        let start = Instant::now();
-        let t = thread::spawn(move || {
-            let _lease_b = b.acquire();
-            Instant::now()
-        });
-        let got_at = t.join().unwrap();
-        assert!(
-            got_at.duration_since(start) >= Duration::from_millis(25),
-            "b must wait for a's quota"
-        );
-        assert!(lease_a.expired());
-    }
-
-    #[test]
     fn live_holder_keeps_the_token_until_the_crash_timeout() {
         let quota = Duration::from_millis(20);
         let be = RtBackend::new(cfg(20, 5000));

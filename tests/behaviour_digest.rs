@@ -1,0 +1,199 @@
+//! Behaviour digests: fixed-seed runs of the system's main streams, each
+//! reduced to one hash and compared with a committed value.
+//!
+//! Each test drives one stream through its library entry point, feeds a
+//! canonical byte stream of the result into the in-tree Fx hasher (every
+//! `f64` as its bit pattern, every string length-prefixed), and asserts
+//! the hash. A change that alters any decision, placement or exported
+//! figure of these streams moves its digest. Such a change updates the
+//! constant here in the same commit and says in CHANGES.md which stream
+//! moved and why.
+//!
+//! Run with `cargo test --release --test behaviour_digest`; a failing
+//! test prints the new digest.
+
+use std::hash::Hasher;
+
+use ks_bench::{chaos, explain, partition, sched_scale};
+use ks_sim_core::fxhash::FxHasher;
+use kubeshare::algorithm::{schedule_batch, SchedMode};
+
+/// The canonical byte stream of one run.
+#[derive(Default)]
+struct Digest(FxHasher);
+
+impl Digest {
+    fn u64(&mut self, v: u64) {
+        self.0.write_u64(v);
+    }
+
+    fn usize(&mut self, v: usize) {
+        self.u64(v as u64);
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+
+    fn bool(&mut self, v: bool) {
+        self.u64(u64::from(v));
+    }
+
+    fn str(&mut self, s: &str) {
+        self.usize(s.len());
+        self.0.write(s.as_bytes());
+    }
+
+    fn strs<S: AsRef<str>>(&mut self, items: &[S]) {
+        self.usize(items.len());
+        for s in items {
+            self.str(s.as_ref());
+        }
+    }
+
+    /// Asserts the digest, printing the new value if it moved.
+    fn check(self, stream: &str, want: u64) {
+        let got = self.0.finish();
+        assert_eq!(
+            got, want,
+            "behaviour digest of `{stream}` moved: {got:#018x} (committed {want:#018x})"
+        );
+    }
+}
+
+#[test]
+fn explain_seed_7() {
+    let r = explain::run(&explain::ExplainConfig::default());
+    let mut h = Digest::default();
+    for v in [
+        r.decisions,
+        r.schedule_records,
+        r.placed,
+        r.rejected,
+        r.held,
+        r.reconfigures,
+        r.remediation_actions,
+    ] {
+        h.u64(v);
+    }
+    h.usize(r.rejection_reasons.len());
+    for c in &r.rejection_reasons {
+        h.str(&c.reason);
+        h.u64(c.count);
+    }
+    h.usize(r.samples.len());
+    for s in &r.samples {
+        h.str(&s.class);
+        h.str(&s.scenario);
+        h.u64(s.sp);
+        h.usize(s.records);
+        h.str(&s.json);
+        h.str(&s.text);
+    }
+    h.bool(r.identical_without_recorder);
+    h.strs(&r.failures);
+    h.check("explain --seed 7", EXPLAIN);
+}
+
+#[test]
+fn chaos_seed_7() {
+    let r = chaos::run(7);
+    let mut h = Digest::default();
+    for v in [
+        r.baseline_running,
+        r.node_failures,
+        r.container_crashes,
+        r.leaked_vgpus,
+        r.final_running,
+        r.restart_lost_bursts,
+    ] {
+        h.usize(v);
+    }
+    h.usize(r.recoveries.len());
+    for &s in &r.recoveries {
+        h.f64(s);
+    }
+    h.bool(r.replay_identical);
+    h.f64(r.reclamation_ms);
+    h.f64(r.reclamation_bound_ms);
+    for v in [r.baseline_alerts, r.outage_alerts, r.guarantee_alerts] {
+        h.u64(v);
+    }
+    h.check("chaos --seed 7", CHAOS);
+}
+
+#[test]
+fn partition_seed_7() {
+    let r = partition::run(&partition::PartitionBenchConfig::default());
+    let mut h = Digest::default();
+    for p in &r.packing {
+        h.str(&p.substrate);
+        h.usize(p.tenants);
+        h.usize(p.rejected);
+        h.usize(p.gpus);
+        h.f64(p.demand_total);
+        h.f64(p.efficiency);
+        h.f64(p.fragmentation);
+    }
+    let i = &r.isolation;
+    for v in [
+        i.time_slice_alone_secs,
+        i.time_slice_contended_secs,
+        i.time_slice_slowdown,
+        i.spatial_alone_secs,
+        i.spatial_contended_secs,
+        i.spatial_slowdown,
+        i.spatial_alone_cost,
+    ] {
+        h.f64(v);
+    }
+    let c = &r.reconfig;
+    for v in [c.ops, c.reconfigs, c.displaced, c.gpus] {
+        h.usize(v);
+    }
+    for v in [
+        c.cost_per_reconfig_secs,
+        c.downtime_secs,
+        c.makespan_secs,
+        c.downtime_frac,
+        c.frag_max,
+    ] {
+        h.f64(v);
+    }
+    h.strs(&r.verdict.spatial_beats);
+    h.strs(&r.verdict.hybrid_beats);
+    h.bool(r.verdict.ok);
+    h.check("partition --seed 7", PARTITION);
+}
+
+/// The `sched_scale --gpus 256 --pods 2000 --seed 7` stream, drained by
+/// both implementations of Algorithm 1: every decision and the tenants
+/// each device ends with.
+#[test]
+fn sched_scale_256_gpus_seed_7() {
+    let (pool, entries) = sched_scale::inputs(256, 2_000, 7);
+    let mut h = Digest::default();
+    for mode in [SchedMode::Reference, SchedMode::Indexed] {
+        let mut p = pool.clone();
+        let decisions = schedule_batch(mode, &entries, &mut p);
+        h.usize(decisions.len());
+        for (uid, d) in &decisions {
+            h.u64(uid.0);
+            h.str(&format!("{d:?}"));
+        }
+        h.usize(p.len());
+        for d in p.devices() {
+            h.str(d.id.as_str());
+            h.usize(d.attached.len());
+            for uid in d.attached.keys() {
+                h.u64(uid.0);
+            }
+        }
+    }
+    h.check("sched_scale --gpus 256 --pods 2000 --seed 7", SCHED_SCALE);
+}
+
+const EXPLAIN: u64 = 0xbe78_08f9_a272_9150;
+const CHAOS: u64 = 0x67a1_88f5_ccb2_d513;
+const PARTITION: u64 = 0xdccf_0903_6413_972d;
+const SCHED_SCALE: u64 = 0xeb92_1998_0ce5_bc3c;

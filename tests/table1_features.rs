@@ -56,7 +56,8 @@ fn fine_grained_allocation_granularity() {
         None,
         None,
     );
-    assert!((pool.get(&id).unwrap().util_free - 0.77).abs() < 1e-12);
+    let units = kubeshare_repro::kubeshare::pool::units;
+    assert_eq!(pool.get(&id).unwrap().util_free, units(0.77));
 }
 
 /// Row "Memory isolation": with the guard the offender gets the OOM; without
