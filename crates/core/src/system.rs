@@ -28,7 +28,7 @@ use std::fmt;
 use ks_chaos::ChaosInjector;
 use ks_cluster::api::pod::PodSpec;
 use ks_cluster::api::{ObjectMeta, ResourceList, Uid, UidAllocator, NVIDIA_GPU};
-use ks_cluster::sim::{ClusterConfig, ClusterEvent, ClusterNotice, ClusterSim};
+use ks_cluster::sim::{ClusterConfig, ClusterEmit, ClusterEvent, ClusterNotice, ClusterSim};
 use ks_cluster::store::Store;
 use ks_sim_core::time::{SimDuration, SimTime};
 use ks_telemetry::provenance::{DecisionKind, Outcome, ReasonCode, SchedProv};
@@ -312,6 +312,8 @@ pub struct KubeShareSystem {
     vgpu_anchor: HashMap<GpuId, Uid>,
     /// backing pod uid → sharePod uid.
     pod_sp: HashMap<Uid, Uid>,
+    /// `Starting` sharePod → when its latest `CreatePod` order fires.
+    pod_due: HashMap<Uid, SimTime>,
     /// Backing pods torn down by preemption: their sharePods were reset to
     /// `Pending` synchronously, so the asynchronous `PodDeleted` /
     /// `PodFailed` notice that eventually arrives for them must be
@@ -402,6 +404,7 @@ impl KubeShareSystem {
             anchor_vgpu: HashMap::new(),
             vgpu_anchor: HashMap::new(),
             pod_sp: HashMap::new(),
+            pod_due: HashMap::new(),
             preempted_pods: HashSet::new(),
             waiting: HashMap::new(),
             idle_tickets: HashMap::new(),
@@ -730,60 +733,19 @@ impl KubeShareSystem {
         let Some(sharepod) = self.sharepods.get(sp) else {
             return;
         };
-        match sharepod.status.phase {
-            SharePodPhase::Pending | SharePodPhase::Rejected => {
+        match (sharepod.status.phase, sharepod.status.pod_uid) {
+            (SharePodPhase::Terminated, _) => {}
+            (SharePodPhase::Pending | SharePodPhase::Rejected, _) => {
                 self.transition_sp(sp, SharePodPhase::Terminated, |_| {});
                 self.close_sp_trace(now, sp, "deleted");
             }
-            SharePodPhase::AwaitingVgpu => {
-                let Some(gpuid) = sharepod.status.bound_gpuid.clone() else {
-                    self.transition_sp(sp, SharePodPhase::Terminated, |_| {});
-                    self.close_sp_trace(now, sp, "deleted");
-                    notices.push(KsNotice::Fault {
-                        error: SystemError::UnboundSharePod { sp },
-                    });
-                    return;
-                };
-                if let Some(w) = self.waiting.get_mut(&gpuid) {
-                    w.retain(|&u| u != sp);
-                }
-                let became_idle = self.pool.detach(&gpuid, sp);
-                self.transition_sp(sp, SharePodPhase::Terminated, |_| {});
-                self.close_sp_trace(now, sp, "deleted");
-                if became_idle {
-                    self.apply_pool_policy(now, &gpuid, out, notices);
-                }
+            // Detach bookkeeping happens when PodDeleted arrives.
+            (SharePodPhase::Starting | SharePodPhase::Running, Some(pod)) => {
+                self.cluster_call(now, out, notices, |c, o, n| c.delete_pod(now, pod, o, n));
             }
-            SharePodPhase::Starting | SharePodPhase::Running => {
-                let Some(pod) = sharepod.status.pod_uid else {
-                    // Starting but the CreatePod event has not fired yet:
-                    // nothing exists in the cluster; tear down locally.
-                    let gpuid = sharepod.status.bound_gpuid.clone();
-                    self.transition_sp(sp, SharePodPhase::Terminated, |_| {});
-                    self.close_sp_trace(now, sp, "deleted");
-                    if let Some(gpuid) = gpuid {
-                        if self.pool.get(&gpuid).is_some() {
-                            let became_idle = self.pool.detach(&gpuid, sp);
-                            if became_idle {
-                                self.apply_pool_policy(now, &gpuid, out, notices);
-                            }
-                        }
-                    } else {
-                        notices.push(KsNotice::Fault {
-                            error: SystemError::MissingBackingPod { sp },
-                        });
-                    }
-                    return;
-                };
-                let mut cluster_out = Vec::new();
-                let mut cluster_notes = Vec::new();
-                self.cluster
-                    .delete_pod(now, pod, &mut cluster_out, &mut cluster_notes);
-                lift(cluster_out, out);
-                // Detach bookkeeping happens when PodDeleted arrives.
-                self.process_cluster_notices(now, cluster_notes, out, notices);
-            }
-            SharePodPhase::Terminated => {}
+            // Awaiting its vGPU, or Starting before the CreatePod event
+            // fired: nothing exists in the cluster; tear down locally.
+            _ => self.finish_sharepod(now, sp, "deleted", None, out, notices),
         }
         self.record_gauges();
     }
@@ -797,10 +759,7 @@ impl KubeShareSystem {
         spec: PodSpec,
         out: &mut KsEmit,
     ) -> Uid {
-        let mut cluster_out = Vec::new();
-        let uid = self.cluster.submit_pod(now, name, spec, &mut cluster_out);
-        lift(cluster_out, out);
-        uid
+        lifted(out, |o| self.cluster.submit_pod(now, name, spec, o))
     }
 
     /// Deletes a native pod.
@@ -811,12 +770,7 @@ impl KubeShareSystem {
         out: &mut KsEmit,
         notices: &mut Vec<KsNotice>,
     ) {
-        let mut cluster_out = Vec::new();
-        let mut cluster_notes = Vec::new();
-        self.cluster
-            .delete_pod(now, pod, &mut cluster_out, &mut cluster_notes);
-        lift(cluster_out, out);
-        self.process_cluster_notices(now, cluster_notes, out, notices);
+        self.cluster_call(now, out, notices, |c, o, n| c.delete_pod(now, pod, o, n));
     }
 
     /// Routes an event.
@@ -829,23 +783,17 @@ impl KubeShareSystem {
     ) {
         match ev {
             KsEvent::Cluster(cev) => {
-                let mut cluster_out = Vec::new();
-                let mut cluster_notes = Vec::new();
-                self.cluster
-                    .handle(now, cev, &mut cluster_out, &mut cluster_notes);
-                lift(cluster_out, out);
-                self.process_cluster_notices(now, cluster_notes, out, notices);
+                self.cluster_call(now, out, notices, |c, o, n| c.handle(now, cev, o, n));
             }
             KsEvent::SchedDecide { sp } => self.on_sched_decide(now, sp, out, notices),
             KsEvent::CreatePod { sp } => self.on_create_pod(now, sp, out, notices),
             KsEvent::ReleaseIdleVgpu { ticket } => {
                 if let Some(gpuid) = self.idle_tickets.remove(&ticket) {
-                    let still_idle = self
+                    if self
                         .pool
                         .get(&gpuid)
-                        .map(|d| d.is_idle() && !d.releasing)
-                        .unwrap_or(false);
-                    if still_idle {
+                        .is_some_and(|d| d.is_idle() && !d.releasing)
+                    {
                         self.release_vgpu(now, &gpuid, out, notices);
                     }
                 }
@@ -890,13 +838,14 @@ impl KubeShareSystem {
         // Victim pods we account for here; everything else (native pods)
         // passes through as a plain cluster notice.
         let mut displaced: Vec<Uid> = Vec::new();
+        let mut orphaned: Vec<GpuId> = Vec::new();
         for pod in victims {
             if let Some(gpuid) = self.anchor_vgpu.remove(&pod) {
-                // The anchor died with its node; the vGPU is handled below
-                // (it is necessarily in `dead` — anchors run on the node
-                // that hosts the device).
+                // The anchor died with its node. A ready vGPU sits on that
+                // node and is handled with `dead` below; one whose anchor
+                // had not reported in yet is not, and is orphaned.
                 self.vgpu_anchor.remove(&gpuid);
-                self.anchor_retry.remove(&gpuid);
+                orphaned.push(gpuid);
             } else if let Some(sp) = self.pod_sp.remove(&pod) {
                 // Pods mid-preemption-teardown: their sharePods are already
                 // `Pending`, so the node taking the pod down changes nothing.
@@ -912,53 +861,38 @@ impl KubeShareSystem {
         }
 
         for gpuid in dead {
-            // Tenants lose their binding: detach them all, then drop the
-            // device and its GPUID.
-            let tenants: Vec<Uid> = self
-                .pool
-                .get(&gpuid)
-                .map(|d| d.attached.keys().copied().collect())
-                .unwrap_or_default();
-            for sp in &tenants {
-                self.pool.detach(&gpuid, *sp);
-                if !displaced.contains(sp) {
-                    displaced.push(*sp);
-                }
-            }
-            for sp in self.waiting.remove(&gpuid).unwrap_or_default() {
+            // Tenants lose their binding (their containers died with the
+            // node, so nothing is stopped); then the device goes.
+            for sp in self.displace_all(now, &gpuid, out, notices) {
                 if !displaced.contains(&sp) {
                     displaced.push(sp);
                 }
             }
-            if let Some(&anchor) = self.vgpu_anchor.get(&gpuid) {
-                // The anchor pod survived in the store as Failed; forget it.
-                self.anchor_vgpu.remove(&anchor);
-                self.vgpu_anchor.remove(&gpuid);
-            }
-            self.anchor_retry.remove(&gpuid);
-            self.pool.remove(&gpuid);
-            self.note_vgpu_churn(now, "vgpu_lost", &gpuid);
-            notices.push(KsNotice::VgpuLost {
-                gpuid,
-                reason: "node failure".into(),
-            });
+            self.forget_vgpu(now, &gpuid, Some("node failure"), notices);
         }
 
-        // Creating vGPUs may also have been waiting on an anchor that died
-        // with the node (covered above via anchor_vgpu) — anything still in
-        // the pool keeps its pending anchor retry/unschedulable state.
-
+        // A displaced sharePod whose backing pod was still pending (pinned
+        // to the failed node, so not a victim) loses that pod as well.
         for sp in displaced {
-            self.requeue_sharepod(now, sp, out, notices);
+            let pod = self.requeue_sharepod(now, sp, out, notices);
+            self.evict_pod(now, pod, out, notices);
+        }
+        // An orphaned vGPU will never hear from its anchor: one being
+        // released is forgotten now, and any other counts a failed launch
+        // and backs off to relaunch it.
+        for gpuid in orphaned {
+            match self.pool.get(&gpuid).map(|d| d.releasing) {
+                Some(true) => self.forget_vgpu(now, &gpuid, None, notices),
+                Some(false) => self.on_anchor_launch_failed(now, gpuid, out, notices),
+                None => {}
+            }
         }
         self.record_gauges();
     }
 
     /// A crashed node rejoined with empty state; queued work is retried.
     pub fn recover_node(&mut self, now: SimTime, name: &str, out: &mut KsEmit) {
-        let mut cluster_out = Vec::new();
-        self.cluster.recover_node(now, name, &mut cluster_out);
-        lift(cluster_out, out);
+        lifted(out, |o| self.cluster.recover_node(now, name, o));
     }
 
     /// Cordons a node (remediation path): running sharePods stay, but no
@@ -980,9 +914,7 @@ impl KubeShareSystem {
     /// Lifts a cordon; queued work is retried against the node. Idempotent;
     /// returns whether the state changed.
     pub fn uncordon_node(&mut self, now: SimTime, name: &str, out: &mut KsEmit) -> bool {
-        let mut cluster_out = Vec::new();
-        let changed = self.cluster.uncordon_node(now, name, &mut cluster_out);
-        lift(cluster_out, out);
+        let changed = lifted(out, |o| self.cluster.uncordon_node(now, name, o));
         if changed && self.telemetry.is_enabled() {
             self.telemetry
                 .counter("ks_node_uncordons_total", &[("node", name)])
@@ -1012,53 +944,20 @@ impl KubeShareSystem {
         out: &mut KsEmit,
         notices: &mut Vec<KsNotice>,
     ) -> usize {
-        let Some(device) = self.pool.get(gpuid) else {
-            return 0;
-        };
-        if device.releasing {
+        if self.pool.get(gpuid).is_none_or(|d| d.releasing) {
             return 0;
         }
-        let mut tenants: Vec<Uid> = device.attached.keys().copied().collect();
-        tenants.sort();
-        let node = device.node.clone();
-        let uuid = device.uuid.clone();
-        let mut displaced = 0;
-        for sp in tenants {
-            if let (Some(node), Some(uuid)) = (node.clone(), uuid.clone()) {
-                notices.push(KsNotice::SharePodStopped {
-                    sp,
-                    gpuid: gpuid.clone(),
-                    node,
-                    uuid,
-                });
-            }
-            self.pool.detach(gpuid, sp);
-            // Capture the backing pod before the requeue clears it; its
-            // teardown mirrors preemption (the deletion notice must not
-            // terminate the already-Pending sharePod).
-            let pod = self.sharepods.get(sp).and_then(|s| s.status.pod_uid);
-            self.requeue_sharepod(now, sp, out, notices);
-            if let Some(pod) = pod {
-                self.preempted_pods.insert(pod);
-                let mut cluster_out = Vec::new();
-                let mut cluster_notes = Vec::new();
-                self.cluster
-                    .delete_pod(now, pod, &mut cluster_out, &mut cluster_notes);
-                lift(cluster_out, out);
-                self.process_cluster_notices(now, cluster_notes, out, notices);
-            }
-            displaced += 1;
-        }
-        for sp in self.waiting.remove(gpuid).unwrap_or_default() {
-            self.requeue_sharepod(now, sp, out, notices);
-            displaced += 1;
+        let tenants = self.displace_all(now, gpuid, out, notices);
+        for &sp in &tenants {
+            let pod = self.requeue_sharepod(now, sp, out, notices);
+            self.evict_pod(now, pod, out, notices);
         }
         self.release_vgpu(now, gpuid, out, notices);
         if self.telemetry.is_enabled() {
             self.telemetry.counter("ks_vgpu_drains_total", &[]).inc();
         }
         self.record_gauges();
-        displaced
+        tenants.len()
     }
 
     /// Drains the tenant of a single slice on a partitioned vGPU: the
@@ -1078,43 +977,19 @@ impl KubeShareSystem {
         out: &mut KsEmit,
         notices: &mut Vec<KsNotice>,
     ) -> usize {
-        let Some(device) = self.pool.get(gpuid) else {
-            return 0;
-        };
-        if device.releasing || !device.is_spatial() {
+        if self
+            .pool
+            .get(gpuid)
+            .is_none_or(|d| d.releasing || !d.is_spatial())
+        {
             return 0;
         }
-        let node = device.node.clone();
-        let uuid = device.uuid.clone();
         let Some(sp) = self.pool.slice_tenant(gpuid, start) else {
             return 0;
         };
-        if let (Some(node), Some(uuid)) = (node, uuid) {
-            notices.push(KsNotice::SharePodStopped {
-                sp,
-                gpuid: gpuid.clone(),
-                node,
-                uuid,
-            });
-        }
-        let became_idle = self.pool.detach(gpuid, sp);
-        let pod = self.sharepods.get(sp).and_then(|s| s.status.pod_uid);
-        self.requeue_sharepod(now, sp, out, notices);
-        if let Some(pod) = pod {
-            self.preempted_pods.insert(pod);
-            let mut cluster_out = Vec::new();
-            let mut cluster_notes = Vec::new();
-            self.cluster
-                .delete_pod(now, pod, &mut cluster_out, &mut cluster_notes);
-            lift(cluster_out, out);
-            self.process_cluster_notices(now, cluster_notes, out, notices);
-        }
-        if let Some(w) = self.waiting.get_mut(gpuid) {
-            w.retain(|&u| u != sp);
-        }
-        if became_idle {
-            self.apply_pool_policy(now, gpuid, out, notices);
-        }
+        self.vacate(now, sp, gpuid, true, out, notices);
+        let pod = self.requeue_sharepod(now, sp, out, notices);
+        self.evict_pod(now, pod, out, notices);
         if self.telemetry.is_enabled() {
             self.telemetry
                 .counter("ks_vgpu_slice_drains_total", &[])
@@ -1154,12 +1029,9 @@ impl KubeShareSystem {
         out: &mut KsEmit,
         notices: &mut Vec<KsNotice>,
     ) {
-        let mut cluster_out = Vec::new();
-        let mut cluster_notes = Vec::new();
-        self.cluster
-            .crash_pod(now, pod, reason, &mut cluster_out, &mut cluster_notes);
-        lift(cluster_out, out);
-        self.process_cluster_notices(now, cluster_notes, out, notices);
+        self.cluster_call(now, out, notices, |c, o, n| {
+            c.crash_pod(now, pod, reason, o, n)
+        });
         self.record_gauges();
     }
 
@@ -1171,75 +1043,12 @@ impl KubeShareSystem {
             .filter(|(&pod, _)| {
                 self.cluster
                     .pod(pod)
-                    .map(|p| p.status.phase == ks_cluster::PodPhase::Running)
-                    .unwrap_or(false)
+                    .is_some_and(|p| p.status.phase == ks_cluster::PodPhase::Running)
             })
             .map(|(&pod, _)| pod)
             .collect();
         pods.sort();
         pods
-    }
-
-    /// Pushes a sharePod back to `Pending` (clearing any binding) and
-    /// schedules a fresh Algorithm 1 pass, unless it already terminated.
-    fn requeue_sharepod(
-        &mut self,
-        now: SimTime,
-        sp: Uid,
-        out: &mut KsEmit,
-        notices: &mut Vec<KsNotice>,
-    ) {
-        self.requeue_sharepod_at(now, sp, now + self.cfg.sched_latency, out, notices);
-    }
-
-    /// [`KubeShareSystem::requeue_sharepod`] with an explicit decision
-    /// time: partition reconfiguration re-decides its displaced tenants
-    /// only once the new layout is active, so they do not stampede onto
-    /// fresh physical GPUs while the capacity they need is mid-reshape.
-    fn requeue_sharepod_at(
-        &mut self,
-        now: SimTime,
-        sp: Uid,
-        decide_at: SimTime,
-        out: &mut KsEmit,
-        notices: &mut Vec<KsNotice>,
-    ) {
-        let Some(sharepod) = self.sharepods.get(sp) else {
-            return;
-        };
-        if matches!(
-            sharepod.status.phase,
-            SharePodPhase::Terminated | SharePodPhase::Rejected
-        ) {
-            return;
-        }
-        let gpuid = sharepod.status.bound_gpuid.clone();
-        self.transition_sp(sp, SharePodPhase::Pending, |s| {
-            s.status.bound_gpuid = None;
-            s.status.pod_uid = None;
-            s.status.message = Some("requeued after failure".into());
-        });
-        notices.push(KsNotice::SharePodRequeued { sp, gpuid });
-        if self.telemetry.is_enabled() {
-            self.telemetry.counter("ks_sched_requeues_total", &[]).inc();
-            let ctx = self.sp_ctx(sp);
-            self.telemetry
-                .trace_event_in(now, ctx, "sched", "requeue", &[("sp", &sp.to_string())]);
-            // A fresh schedule span for the new Algorithm 1 pass; any span
-            // left open by the failed attempt ends here.
-            if self.sp_trace.contains_key(&sp) {
-                let sched_span = self
-                    .telemetry
-                    .span_begin_in(now, ctx, "sched", "schedule", &[]);
-                let tr = self.sp_trace.get_mut(&sp).expect("just checked");
-                let vgpu_span = std::mem::replace(&mut tr.vgpu_span, SpanId::NONE);
-                let pod_span = std::mem::replace(&mut tr.pod_span, SpanId::NONE);
-                tr.sched_span = sched_span;
-                self.telemetry.span_end(now, vgpu_span, &[]);
-                self.telemetry.span_end(now, pod_span, &[]);
-            }
-        }
-        out.push((decide_at, KsEvent::SchedDecide { sp }));
     }
 
     /// Evicts a sharePod to make room for higher-priority work (the
@@ -1268,36 +1077,10 @@ impl KubeShareSystem {
         ) {
             return false;
         }
-        let gpuid = sharepod.status.bound_gpuid.clone();
-        let pod = sharepod.status.pod_uid;
-
-        // Free the vGPU capacity now. The `SharePodStopped` notice lets
-        // the embedding world detach any container state for the binding.
-        if let Some(gpuid) = &gpuid {
-            if let Some(w) = self.waiting.get_mut(gpuid) {
-                w.retain(|&u| u != sp);
-            }
-            if let Some(device) = self.pool.get(gpuid) {
-                if let (Some(node), Some(uuid)) = (device.node.clone(), device.uuid.clone()) {
-                    notices.push(KsNotice::SharePodStopped {
-                        sp,
-                        gpuid: gpuid.clone(),
-                        node,
-                        uuid,
-                    });
-                }
-                let became_idle = self.pool.detach(gpuid, sp);
-                if became_idle {
-                    self.apply_pool_policy(now, gpuid, out, notices);
-                }
-            }
+        if let Some(gpuid) = sharepod.status.bound_gpuid.clone() {
+            self.vacate(now, sp, &gpuid, true, out, notices);
         }
-
-        self.transition_sp(sp, SharePodPhase::Pending, |s| {
-            s.status.bound_gpuid = None;
-            s.status.pod_uid = None;
-            s.status.message = Some("preempted".into());
-        });
+        let (gpuid, pod) = self.reset_pending(sp, "preempted");
         // Victim-side provenance: the eviction is a decision about this
         // sharePod, keyed to its trace like any scheduling record.
         let victim_ctx = self.sp_ctx(sp);
@@ -1325,44 +1108,218 @@ impl KubeShareSystem {
             || vec![("sp".into(), sp.to_string())],
         );
         notices.push(KsNotice::SharePodPreempted { sp, gpuid });
-        if self.telemetry.is_enabled() {
-            self.telemetry
-                .counter("ks_sched_preemptions_total", &[])
-                .inc();
-            let ctx = self.sp_ctx(sp);
-            self.telemetry
-                .trace_event_in(now, ctx, "sched", "preempt", &[("sp", &sp.to_string())]);
-            // Same span bookkeeping as a requeue: end whatever child span
-            // the evicted attempt left open, open a fresh schedule span
-            // for the next Algorithm 1 pass.
-            if self.sp_trace.contains_key(&sp) {
-                let sched_span = self
-                    .telemetry
-                    .span_begin_in(now, ctx, "sched", "schedule", &[]);
-                let tr = self.sp_trace.get_mut(&sp).expect("just checked");
-                let old_sched = std::mem::replace(&mut tr.sched_span, sched_span);
-                let vgpu_span = std::mem::replace(&mut tr.vgpu_span, SpanId::NONE);
-                let pod_span = std::mem::replace(&mut tr.pod_span, SpanId::NONE);
-                self.telemetry.span_end(now, old_sched, &[]);
-                self.telemetry.span_end(now, vgpu_span, &[]);
-                self.telemetry.span_end(now, pod_span, &[]);
-            }
-        }
-
+        self.note_eviction(now, sp, "ks_sched_preemptions_total", "preempt");
         // Tear the backing pod down last: the deletion runs through the
         // cluster asynchronously, and the sharePod's state must already
         // be reset when any synchronous notice comes back.
-        if let Some(pod) = pod {
-            self.preempted_pods.insert(pod);
-            let mut cluster_out = Vec::new();
-            let mut cluster_notes = Vec::new();
-            self.cluster
-                .delete_pod(now, pod, &mut cluster_out, &mut cluster_notes);
-            lift(cluster_out, out);
-            self.process_cluster_notices(now, cluster_notes, out, notices);
-        }
+        self.evict_pod(now, pod, out, notices);
         self.record_gauges();
         true
+    }
+
+    // ---- sharePod eviction ----
+    //
+    // Every path that takes a sharePod off a vGPU composes these helpers;
+    // DESIGN.md §17 tabulates the entry points.
+
+    /// Takes `sp` off vGPU `gpuid`: drops it from the waiters and, if
+    /// attached, stops its container (when the device is ready on a live
+    /// node) and detaches it. With `idle_policy` the device stays and an
+    /// idle one goes through the pool policy; else its fate is the caller's.
+    fn vacate(
+        &mut self,
+        now: SimTime,
+        sp: Uid,
+        gpuid: &GpuId,
+        idle_policy: bool,
+        out: &mut KsEmit,
+        notices: &mut Vec<KsNotice>,
+    ) {
+        if let Some(w) = self.waiting.get_mut(gpuid) {
+            w.retain(|&u| u != sp);
+            if w.is_empty() {
+                self.waiting.remove(gpuid);
+            }
+        }
+        let Some(device) = self.pool.get(gpuid) else {
+            notices.push(KsNotice::Fault {
+                error: SystemError::MissingVgpu {
+                    gpuid: gpuid.clone(),
+                },
+            });
+            return;
+        };
+        if !device.attached.contains_key(&sp) {
+            return;
+        }
+        if let (Some(node), Some(uuid)) = (&device.node, &device.uuid) {
+            if self.cluster.node_up(node) == Some(true) {
+                notices.push(KsNotice::SharePodStopped {
+                    sp,
+                    gpuid: gpuid.clone(),
+                    node: node.clone(),
+                    uuid: uuid.clone(),
+                });
+            }
+        }
+        if self.pool.detach(gpuid, sp) && idle_policy {
+            self.apply_pool_policy(now, gpuid, out, notices);
+        }
+    }
+
+    /// Vacates every sharePod on `gpuid` — its attached tenants in uid
+    /// order, then any waiter not attached — and returns them, each once.
+    /// The device's fate is the caller's: no idle policy runs.
+    fn displace_all(
+        &mut self,
+        now: SimTime,
+        gpuid: &GpuId,
+        out: &mut KsEmit,
+        notices: &mut Vec<KsNotice>,
+    ) -> Vec<Uid> {
+        let mut tenants: Vec<Uid> = self
+            .pool
+            .get(gpuid)
+            .map(|d| d.attached.keys().copied().collect())
+            .unwrap_or_default();
+        for &sp in self.waiting.get(gpuid).into_iter().flatten() {
+            if !tenants.contains(&sp) {
+                tenants.push(sp);
+            }
+        }
+        for &sp in &tenants {
+            self.vacate(now, sp, gpuid, false, out, notices);
+        }
+        tenants
+    }
+
+    /// Deletes an evicted sharePod's backing pod, unless the pod is already
+    /// gone; the sharePod was already requeued or reset, so the pod's
+    /// deletion notice is swallowed.
+    fn evict_pod(
+        &mut self,
+        now: SimTime,
+        pod: Option<Uid>,
+        out: &mut KsEmit,
+        notices: &mut Vec<KsNotice>,
+    ) {
+        if let Some(pod) = pod.filter(|p| self.pod_sp.contains_key(p)) {
+            self.preempted_pods.insert(pod);
+            self.cluster_call(now, out, notices, |c, o, n| c.delete_pod(now, pod, o, n));
+        }
+    }
+
+    /// Pushes a sharePod back to `Pending` (clearing any binding) and
+    /// schedules a fresh Algorithm 1 pass, unless it already terminated.
+    /// Returns the backing pod it lost.
+    fn requeue_sharepod(
+        &mut self,
+        now: SimTime,
+        sp: Uid,
+        out: &mut KsEmit,
+        notices: &mut Vec<KsNotice>,
+    ) -> Option<Uid> {
+        self.requeue_sharepod_at(now, sp, now + self.cfg.sched_latency, out, notices)
+    }
+
+    /// [`KubeShareSystem::requeue_sharepod`] with an explicit decision
+    /// time: partition reconfiguration re-decides its displaced tenants
+    /// only once the new layout is active, so they do not stampede onto
+    /// fresh physical GPUs while the capacity they need is mid-reshape.
+    fn requeue_sharepod_at(
+        &mut self,
+        now: SimTime,
+        sp: Uid,
+        decide_at: SimTime,
+        out: &mut KsEmit,
+        notices: &mut Vec<KsNotice>,
+    ) -> Option<Uid> {
+        let phase = self.sharepods.get(sp)?.status.phase;
+        if matches!(phase, SharePodPhase::Terminated | SharePodPhase::Rejected) {
+            return None;
+        }
+        let (gpuid, pod) = self.reset_pending(sp, "requeued after failure");
+        notices.push(KsNotice::SharePodRequeued { sp, gpuid });
+        self.note_eviction(now, sp, "ks_sched_requeues_total", "requeue");
+        out.push((decide_at, KsEvent::SchedDecide { sp }));
+        pod
+    }
+
+    /// Moves a sharePod to `Pending` with its binding cleared; returns the
+    /// vGPU and backing pod it lost.
+    fn reset_pending(&mut self, sp: Uid, message: &str) -> (Option<GpuId>, Option<Uid>) {
+        let lost = self
+            .sharepods
+            .get(sp)
+            .map(|s| (s.status.bound_gpuid.clone(), s.status.pod_uid))
+            .unwrap_or_default();
+        self.transition_sp(sp, SharePodPhase::Pending, |s| {
+            s.status.bound_gpuid = None;
+            s.status.pod_uid = None;
+            s.status.message = Some(message.into());
+        });
+        lost
+    }
+
+    /// Counts and traces a requeue or preemption, then restarts the
+    /// sharePod's schedule span for its next Algorithm 1 pass.
+    fn note_eviction(&mut self, now: SimTime, sp: Uid, counter: &'static str, event: &'static str) {
+        if !self.telemetry.is_enabled() {
+            return;
+        }
+        self.telemetry.counter(counter, &[]).inc();
+        let ctx = self.sp_ctx(sp);
+        self.telemetry
+            .trace_event_in(now, ctx, "sched", event, &[("sp", &sp.to_string())]);
+        self.restart_sched_span(now, sp);
+    }
+
+    /// Opens a fresh `schedule` span for the sharePod's next Algorithm 1
+    /// pass, then ends the schedule, vGPU and pod spans its previous
+    /// attempt left open.
+    fn restart_sched_span(&mut self, now: SimTime, sp: Uid) {
+        let Some(tr) = self.sp_trace.get_mut(&sp) else {
+            return;
+        };
+        let old = *tr;
+        tr.sched_span = self
+            .telemetry
+            .span_begin_in(now, tr.ctx, "sched", "schedule", &[]);
+        (tr.vgpu_span, tr.pod_span) = (SpanId::NONE, SpanId::NONE);
+        for span in [old.sched_span, old.vgpu_span, old.pod_span] {
+            self.telemetry.span_end(now, span, &[]);
+        }
+    }
+
+    /// Ends a sharePod — `Rejected` with the `failure` reason if its
+    /// container failed, else `Terminated` — closes its trace on
+    /// `outcome`, and vacates its vGPU, which stays under the idle policy.
+    fn finish_sharepod(
+        &mut self,
+        now: SimTime,
+        sp: Uid,
+        outcome: &'static str,
+        failure: Option<&str>,
+        out: &mut KsEmit,
+        notices: &mut Vec<KsNotice>,
+    ) {
+        let gpuid = self
+            .sharepods
+            .get(sp)
+            .and_then(|s| s.status.bound_gpuid.clone());
+        match failure {
+            Some(reason) => self.transition_sp(sp, SharePodPhase::Rejected, |s| {
+                s.status.message = Some(reason.into());
+            }),
+            None => self.transition_sp(sp, SharePodPhase::Terminated, |_| {}),
+        }
+        self.close_sp_trace(now, sp, outcome);
+        match gpuid {
+            Some(gpuid) => self.vacate(now, sp, &gpuid, true, out, notices),
+            None => notices.push(KsNotice::Fault {
+                error: SystemError::UnboundSharePod { sp },
+            }),
+        }
     }
 
     // ---- KubeShare-Sched ----
@@ -1416,16 +1373,12 @@ impl KubeShareSystem {
     /// sharePods are never collected. Returns whether an object was
     /// removed.
     pub fn gc_sharepod(&mut self, sp: Uid) -> bool {
-        let terminal = self
-            .sharepods
-            .get(sp)
-            .map(|s| {
-                matches!(
-                    s.status.phase,
-                    SharePodPhase::Terminated | SharePodPhase::Rejected
-                )
-            })
-            .unwrap_or(false);
+        let terminal = self.sharepods.get(sp).is_some_and(|s| {
+            matches!(
+                s.status.phase,
+                SharePodPhase::Terminated | SharePodPhase::Rejected
+            )
+        });
         if !terminal {
             return false;
         }
@@ -1449,8 +1402,7 @@ impl KubeShareSystem {
             d.attached.keys().any(|&uid| {
                 self.sharepods
                     .get(uid)
-                    .map(|s| s.spec.priority < priority)
-                    .unwrap_or(false)
+                    .is_some_and(|s| s.spec.priority < priority)
             })
         })
     }
@@ -1486,8 +1438,7 @@ impl KubeShareSystem {
                         // the demand's covering profile must have a legal
                         // start in the current layout.
                         Profile::smallest_covering(spec.share.request.max(spec.share.mem))
-                            .map(|p| table.can_place(p))
-                            .unwrap_or(false)
+                            .is_some_and(|p| table.can_place(p))
                     } else {
                         d.fits(req.need())
                     };
@@ -1662,11 +1613,7 @@ impl KubeShareSystem {
     /// picked by the *device's* substrate, so an explicit-GPUID pin to a
     /// partitioned device gets a slice regardless of the spec's substrate.
     fn bind(&mut self, now: SimTime, sp: Uid, spec: &SharePodSpec, gpuid: GpuId, out: &mut KsEmit) {
-        let is_spatial = self
-            .pool
-            .get(&gpuid)
-            .map(|d| d.is_spatial())
-            .unwrap_or(false);
+        let is_spatial = self.pool.get(&gpuid).is_some_and(|d| d.is_spatial());
         if is_spatial {
             let demand = spec.share.request.max(spec.share.mem);
             let bound = Profile::smallest_covering(demand).and_then(|profile| {
@@ -1704,11 +1651,7 @@ impl KubeShareSystem {
                 spec.locality.exclusion.as_deref(),
             );
         }
-        let ready = self
-            .pool
-            .get(&gpuid)
-            .map(|d| d.uuid.is_some())
-            .unwrap_or(false);
+        let ready = self.pool.get(&gpuid).is_some_and(|d| d.uuid.is_some());
         let next = if ready {
             SharePodPhase::Starting
         } else {
@@ -1718,36 +1661,35 @@ impl KubeShareSystem {
             s.status.bound_gpuid = Some(gpuid.clone());
         });
         if ready {
-            self.open_pod_span(now, sp, &gpuid);
-            out.push((now + self.cfg.vgpu_query_latency, KsEvent::CreatePod { sp }));
+            self.order_pod(now, sp, &gpuid, out);
         } else {
-            if self.sp_trace.contains_key(&sp) {
-                let ctx = self.sp_ctx(sp);
-                let span = self.telemetry.span_begin_in(
+            if let Some(tr) = self.sp_trace.get_mut(&sp) {
+                tr.vgpu_span = self.telemetry.span_begin_in(
                     now,
-                    ctx,
+                    tr.ctx,
                     "devmgr",
                     "vgpu_create",
                     &[("gpuid", gpuid.as_str())],
                 );
-                self.sp_trace.get_mut(&sp).expect("just checked").vgpu_span = span;
             }
             self.waiting.entry(gpuid).or_default().push(sp);
         }
     }
 
-    /// Opens the pod-creation child span (Starting → Running).
-    fn open_pod_span(&mut self, now: SimTime, sp: Uid, gpuid: &GpuId) {
-        if self.sp_trace.contains_key(&sp) {
-            let ctx = self.sp_ctx(sp);
-            let span = self.telemetry.span_begin_in(
+    /// Orders a `Starting` sharePod's backing pod after DevMgr's vGPU
+    /// query and opens the pod-creation child span (Starting → Running).
+    fn order_pod(&mut self, now: SimTime, sp: Uid, gpuid: &GpuId, out: &mut KsEmit) {
+        let due = now + self.cfg.vgpu_query_latency;
+        self.pod_due.insert(sp, due);
+        out.push((due, KsEvent::CreatePod { sp }));
+        if let Some(tr) = self.sp_trace.get_mut(&sp) {
+            tr.pod_span = self.telemetry.span_begin_in(
                 now,
-                ctx,
+                tr.ctx,
                 "cluster",
                 "pod_create",
                 &[("gpuid", gpuid.as_str())],
             );
-            self.sp_trace.get_mut(&sp).expect("just checked").pod_span = span;
         }
     }
 
@@ -1768,20 +1710,19 @@ impl KubeShareSystem {
         out: &mut KsEmit,
         notices: &mut Vec<KsNotice>,
     ) {
-        let mut tenants = match self.pool.begin_partition_drain(&gpuid) {
-            Ok(t) => t,
-            Err(_) => {
-                // The table left `Active` between decide and apply (a
-                // concurrent reconfiguration); park the sharePod for a
-                // fresh pass against the settled pool.
-                self.sharepods.mutate(sp, |s| {
-                    s.status.message = Some("partition busy; re-deciding".into());
-                });
-                out.push((now + self.cfg.sched_latency, KsEvent::SchedDecide { sp }));
-                return;
-            }
-        };
-        tenants.sort();
+        if self.pool.begin_partition_drain(&gpuid).is_err() {
+            // The table left `Active` between decide and apply (a
+            // concurrent reconfiguration); park the sharePod for a fresh
+            // pass against the settled pool.
+            self.sharepods.mutate(sp, |s| {
+                s.status.message = Some("partition busy; re-deciding".into());
+            });
+            out.push((now + self.cfg.sched_latency, KsEvent::SchedDecide { sp }));
+            return;
+        }
+        // Tenants are stopped and detached exactly as in a vGPU drain, but
+        // the device stays for the reshape: no idle policy runs.
+        let displaced = self.displace_all(now, &gpuid, out, notices);
         // Reconfigure provenance: which device is being reshaped, on whose
         // behalf, and who gets displaced for it.
         let reconfig_ctx = self.sp_ctx(sp);
@@ -1796,7 +1737,7 @@ impl KubeShareSystem {
                 },
             );
             rec.fields
-                .push(("displaced".into(), tenants.len().to_string()));
+                .push(("displaced".into(), displaced.len().to_string()));
             self.recorder.record(rec);
         }
         self.logger.log(
@@ -1807,7 +1748,7 @@ impl KubeShareSystem {
             || {
                 format!(
                     "sharePod {sp}: reconfiguring {gpuid} (displacing {} tenants)",
-                    tenants.len()
+                    displaced.len()
                 )
             },
             || {
@@ -1829,45 +1770,15 @@ impl KubeShareSystem {
                 "reconfig",
                 &[
                     ("gpuid", gpuid.as_str()),
-                    ("displaced", &tenants.len().to_string()),
+                    ("displaced", &displaced.len().to_string()),
                 ],
             )
         } else {
             SpanId::NONE
         };
-        let (node, uuid) = self
-            .pool
-            .get(&gpuid)
-            .map(|d| (d.node.clone(), d.uuid.clone()))
-            .unwrap_or((None, None));
-        let mut displaced = tenants.clone();
-        for w in self.waiting.remove(&gpuid).unwrap_or_default() {
-            if !displaced.contains(&w) {
-                displaced.push(w);
-            }
-        }
-        for &t in &tenants {
-            if let (Some(node), Some(uuid)) = (node.clone(), uuid.clone()) {
-                notices.push(KsNotice::SharePodStopped {
-                    sp: t,
-                    gpuid: gpuid.clone(),
-                    node,
-                    uuid,
-                });
-            }
-            self.pool.detach(&gpuid, t);
-            // Backing-pod teardown mirrors preemption: the eventual
-            // deletion notice must not terminate the requeued sharePod.
+        for &t in &displaced {
             let pod = self.sharepods.get(t).and_then(|s| s.status.pod_uid);
-            if let Some(pod) = pod {
-                self.preempted_pods.insert(pod);
-                let mut cluster_out = Vec::new();
-                let mut cluster_notes = Vec::new();
-                self.cluster
-                    .delete_pod(now, pod, &mut cluster_out, &mut cluster_notes);
-                lift(cluster_out, out);
-                self.process_cluster_notices(now, cluster_notes, out, notices);
-            }
+            self.evict_pod(now, pod, out, notices);
         }
         let until = self
             .pool
@@ -1886,13 +1797,7 @@ impl KubeShareSystem {
         self.sharepods.mutate(sp, |s| {
             s.status.message = Some("awaiting partition reconfiguration".into());
         });
-        if self.telemetry.is_enabled() && self.sp_trace.contains_key(&sp) {
-            let ctx = self.sp_ctx(sp);
-            let sched_span = self
-                .telemetry
-                .span_begin_in(now, ctx, "sched", "schedule", &[]);
-            self.sp_trace.get_mut(&sp).expect("just checked").sched_span = sched_span;
-        }
+        self.restart_sched_span(now, sp);
         out.push((decide_at, KsEvent::SchedDecide { sp }));
         self.record_gauges();
     }
@@ -1951,11 +1856,7 @@ impl KubeShareSystem {
         }
         // An injected launch fault (image pull error, plugin hiccup, …)
         // consumes the attempt before any pod reaches the cluster.
-        let injected_fail = self
-            .chaos
-            .as_mut()
-            .map(|c| c.anchor_launch_fails())
-            .unwrap_or(false);
+        let injected_fail = self.chaos.as_mut().is_some_and(|c| c.anchor_launch_fails());
         if injected_fail {
             self.on_anchor_launch_failed(now, gpuid.clone(), out, notices);
             return;
@@ -1967,11 +1868,10 @@ impl KubeShareSystem {
             ResourceList::cpu_mem(0, 0).with_extended(NVIDIA_GPU, 1),
         );
         spec.node_name = node_name;
-        let mut cluster_out = Vec::new();
-        let pod = self
-            .cluster
-            .submit_pod(now, format!("anchor-{gpuid}"), spec, &mut cluster_out);
-        lift(cluster_out, out);
+        let pod = lifted(out, |o| {
+            self.cluster
+                .submit_pod(now, format!("anchor-{gpuid}"), spec, o)
+        });
         if let Some(ctx) = self.anchor_ctx.get(gpuid) {
             self.cluster.set_pod_trace(pod, *ctx);
         }
@@ -2050,8 +1950,7 @@ impl KubeShareSystem {
         let still_creating = self
             .pool
             .get(&gpuid)
-            .map(|d| d.uuid.is_none() && !d.releasing)
-            .unwrap_or(false);
+            .is_some_and(|d| d.uuid.is_none() && !d.releasing);
         if !still_creating || self.vgpu_anchor.contains_key(&gpuid) {
             return;
         }
@@ -2069,38 +1968,15 @@ impl KubeShareSystem {
         out: &mut KsEmit,
         notices: &mut Vec<KsNotice>,
     ) {
-        let mut displaced: Vec<Uid> = self
-            .pool
-            .get(gpuid)
-            .map(|d| d.attached.keys().copied().collect())
-            .unwrap_or_default();
-        for sp in &displaced {
-            self.pool.detach(gpuid, *sp);
-        }
-        for sp in self.waiting.remove(gpuid).unwrap_or_default() {
-            if !displaced.contains(&sp) {
-                displaced.push(sp);
-            }
-        }
-        if let Some(anchor) = self.vgpu_anchor.remove(gpuid) {
-            self.anchor_vgpu.remove(&anchor);
-        }
-        self.anchor_retry.remove(gpuid);
-        self.anchor_ctx.remove(gpuid);
-        self.pool.remove(gpuid);
-        self.note_vgpu_churn(now, "vgpu_lost", gpuid);
-        notices.push(KsNotice::VgpuLost {
-            gpuid: gpuid.clone(),
-            reason: reason.into(),
-        });
+        let displaced = self.displace_all(now, gpuid, out, notices);
+        self.forget_vgpu(now, gpuid, Some(reason), notices);
         for sp in displaced {
             // A sharePod that explicitly pinned this GPUID would just
             // re-create the same doomed vGPU; reject it instead.
             let pinned = self
                 .sharepods
                 .get(sp)
-                .map(|s| s.spec.gpuid.as_ref() == Some(gpuid))
-                .unwrap_or(false);
+                .is_some_and(|s| s.spec.gpuid.as_ref() == Some(gpuid));
             if pinned {
                 self.transition_sp(sp, SharePodPhase::Rejected, |s| {
                     s.status.bound_gpuid = None;
@@ -2124,6 +2000,12 @@ impl KubeShareSystem {
         out: &mut KsEmit,
         notices: &mut Vec<KsNotice>,
     ) {
+        // An order from an earlier binding (the sharePod was evicted and
+        // bound again before it fired) is stale: only the latest counts.
+        if self.pod_due.get(&sp) != Some(&now) {
+            return;
+        }
+        self.pod_due.remove(&sp);
         let Some(sharepod) = self.sharepods.get(sp) else {
             return;
         };
@@ -2179,11 +2061,10 @@ impl KubeShareSystem {
         );
 
         let name = sharepod.meta.name.clone();
-        let mut cluster_out = Vec::new();
-        let pod = self
-            .cluster
-            .submit_pod(now, format!("{name}-pod"), pod_spec, &mut cluster_out);
-        lift(cluster_out, out);
+        let pod = lifted(out, |o| {
+            self.cluster
+                .submit_pod(now, format!("{name}-pod"), pod_spec, o)
+        });
         let ctx = self.sp_ctx(sp);
         if !ctx.is_none() {
             self.cluster.set_pod_trace(pod, ctx);
@@ -2237,15 +2118,50 @@ impl KubeShareSystem {
         // otherwise a sharePod could bind during the anchor's termination
         // window and the GPU would vanish under it.
         self.pool.mark_releasing(gpuid);
-        // A creating vGPU whose tenants all left: its anchor may not even
-        // be running yet; delete it regardless — the cluster handles both.
-        if let Some(&anchor) = self.vgpu_anchor.get(gpuid) {
-            let mut cluster_out = Vec::new();
-            let mut cluster_notes = Vec::new();
-            self.cluster
-                .delete_pod(now, anchor, &mut cluster_out, &mut cluster_notes);
-            lift(cluster_out, out);
-            self.process_cluster_notices(now, cluster_notes, out, notices);
+        match self.vgpu_anchor.get(gpuid) {
+            // A creating vGPU whose tenants all left: its anchor may not
+            // even be running yet; delete it regardless — the cluster
+            // handles both, and its PodDeleted notice forgets the vGPU.
+            Some(&anchor) => {
+                self.cluster_call(now, out, notices, |c, o, n| c.delete_pod(now, anchor, o, n));
+            }
+            // Backing off between anchor launches: no pod exists, so no
+            // deletion notice will ever come. Forget the vGPU now.
+            None => self.forget_vgpu(now, gpuid, None, notices),
+        }
+    }
+
+    /// Drops a vGPU DevMgr no longer backs: the pool entry and all anchor
+    /// bookkeeping go, the churn is counted, and the embedding world hears
+    /// [`KsNotice::VgpuLost`] when a failure (`lost`) took it or
+    /// [`KsNotice::VgpuReleased`] when it was handed back. Its tenants
+    /// must already be displaced.
+    fn forget_vgpu(
+        &mut self,
+        now: SimTime,
+        gpuid: &GpuId,
+        lost: Option<&str>,
+        notices: &mut Vec<KsNotice>,
+    ) {
+        if let Some(anchor) = self.vgpu_anchor.remove(gpuid) {
+            self.anchor_vgpu.remove(&anchor);
+        }
+        self.anchor_retry.remove(gpuid);
+        self.anchor_ctx.remove(gpuid);
+        self.pool.remove(gpuid);
+        let gpuid = gpuid.clone();
+        match lost {
+            Some(reason) => {
+                self.note_vgpu_churn(now, "vgpu_lost", &gpuid);
+                notices.push(KsNotice::VgpuLost {
+                    gpuid,
+                    reason: reason.into(),
+                });
+            }
+            None => {
+                self.note_vgpu_churn(now, "vgpu_released", &gpuid);
+                notices.push(KsNotice::VgpuReleased { gpuid });
+            }
         }
     }
 
@@ -2264,24 +2180,20 @@ impl KubeShareSystem {
                     if let Some(gpuid) = self.anchor_vgpu.get(pod).cloned() {
                         self.on_anchor_running(now, *pod, gpuid, out, notices);
                     } else if let Some(&sp) = self.pod_sp.get(pod) {
-                        self.on_sharepod_pod_running(now, sp, notices);
+                        self.on_sharepod_pod_running(now, sp, *pod, notices);
                     } else {
                         notices.push(KsNotice::Cluster(note));
                     }
                 }
                 ClusterNotice::PodDeleted { pod } => {
                     if let Some(gpuid) = self.anchor_vgpu.remove(pod) {
-                        self.vgpu_anchor.remove(&gpuid);
-                        self.anchor_ctx.remove(&gpuid);
-                        self.pool.remove(&gpuid);
-                        self.note_vgpu_churn(now, "vgpu_released", &gpuid);
-                        notices.push(KsNotice::VgpuReleased { gpuid });
+                        self.forget_vgpu(now, &gpuid, None, notices);
                     } else if let Some(sp) = self.pod_sp.remove(pod) {
                         // A preempted pod's sharePod was reset to `Pending`
                         // and detached when the eviction ran; its deletion
                         // notice is old news and must not terminate it.
                         if !self.preempted_pods.remove(pod) {
-                            self.on_sharepod_pod_deleted(now, sp, out, notices);
+                            self.finish_sharepod(now, sp, "stopped", None, out, notices);
                         }
                     } else {
                         notices.push(KsNotice::Cluster(note));
@@ -2309,67 +2221,17 @@ impl KubeShareSystem {
                                 .get(sp)
                                 .and_then(|s| s.status.bound_gpuid.clone())
                             {
-                                if let Some(device) = self.pool.get(&gpuid) {
-                                    if let (Some(node), Some(uuid)) =
-                                        (device.node.clone(), device.uuid.clone())
-                                    {
-                                        notices.push(KsNotice::SharePodStopped {
-                                            sp,
-                                            gpuid: gpuid.clone(),
-                                            node,
-                                            uuid,
-                                        });
-                                    }
-                                    let became_idle = self.pool.detach(&gpuid, sp);
-                                    if became_idle {
-                                        self.apply_pool_policy(now, &gpuid, out, notices);
-                                    }
-                                } else {
-                                    notices.push(KsNotice::Fault {
-                                        error: SystemError::MissingVgpu { gpuid },
-                                    });
-                                }
+                                self.vacate(now, sp, &gpuid, true, out, notices);
                             }
                             self.requeue_sharepod(now, sp, out, notices);
-                            continue;
-                        }
-                        self.transition_sp(sp, SharePodPhase::Rejected, |s| {
-                            s.status.message = Some(reason.clone());
-                        });
-                        self.close_sp_trace(now, sp, "failed");
-                        notices.push(KsNotice::SharePodRejected {
-                            sp,
-                            reason: reason.clone(),
-                        });
-                        // The crashed container's demand returns to the
-                        // vGPU; without this, its capacity would leak.
-                        if let Some(gpuid) = self
-                            .sharepods
-                            .get(sp)
-                            .and_then(|s| s.status.bound_gpuid.clone())
-                        {
-                            let Some(device) = self.pool.get(&gpuid) else {
-                                // The vGPU died first (node failure raced
-                                // the crash); nothing left to return to.
-                                notices.push(KsNotice::Fault {
-                                    error: SystemError::MissingVgpu { gpuid },
-                                });
-                                continue;
-                            };
-                            if let (Some(node), Some(uuid)) =
-                                (device.node.clone(), device.uuid.clone())
-                            {
-                                notices.push(KsNotice::SharePodStopped {
-                                    sp,
-                                    gpuid: gpuid.clone(),
-                                    node,
-                                    uuid,
-                                });
-                            }
-                            let became_idle = self.pool.detach(&gpuid, sp);
-                            if became_idle {
-                                self.apply_pool_policy(now, &gpuid, out, notices);
-                            }
+                        } else {
+                            // Batch semantics: the sharePod fails, and its
+                            // demand still returns to the vGPU.
+                            notices.push(KsNotice::SharePodRejected {
+                                sp,
+                                reason: reason.clone(),
+                            });
+                            self.finish_sharepod(now, sp, "failed", Some(reason), out, notices);
                         }
                     } else {
                         notices.push(KsNotice::Cluster(note));
@@ -2432,8 +2294,7 @@ impl KubeShareSystem {
             if self
                 .sharepods
                 .get(sp)
-                .map(|s| s.status.phase == SharePodPhase::AwaitingVgpu)
-                .unwrap_or(false)
+                .is_some_and(|s| s.status.phase == SharePodPhase::AwaitingVgpu)
             {
                 self.transition_sp(sp, SharePodPhase::Starting, |_| {});
                 // The vGPU-creation wait ends; the pod-creation span opens.
@@ -2442,16 +2303,26 @@ impl KubeShareSystem {
                     self.telemetry
                         .span_end(now, span, &[("uuid", &uuid_for_spans)]);
                 }
-                self.open_pod_span(now, sp, &gpuid);
-                out.push((now + self.cfg.vgpu_query_latency, KsEvent::CreatePod { sp }));
+                self.order_pod(now, sp, &gpuid, out);
             }
         }
     }
 
-    fn on_sharepod_pod_running(&mut self, now: SimTime, sp: Uid, notices: &mut Vec<KsNotice>) {
+    fn on_sharepod_pod_running(
+        &mut self,
+        now: SimTime,
+        sp: Uid,
+        pod: Uid,
+        notices: &mut Vec<KsNotice>,
+    ) {
+        // A pod being torn down by an eviction can still start; the
+        // sharePod has moved on from it.
         let Some(sharepod) = self.sharepods.get(sp) else {
             return;
         };
+        if sharepod.status.pod_uid != Some(pod) {
+            return;
+        }
         let Some(gpuid) = sharepod.status.bound_gpuid.clone() else {
             notices.push(KsNotice::Fault {
                 error: SystemError::UnboundSharePod { sp },
@@ -2500,53 +2371,32 @@ impl KubeShareSystem {
         }
     }
 
-    fn on_sharepod_pod_deleted(
+    /// Runs one cluster operation that may report notices: its events are
+    /// lifted into `out` and its notices reconciled at once.
+    fn cluster_call<R>(
         &mut self,
         now: SimTime,
-        sp: Uid,
         out: &mut KsEmit,
         notices: &mut Vec<KsNotice>,
-    ) {
-        let Some(sharepod) = self.sharepods.get(sp) else {
-            return;
-        };
-        let Some(gpuid) = sharepod.status.bound_gpuid.clone() else {
-            self.transition_sp(sp, SharePodPhase::Terminated, |_| {});
-            self.close_sp_trace(now, sp, "stopped");
-            notices.push(KsNotice::Fault {
-                error: SystemError::UnboundSharePod { sp },
-            });
-            return;
-        };
-        let Some(device) = self.pool.get(&gpuid) else {
-            self.transition_sp(sp, SharePodPhase::Terminated, |_| {});
-            self.close_sp_trace(now, sp, "stopped");
-            notices.push(KsNotice::Fault {
-                error: SystemError::MissingVgpu { gpuid },
-            });
-            return;
-        };
-        let node = device.node.clone().unwrap_or_default();
-        let uuid = device.uuid.clone().unwrap_or_default();
-        self.transition_sp(sp, SharePodPhase::Terminated, |_| {});
-        self.close_sp_trace(now, sp, "stopped");
-        notices.push(KsNotice::SharePodStopped {
-            sp,
-            gpuid: gpuid.clone(),
-            node,
-            uuid,
-        });
-        let became_idle = self.pool.detach(&gpuid, sp);
-        if became_idle {
-            self.apply_pool_policy(now, &gpuid, out, notices);
-        }
+        op: impl FnOnce(&mut ClusterSim, &mut ClusterEmit, &mut Vec<ClusterNotice>) -> R,
+    ) -> R {
+        let mut cluster_notes = Vec::new();
+        let r = lifted(out, |o| op(&mut self.cluster, o, &mut cluster_notes));
+        self.process_cluster_notices(now, cluster_notes, out, notices);
+        r
     }
 }
 
-fn lift(cluster_out: ks_cluster::sim::ClusterEmit, out: &mut KsEmit) {
-    for (at, ev) in cluster_out {
-        out.push((at, KsEvent::Cluster(ev)));
-    }
+/// Runs one cluster operation, lifting the events it emits into `out`.
+fn lifted<R>(out: &mut KsEmit, op: impl FnOnce(&mut ClusterEmit) -> R) -> R {
+    let mut cluster_out = Vec::new();
+    let r = op(&mut cluster_out);
+    out.extend(
+        cluster_out
+            .into_iter()
+            .map(|(at, ev)| (at, KsEvent::Cluster(ev))),
+    );
+    r
 }
 
 #[cfg(test)]
@@ -3675,5 +3525,165 @@ mod tests {
             eng.world.ks.sharepod(b).unwrap().status.phase,
             SharePodPhase::Running
         );
+    }
+
+    #[test]
+    fn vgpu_released_during_anchor_backoff_is_forgotten() {
+        use ks_chaos::{ChaosConfig, ChaosInjector};
+        let mut eng = Engine::new(World {
+            ks: KubeShareSystem::new(
+                cluster_cfg(1, 1),
+                KsConfig {
+                    anchor_max_retries: 10,
+                    ..KsConfig::default()
+                },
+            ),
+            notices: Vec::new(),
+        });
+        let cfg = ChaosConfig {
+            anchor_failure_rate: 1.0,
+            ..ChaosConfig::disabled()
+        };
+        eng.world.ks.set_chaos(ChaosInjector::new(cfg, 1));
+        let sp = submit(&mut eng, "a", sp_spec(0.5, 1.0, 0.5));
+        // The decision at 90 ms creates the vGPU; its first anchor launch
+        // fails, so at 200 ms it backs off with no anchor pod alive.
+        let at = SimTime::from_millis(200);
+        eng.run_until(at);
+        let s = eng.world.ks.sharepod(sp).unwrap();
+        assert_eq!(s.status.phase, SharePodPhase::AwaitingVgpu);
+        let gpuid = s.status.bound_gpuid.clone().unwrap();
+        let mut out = Vec::new();
+        let mut notes = Vec::new();
+        eng.world.ks.delete_sharepod(at, sp, &mut out, &mut notes);
+        for n in notes {
+            eng.world.notices.push((at, n));
+        }
+        seed(&mut eng, out);
+        eng.run_to_completion(50_000);
+        assert_eq!(
+            eng.world.ks.sharepod(sp).unwrap().status.phase,
+            SharePodPhase::Terminated
+        );
+        assert!(
+            eng.world.ks.pool().is_empty(),
+            "released vGPU leaked: {:?}",
+            eng.world.ks.pool().get(&gpuid)
+        );
+        assert!(eng
+            .world
+            .notices
+            .iter()
+            .any(|(_, n)| matches!(n, KsNotice::VgpuReleased { gpuid: g } if *g == gpuid)));
+        eng.world.ks.pool().verify_indexes().unwrap();
+    }
+
+    #[test]
+    fn drain_vgpu_requeues_an_awaiting_tenant_once() {
+        let mut eng = engine(1, 1);
+        let telemetry = ks_telemetry::Telemetry::enabled();
+        eng.world.ks.set_telemetry(telemetry.clone());
+        submit(&mut eng, "a", sp_spec(0.8, 1.0, 0.8));
+        eng.run_to_completion(10_000);
+        // b needs a second vGPU whose anchor cannot schedule: b is both
+        // attached to the Creating vGPU and parked in its waiters.
+        let b = submit(&mut eng, "b", sp_spec(0.8, 1.0, 0.8));
+        eng.run_to_completion(10_000);
+        let s = eng.world.ks.sharepod(b).unwrap();
+        assert_eq!(s.status.phase, SharePodPhase::AwaitingVgpu);
+        let gpuid = s.status.bound_gpuid.clone().unwrap();
+
+        let now = eng.now();
+        let mut out = Vec::new();
+        let mut notes = Vec::new();
+        let displaced = eng.world.ks.drain_vgpu(now, &gpuid, &mut out, &mut notes);
+        assert_eq!(displaced, 1);
+        let decides = out
+            .iter()
+            .filter(|(_, e)| *e == KsEvent::SchedDecide { sp: b })
+            .count();
+        assert_eq!(decides, 1);
+        let requeued = notes
+            .iter()
+            .filter(|n| matches!(n, KsNotice::SharePodRequeued { sp, .. } if *sp == b))
+            .count();
+        assert_eq!(requeued, 1);
+        assert_eq!(
+            telemetry
+                .snapshot()
+                .counter_value("ks_sched_requeues_total", &[]),
+            Some(1)
+        );
+        seed(&mut eng, out);
+        eng.run_to_completion(20_000);
+        eng.world.ks.pool().verify_indexes().unwrap();
+        eng.world.ks.verify_sp_tally().unwrap();
+    }
+
+    #[test]
+    fn node_failure_mid_anchor_start_relaunches_the_anchor() {
+        let mut eng = engine(2, 1);
+        let sp = submit(&mut eng, "a", sp_spec(0.5, 1.0, 0.5));
+        // Step until the anchor is bound to a node but not yet running.
+        let node = loop {
+            assert!(eng.step(), "anchor never scheduled");
+            let scheduled = eng.world.ks.cluster.pods().iter().find_map(|(_, p)| {
+                (p.meta.name.starts_with("anchor-")
+                    && p.status.phase == ks_cluster::PodPhase::Scheduled)
+                    .then(|| p.status.node_name.clone().unwrap())
+            });
+            if let Some(node) = scheduled {
+                break node;
+            }
+        };
+        let now = eng.now();
+        let mut out = Vec::new();
+        let mut notes = Vec::new();
+        eng.world.ks.fail_node(now, &node, &mut out, &mut notes);
+        seed(&mut eng, out);
+        eng.run_to_completion(50_000);
+        // The vGPU had no node yet, so it survives the failure; its dead
+        // anchor counts as a failed launch and is relaunched elsewhere.
+        let s = eng.world.ks.sharepod(sp).unwrap();
+        assert_eq!(s.status.phase, SharePodPhase::Running);
+        let gpuid = s.status.bound_gpuid.clone().unwrap();
+        let dev = eng.world.ks.pool().get(&gpuid).unwrap();
+        assert_ne!(dev.node.as_deref(), Some(node.as_str()));
+        eng.world.ks.verify_sp_tally().unwrap();
+    }
+
+    #[test]
+    fn rebound_sharepod_gets_one_backing_pod() {
+        let mut eng = engine(1, 1);
+        submit(&mut eng, "a", sp_spec(0.4, 1.0, 0.4));
+        eng.run_to_completion(20_000);
+        // b binds to a's ready vGPU at 90 ms and its pod is ordered for
+        // 280 ms; evicting and re-binding it at 190 ms orders a new one.
+        let t0 = eng.now();
+        let b = submit(&mut eng, "b", sp_spec(0.3, 1.0, 0.3));
+        let at = t0 + SimDuration::from_millis(190);
+        eng.run_until(at);
+        assert_eq!(
+            eng.world.ks.sharepod(b).unwrap().status.phase,
+            SharePodPhase::Starting
+        );
+        let mut out = Vec::new();
+        let mut notes = Vec::new();
+        assert!(eng.world.ks.preempt_sharepod(at, b, &mut out, &mut notes));
+        eng.world.ks.drain_pending(at, &mut out, &mut notes);
+        seed(&mut eng, out);
+        eng.run_to_completion(20_000);
+        let s = eng.world.ks.sharepod(b).unwrap();
+        assert_eq!(s.status.phase, SharePodPhase::Running);
+        let pods: Vec<Uid> = eng
+            .world
+            .ks
+            .cluster
+            .pods()
+            .iter()
+            .filter(|(_, p)| p.meta.name == "b-pod")
+            .map(|(uid, _)| uid)
+            .collect();
+        assert_eq!(pods, vec![s.status.pod_uid.unwrap()], "one pod for b");
     }
 }

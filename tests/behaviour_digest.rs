@@ -14,7 +14,7 @@
 
 use std::hash::Hasher;
 
-use ks_bench::{chaos, explain, partition, sched_scale};
+use ks_bench::{chaos, explain, gateway_load, partition, remediation, sched_scale};
 use ks_sim_core::fxhash::FxHasher;
 use kubeshare::algorithm::{schedule_batch, SchedMode};
 
@@ -193,7 +193,94 @@ fn sched_scale_256_gpus_seed_7() {
     h.check("sched_scale --gpus 256 --pods 2000 --seed 7", SCHED_SCALE);
 }
 
+/// The closed-loop remediation soak at seed 7: every figure of its
+/// report. Its drains run `drain_vgpu` against live tenants.
+#[test]
+fn remediation_seed_7() {
+    let r = remediation::run(7);
+    let mut h = Digest::default();
+    h.u64(r.seed);
+    h.f64(r.scrape_interval_s);
+    for v in [r.detect_k, r.ideal_work, r.observe_work, r.closed_work] {
+        h.u64(v);
+    }
+    h.f64(r.reattain_observe_pct);
+    h.f64(r.reattain_closed_pct);
+    for v in [
+        r.faults_injected,
+        r.eligible_node_faults,
+        r.eligible_degrade_faults,
+    ] {
+        h.usize(v);
+    }
+    h.f64(r.detection_latency_mean_s);
+    h.f64(r.detection_latency_max_s);
+    for v in [
+        r.faultfree_actions,
+        r.closed_actions,
+        r.cordons,
+        r.uncordons,
+        r.drains,
+        r.closed_verdicts,
+    ] {
+        h.u64(v);
+    }
+    h.bool(r.decision_identity);
+    h.bool(r.replay_identical);
+    h.u64(u64::from(r.final_running_closed));
+    h.strs(&r.failures);
+    h.check("remediation --seed 7", REMEDIATION);
+}
+
+/// The gateway load generator at 1,000 tenants (the bin's
+/// `--tenants 1000 --seed 7`: a 60 s arrival phase), which preempts
+/// hundreds of sharePods. Wall time is left out.
+#[test]
+fn gateway_1000_tenants_seed_7() {
+    let r = gateway_load::run(&gateway_load::GatewayLoadConfig {
+        tenants: 1_000,
+        secs: 60,
+        seed: 7,
+        ..gateway_load::GatewayLoadConfig::default()
+    });
+    let mut h = Digest::default();
+    h.u64(r.tenants_requested);
+    h.u64(r.tenants_touched);
+    h.usize(r.nodes);
+    h.usize(r.gpus);
+    h.f64(r.sim_secs);
+    for v in [
+        r.submitted,
+        r.admitted,
+        r.rejected_auth,
+        r.rejected_rate,
+        r.rejected_queue_full,
+        r.admitted_from_queue,
+    ] {
+        h.u64(v);
+    }
+    h.usize(r.queued_peak);
+    h.u64(r.preemptions);
+    h.strs(&r.slo_alerts);
+    h.usize(r.tiers.len());
+    for t in &r.tiers {
+        h.str(&t.tier);
+        h.u64(t.admitted);
+        h.u64(t.rejected_rate_limited);
+        h.u64(t.preempted_as_victim);
+        h.f64(t.gpu_seconds);
+        h.f64(t.gpu_seconds_tsdb);
+        h.f64(t.admission_wait_p99);
+    }
+    h.usize(r.billing_tenants);
+    h.strs(&r.failures);
+    h.u64(r.events);
+    h.check("gateway --tenants 1000 --seed 7", GATEWAY);
+}
+
 const EXPLAIN: u64 = 0xbe78_08f9_a272_9150;
 const CHAOS: u64 = 0x67a1_88f5_ccb2_d513;
 const PARTITION: u64 = 0xdccf_0903_6413_972d;
 const SCHED_SCALE: u64 = 0xeb92_1998_0ce5_bc3c;
+const REMEDIATION: u64 = 0x1ede_73af_4b0f_b802;
+const GATEWAY: u64 = 0xefb8_3fd4_74a2_8408;
