@@ -133,6 +133,15 @@ pub fn run_native(cfg: &Fig8Config, jobs: &[GeneratedJob], seed: u64) -> f64 {
 
 /// Runs one workload on KubeShare; returns jobs/minute.
 pub fn run_kubeshare(cfg: &Fig8Config, jobs: &[GeneratedJob], seed: u64) -> f64 {
+    kubeshare_harness(cfg, jobs, seed)
+        .summary()
+        .jobs_per_minute
+        .expect("all jobs complete")
+}
+
+/// Runs one workload on KubeShare to completion and returns the drained
+/// harness: per-job start and finish times, and each GPU's token backend.
+pub fn kubeshare_harness(cfg: &Fig8Config, jobs: &[GeneratedJob], seed: u64) -> KsHarness {
     let mut h = KsHarness::new(
         crate::harness::cluster_config(cfg.nodes, cfg.gpus_per_node),
         KsConfig::default(),
@@ -144,7 +153,7 @@ pub fn run_kubeshare(cfg: &Fig8Config, jobs: &[GeneratedJob], seed: u64) -> f64 
     }
     let outcome = h.run(200_000_000);
     assert_eq!(outcome, ks_sim_core::engine::RunOutcome::Drained);
-    h.summary().jobs_per_minute.expect("all jobs complete")
+    h
 }
 
 fn averaged_point(

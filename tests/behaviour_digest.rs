@@ -14,8 +14,12 @@
 
 use std::hash::Hasher;
 
+use ks_bench::fig8::{self, Fig8Config};
+use ks_bench::metrics_demo::{self, MetricsDemoConfig};
 use ks_bench::{chaos, explain, gateway_load, partition, remediation, sched_scale};
 use ks_sim_core::fxhash::FxHasher;
+use ks_sim_core::time::{SimDuration, SimTime};
+use ks_workloads::generator::{generate, JobSizing, WorkloadParams};
 use kubeshare::algorithm::{schedule_batch, SchedMode};
 
 /// The canonical byte stream of one run.
@@ -278,9 +282,69 @@ fn gateway_1000_tenants_seed_7() {
     h.check("gateway --tenants 1000 --seed 7", GATEWAY);
 }
 
+/// Fig 8a traffic through the vGPU token path: `fig8::run_kubeshare` on
+/// the small testbed (2 nodes x 2 GPUs, 40 jobs of 20 s in 20 ms kernels)
+/// at frequency factor 3. Every job's start and finish time and every
+/// GPU's token grant count.
+#[test]
+fn fig8a_token_path_factor_3() {
+    let cfg = Fig8Config::small();
+    let jobs = generate(&WorkloadParams {
+        jobs: cfg.jobs,
+        mean_interarrival: cfg.base_interarrival.mul_f64(1.0 / 3.0),
+        demand_mean: 0.3,
+        demand_std: 0.1,
+        sizing: JobSizing::FixedDuration(cfg.duration),
+        kernel: SimDuration::from_millis(20),
+        seed: cfg.seed,
+    });
+    let h = fig8::kubeshare_harness(&cfg, &jobs, cfg.seed);
+    let mut d = Digest::default();
+    let jpm = h.summary().jobs_per_minute.expect("all jobs complete");
+    assert_eq!(jpm, fig8::run_kubeshare(&cfg, &jobs, cfg.seed));
+    d.f64(jpm);
+    let micros = |t: Option<SimTime>| t.expect("job ran").as_micros();
+    d.usize(h.eng.world.jobs.len());
+    for j in &h.eng.world.jobs {
+        d.str(&j.spec.name);
+        d.u64(micros(j.started));
+        d.u64(micros(j.finished));
+    }
+    d.usize(h.eng.world.gpus.len());
+    for (name, gpu) in &h.eng.world.gpus {
+        d.str(name);
+        d.u64(gpu.grant_count());
+    }
+    d.check("fig8a small, factor 3", FIG8A);
+}
+
+/// The `metrics --jobs 6 --steps 80` demo's exports: the Prometheus text,
+/// the rendered trace, the sharePod causal trace and the Chrome-trace
+/// JSON that `--trace-out` writes. Token grants, handoff waits and
+/// `vgpu/token_grant` spans all land in these.
+#[test]
+fn metrics_demo_6_jobs_80_steps() {
+    let demo = metrics_demo::run(&MetricsDemoConfig {
+        jobs: 6,
+        steps: 80,
+        ..MetricsDemoConfig::default()
+    });
+    let mut d = Digest::default();
+    d.str(&demo.prometheus);
+    d.str(&demo.trace);
+    d.str(&demo.sharepod_trace);
+    d.str(&demo.chrome_trace);
+    d.str(&demo.slo_report);
+    d.u64(demo.alerts_fired);
+    d.u64(demo.scrapes);
+    d.check("metrics --jobs 6 --steps 80", METRICS_DEMO);
+}
+
 const EXPLAIN: u64 = 0xbe78_08f9_a272_9150;
 const CHAOS: u64 = 0x67a1_88f5_ccb2_d513;
 const PARTITION: u64 = 0xdccf_0903_6413_972d;
 const SCHED_SCALE: u64 = 0xeb92_1998_0ce5_bc3c;
 const REMEDIATION: u64 = 0x1ede_73af_4b0f_b802;
 const GATEWAY: u64 = 0xefb8_3fd4_74a2_8408;
+const FIG8A: u64 = 0x1764_1a6e_eca1_2eca;
+const METRICS_DEMO: u64 = 0xd52a_7e98_d125_06f4;
