@@ -136,15 +136,20 @@ pub fn fit_residual(req: &SchedRequest, pool: &VgpuPool, gpuid: &GpuId) -> Optio
 /// Runs Algorithm 1. Pure with respect to pool *contents*; only consumes a
 /// fresh id from the pool's id counter when a new device is needed.
 pub fn schedule(req: &SchedRequest, pool: &mut VgpuPool) -> Decision {
-    schedule_prov(req, pool, &mut SchedProv::off()).0
+    schedule_prov(req, req.need(), pool, &mut SchedProv::off()).0
 }
 
 /// [`schedule`] with a provenance collector. The collector is a pure
 /// observer: every capture call is gated on its enablement and mutates
 /// nothing the algorithm reads, so decisions are identical with `prov` on
-/// or off (enforced by the differential oracles).
-fn schedule_prov(req: &SchedRequest, pool: &mut VgpuPool, prov: &mut SchedProv) -> Decided {
-    let need = req.need();
+/// or off (enforced by the differential oracles). `need` is
+/// [`SchedRequest::need`].
+fn schedule_prov(
+    req: &SchedRequest,
+    need: (u32, u32),
+    pool: &mut VgpuPool,
+    prov: &mut SchedProv,
+) -> Decided {
     // ---- Step 1: affinity (lines 1–14) ----
     if let Some(aff) = &req.locality.affinity {
         let target = pool
@@ -245,16 +250,20 @@ fn schedule_prov(req: &SchedRequest, pool: &mut VgpuPool, prov: &mut SchedProv) 
 ///   fit key (ascending id within a key), so the first survivor is the
 ///   reference's maximum with the same smallest-id tie-break.
 pub fn schedule_indexed(req: &SchedRequest, pool: &mut VgpuPool) -> Decision {
-    schedule_indexed_prov(req, pool, &mut SchedProv::off()).0
+    schedule_indexed_prov(req, req.need(), pool, &mut SchedProv::off()).0
 }
 
 /// [`schedule_indexed`] with a provenance collector. Candidates captured
 /// are the devices the range scans actually examined before the first
 /// survivor — faithful to this implementation's work, which may differ
 /// from the reference path's candidate set even though the chosen device
-/// never does.
-fn schedule_indexed_prov(req: &SchedRequest, pool: &mut VgpuPool, prov: &mut SchedProv) -> Decided {
-    let need = req.need();
+/// never does. `need` is [`SchedRequest::need`].
+fn schedule_indexed_prov(
+    req: &SchedRequest,
+    need: (u32, u32),
+    pool: &mut VgpuPool,
+    prov: &mut SchedProv,
+) -> Decided {
     // ---- Step 1: affinity ----
     if let Some(aff) = &req.locality.affinity {
         if let Some((_, idx)) = pool.affinity_target_at(aff) {
@@ -363,19 +372,21 @@ pub fn schedule_with_prov(
     pool: &mut VgpuPool,
     prov: &mut SchedProv,
 ) -> Decision {
-    decide(mode, req, pool, prov).0
+    decide(mode, req, req.need(), pool, prov).0
 }
 
-/// [`schedule_with_prov`], keeping the winner's handle.
+/// [`schedule_with_prov`] on the demand `need` (in share units, converted
+/// once by the caller), keeping the winner's handle.
 fn decide(
     mode: SchedMode,
     req: &SchedRequest,
+    need: (u32, u32),
     pool: &mut VgpuPool,
     prov: &mut SchedProv,
 ) -> Decided {
     match mode {
-        SchedMode::Reference => schedule_prov(req, pool, prov),
-        SchedMode::Indexed => schedule_indexed_prov(req, pool, prov),
+        SchedMode::Reference => schedule_prov(req, need, pool, prov),
+        SchedMode::Indexed => schedule_indexed_prov(req, need, pool, prov),
     }
 }
 
@@ -618,7 +629,12 @@ pub struct BatchEntry {
 /// attaches through the handle its decision carried, a `NewDevice`
 /// through the handle its insert returns, so no id is looked up. The
 /// time-slice path never proposes a reconfiguration.
-fn apply_decision(pool: &mut VgpuPool, e: &BatchEntry, (decision, winner): &Decided) {
+fn apply_decision(
+    pool: &mut VgpuPool,
+    e: &BatchEntry,
+    need: (u32, u32),
+    (decision, winner): &Decided,
+) {
     let idx = match decision {
         Decision::Assign(id) => {
             let idx = winner.expect("an Assign carries its winner's handle");
@@ -632,8 +648,7 @@ fn apply_decision(pool: &mut VgpuPool, e: &BatchEntry, (decision, winner): &Deci
     pool.attach_at(
         idx,
         e.uid,
-        e.req.util,
-        e.req.mem,
+        need,
         loc.affinity.as_deref(),
         loc.anti_affinity.as_deref(),
         loc.exclusion.as_deref(),
@@ -683,8 +698,9 @@ pub fn schedule_batch_recorded(
     entries
         .iter()
         .map(|e| {
-            let decided = decide(mode, &e.req, pool, &mut prov);
-            apply_decision(pool, e, &decided);
+            let need = e.req.need();
+            let decided = decide(mode, &e.req, need, pool, &mut prov);
+            apply_decision(pool, e, need, &decided);
             let (decision, _) = decided;
             if recorder.is_enabled() {
                 let outcome = outcome_of(&decision, &prov);
@@ -958,7 +974,8 @@ mod tests {
         }
         // The indexed best-fit captures keep their own rule and score.
         let mut prov = SchedProv::on();
-        schedule_indexed_prov(&req(0.1, 0.1), &mut p, &mut prov);
+        let r = req(0.1, 0.1);
+        schedule_indexed_prov(&r, r.need(), &mut p, &mut prov);
         let first = prov.candidates()[0];
         assert!(first.target == ids[1].as_str());
         let key = frac(p.get(&ids[1]).unwrap().fit_key());

@@ -615,17 +615,19 @@ impl VgpuPool {
         anti_aff: Option<&str>,
         excl: Option<&str>,
     ) {
-        self.attach_at(self.idx(id), sharepod, request, mem, aff, anti_aff, excl);
+        let need = (units(request), units(mem));
+        self.attach_at(self.idx(id), sharepod, need, aff, anti_aff, excl);
     }
 
-    /// [`VgpuPool::attach`] on the device behind a handle.
-    #[allow(clippy::too_many_arguments)] // mirrors Algorithm 1's request tuple
+    /// [`VgpuPool::attach`] on the device behind a handle, with the demand
+    /// already in share units. Inlined into the batch drain's
+    /// `apply_decision`, its one caller besides [`VgpuPool::attach`].
+    #[inline]
     pub(crate) fn attach_at(
         &mut self,
         idx: DeviceIdx,
         sharepod: Uid,
-        request: f64,
-        mem: f64,
+        need: (u32, u32),
         aff: Option<&str>,
         anti_aff: Option<&str>,
         excl: Option<&str>,
@@ -636,13 +638,14 @@ impl VgpuPool {
             "token-lease attach on partitioned vGPU {}; use attach_slice",
             d.id
         );
-        let need = (units(request), units(mem));
         assert!(
             d.fits(need),
-            "over-committing vGPU {}: free=({:.3},{:.3}) need=({request:.3},{mem:.3})",
+            "over-committing vGPU {}: free=({:.3},{:.3}) need=({:.3},{:.3})",
             d.id,
             frac(d.util_free),
-            frac(d.mem_free)
+            frac(d.mem_free),
+            frac(need.0),
+            frac(need.1)
         );
         let before = Placement::of(d);
         d.util_free -= need.0;

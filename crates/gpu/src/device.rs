@@ -1,6 +1,6 @@
 //! A simulated GPU device: execution engine + memory + usage accounting.
 
-use ks_sim_core::fxhash::{FxHashMap, FxHashSet};
+use ks_sim_core::dense::DenseMap;
 use ks_sim_core::time::{SimDuration, SimTime};
 use ks_sim_core::timeseries::BusyIntegrator;
 
@@ -50,8 +50,9 @@ pub struct GpuDevice {
     mem: MemoryPool,
     engine: ExecEngine,
     busy: BusyIntegrator,
-    ctx_busy: FxHashMap<ContextId, SimDuration>,
-    attached: FxHashSet<ContextId>,
+    /// Attached contexts and the engine time each has consumed in
+    /// completed kernels. Context ids are minted from 1 upward.
+    contexts: DenseMap<ContextId, SimDuration>,
     next_ctx: u64,
 }
 
@@ -65,8 +66,7 @@ impl GpuDevice {
             spec,
             engine: ExecEngine::new(),
             busy: BusyIntegrator::new(SimTime::ZERO, 0.0),
-            ctx_busy: FxHashMap::default(),
-            attached: FxHashSet::default(),
+            contexts: DenseMap::new(),
             next_ctx: 1,
         }
     }
@@ -95,33 +95,32 @@ impl GpuDevice {
     pub fn attach(&mut self) -> ContextId {
         let ctx = ContextId(self.next_ctx);
         self.next_ctx += 1;
-        self.attached.insert(ctx);
-        self.ctx_busy.insert(ctx, SimDuration::ZERO);
+        self.contexts.insert(ctx, SimDuration::ZERO);
         ctx
     }
 
     /// Detaches a context: frees its memory and drops its queued kernels.
     /// A kernel currently running is allowed to finish (non-preemptive).
     pub fn detach(&mut self, ctx: ContextId) {
-        self.attached.remove(&ctx);
+        self.contexts.remove(ctx);
         self.mem.release_context(ctx);
         self.engine.drop_queued(ctx);
     }
 
     /// True while `ctx` is attached.
     pub fn is_attached(&self, ctx: ContextId) -> bool {
-        self.attached.contains(&ctx)
+        self.contexts.contains_key(ctx)
     }
 
     /// Number of attached contexts.
     pub fn context_count(&self) -> usize {
-        self.attached.len()
+        self.contexts.len()
     }
 
     /// `cuMemAlloc` against the raw device (no quota — quotas are the vGPU
     /// device library's job).
     pub fn mem_alloc(&mut self, ctx: ContextId, bytes: u64) -> Result<DevicePtr, CudaError> {
-        if !self.attached.contains(&ctx) {
+        if !self.contexts.contains_key(ctx) {
             return Err(CudaError::InvalidContext);
         }
         self.mem.alloc(ctx, bytes)
@@ -129,7 +128,7 @@ impl GpuDevice {
 
     /// `cuMemFree`.
     pub fn mem_free(&mut self, ctx: ContextId, ptr: DevicePtr) -> Result<u64, CudaError> {
-        if !self.attached.contains(&ctx) {
+        if !self.contexts.contains_key(ctx) {
             return Err(CudaError::InvalidContext);
         }
         self.mem.free(ctx, ptr)
@@ -143,7 +142,7 @@ impl GpuDevice {
         dur: SimDuration,
         tag: KernelTag,
     ) -> Result<Option<StartedKernel>, CudaError> {
-        if !self.attached.contains(&ctx) {
+        if !self.contexts.contains_key(ctx) {
             return Err(CudaError::InvalidContext);
         }
         let started = self.engine.submit(now, ctx, dur, tag);
@@ -157,10 +156,9 @@ impl GpuDevice {
     /// kernel and the next one started from the queue (if any).
     pub fn complete(&mut self, now: SimTime) -> (FinishedKernel, Option<StartedKernel>) {
         let (finished, next) = self.engine.complete(now);
-        *self
-            .ctx_busy
-            .entry(finished.ctx)
-            .or_insert(SimDuration::ZERO) += finished.ran_for;
+        if let Some(busy) = self.contexts.get_mut(finished.ctx) {
+            *busy += finished.ran_for;
+        }
         if next.is_none() {
             self.busy.set_level(now, 0.0);
         }
@@ -187,12 +185,10 @@ impl GpuDevice {
         self.busy.integral_until(now)
     }
 
-    /// Cumulative engine time consumed by `ctx` in *completed* kernels.
+    /// Cumulative engine time consumed by `ctx` in *completed* kernels
+    /// while attached; zero once it detaches.
     pub fn ctx_busy_total(&self, ctx: ContextId) -> SimDuration {
-        self.ctx_busy
-            .get(&ctx)
-            .copied()
-            .unwrap_or(SimDuration::ZERO)
+        self.contexts.get(ctx).copied().unwrap_or(SimDuration::ZERO)
     }
 }
 

@@ -8,6 +8,13 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct ContextId(pub u64);
 
+impl ks_sim_core::dense::DenseKey for ContextId {
+    #[inline]
+    fn raw(self) -> u64 {
+        self.0
+    }
+}
+
 impl fmt::Display for ContextId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "ctx-{}", self.0)

@@ -35,6 +35,7 @@
 
 #![warn(missing_docs)]
 
+pub mod dense;
 pub mod engine;
 pub mod fxhash;
 pub mod histogram;

@@ -22,7 +22,7 @@
 
 use std::cell::OnceCell;
 
-use ks_sim_core::fxhash::FxHashMap;
+use ks_sim_core::dense::DenseMap;
 use ks_sim_core::time::{SimDuration, SimTime};
 use ks_telemetry::{Counter, Histo, Telemetry, TraceCtx};
 
@@ -141,6 +141,20 @@ struct Metrics {
     guarantee_violations: OnceCell<Counter>,
 }
 
+/// What the backend knows about one client.
+#[derive(Debug, Clone, Copy)]
+struct Client {
+    /// The spec the client registered with; `None` from a
+    /// [`TokenBackend::restart`] until it registers again.
+    spec: Option<ShareSpec>,
+    /// When the client began waiting for the token (for handoff-wait
+    /// metrics).
+    waiting_since: Option<SimTime>,
+    /// Causal trace context (the sharePod the client serves), so grants
+    /// and reclaims land in the sharePod's trace. Survives a restart.
+    ctx: TraceCtx,
+}
+
 /// The token manager for one device.
 #[derive(Debug)]
 pub struct TokenBackend {
@@ -148,7 +162,8 @@ pub struct TokenBackend {
     state: TokenState,
     epoch: u64,
     window: UsageWindow,
-    clients: FxHashMap<ClientId, ShareSpec>,
+    /// One record per client that is registered or has a trace context.
+    clients: DenseMap<ClientId, Client>,
     /// Containers currently blocked on (or consuming) the token, sorted
     /// by id.
     wants: Vec<ClientId>,
@@ -162,13 +177,8 @@ pub struct TokenBackend {
     metrics: Metrics,
     /// Label value for the `gpu` dimension of exported metrics.
     gpu_label: String,
-    /// When each blocked client started waiting (for handoff-wait metrics).
-    waiting_since: FxHashMap<ClientId, SimTime>,
     /// When the current holder's grant became effective.
     held_since: Option<SimTime>,
-    /// Causal trace context per client (the sharePod the client serves),
-    /// so grants and reclaims land in the sharePod's trace.
-    client_ctx: FxHashMap<ClientId, TraceCtx>,
 }
 
 impl TokenBackend {
@@ -179,7 +189,7 @@ impl TokenBackend {
             cfg,
             state: TokenState::Free,
             epoch: 0,
-            clients: FxHashMap::default(),
+            clients: DenseMap::new(),
             wants: Vec::new(),
             candidates: Vec::new(),
             retry_scheduled: false,
@@ -187,9 +197,7 @@ impl TokenBackend {
             telemetry: Telemetry::disabled(),
             metrics: Metrics::default(),
             gpu_label: String::new(),
-            waiting_since: FxHashMap::default(),
             held_since: None,
-            client_ctx: FxHashMap::default(),
         }
     }
 
@@ -211,16 +219,28 @@ impl TokenBackend {
     /// survives re-registration (it names the workload, not the session)
     /// and is dropped on [`TokenBackend::deregister`].
     pub fn set_client_ctx(&mut self, client: ClientId, ctx: TraceCtx) {
-        if ctx.is_none() {
-            self.client_ctx.remove(&client);
-        } else {
-            self.client_ctx.insert(client, ctx);
+        if !ctx.is_none() {
+            self.record(client).ctx = ctx;
+        } else if let Some(c) = self.clients.get_mut(client) {
+            c.ctx = ctx;
+            if c.spec.is_none() {
+                self.clients.remove(client);
+            }
         }
     }
 
     /// The causal trace context attached to `client`, or [`TraceCtx::NONE`].
     pub fn client_ctx(&self, client: ClientId) -> TraceCtx {
-        *self.client_ctx.get(&client).unwrap_or(&TraceCtx::NONE)
+        self.clients.get(client).map_or(TraceCtx::NONE, |c| c.ctx)
+    }
+
+    /// `client`'s record, created empty if it has none.
+    fn record(&mut self, client: ClientId) -> &mut Client {
+        self.clients.get_or_insert_with(client, || Client {
+            spec: None,
+            waiting_since: None,
+            ctx: TraceCtx::NONE,
+        })
     }
 
     /// Records the end of the current hold: how much of the quota the
@@ -309,10 +329,11 @@ impl TokenBackend {
     /// a [`TokenBackend::restart`] is the normal recovery path; registering
     /// an already-known client is an error.
     pub fn register(&mut self, client: ClientId, spec: ShareSpec) -> Result<(), BackendError> {
-        if self.clients.contains_key(&client) {
+        let c = self.record(client);
+        if c.spec.is_some() {
             return Err(BackendError::AlreadyRegistered(client));
         }
-        self.clients.insert(client, spec);
+        c.spec = Some(spec);
         Ok(())
     }
 
@@ -321,15 +342,19 @@ impl TokenBackend {
     /// in-flight token — is lost. The epoch bump makes every outstanding
     /// timer stale, so nothing from the previous incarnation can fire into
     /// the new one. Frontends must re-register (and re-request) to rebuild
-    /// the queue; the cumulative grant counter survives for reporting.
+    /// the queue; the cumulative grant counter and the clients' trace
+    /// contexts survive.
     pub fn restart(&mut self, now: SimTime) {
-        self.clients.clear();
+        self.clients.retain(|_, c| {
+            c.spec = None;
+            c.waiting_since = None;
+            !c.ctx.is_none()
+        });
         self.wants.clear();
         self.window = UsageWindow::new(self.cfg.window);
         self.state = TokenState::Free;
         self.epoch += 1;
         self.retry_scheduled = false;
-        self.waiting_since.clear();
         self.held_since = None;
         self.telemetry
             .counter(
@@ -346,10 +371,10 @@ impl TokenBackend {
     /// Registered clients and their specs, in deterministic id order
     /// (snapshot this before a simulated restart to drive re-registration).
     pub fn registered(&self) -> Vec<(ClientId, ShareSpec)> {
-        let mut v: Vec<(ClientId, ShareSpec)> =
-            self.clients.iter().map(|(&c, &s)| (c, s)).collect();
-        v.sort_by_key(|(c, _)| *c);
-        v
+        self.clients
+            .iter()
+            .filter_map(|(id, c)| Some((id, c.spec?)))
+            .collect()
     }
 
     /// Deregisters a departing container, releasing the token if held.
@@ -369,9 +394,8 @@ impl TokenBackend {
             }
             _ => {}
         }
-        self.clients.remove(&client);
+        self.clients.remove(client);
         self.window.forget(client);
-        self.client_ctx.remove(&client);
     }
 
     /// A container requests the token (frontend blocked on a CUDA call).
@@ -385,22 +409,24 @@ impl TokenBackend {
         client: ClientId,
         out: &mut Vec<BackendTimer>,
     ) -> Result<bool, BackendError> {
-        if !self.clients.contains_key(&client) {
+        let Some(c) = self.clients.get_mut(client).filter(|c| c.spec.is_some()) else {
             return Err(BackendError::UnknownClient(client));
-        }
+        };
         if let TokenState::Held { by, expires, .. } = self.state {
             if by == client && expires > now {
                 return Ok(true);
             }
         }
+        if self.telemetry.is_enabled() {
+            c.waiting_since.get_or_insert(now);
+        }
         if let Err(i) = self.wants.binary_search(&client) {
             self.wants.insert(i, client);
         }
-        if self.telemetry.is_enabled() {
-            self.waiting_since.entry(client).or_insert(now);
-        }
         self.dispatch(now, out);
-        Ok(matches!(self.state, TokenState::Held { by, .. } if by == client))
+        // A hold whose quota ends at `now` is not valid, even though its
+        // expiry timer has not fired yet: the client waits for that timer.
+        Ok(self.holds_valid_token(now, client))
     }
 
     /// Withdraws a pending token request. Frontends call this when their
@@ -468,7 +494,10 @@ impl TokenBackend {
                                 .counter("ks_vgpu_token_grants_total", &[("gpu", &self.gpu_label)])
                         })
                         .inc();
-                    let waited_from = self.waiting_since.remove(&to);
+                    let (waited_from, ctx) = self
+                        .clients
+                        .get_mut(to)
+                        .map_or((None, TraceCtx::NONE), |c| (c.waiting_since.take(), c.ctx));
                     if let Some(since) = waited_from {
                         self.metrics
                             .handoff_wait
@@ -486,7 +515,6 @@ impl TokenBackend {
                     // causal analyzer orders by timestamp, so a span whose
                     // begin lies in the past is fine. Cached-token regrants
                     // never waited; they begin at the handoff start.
-                    let ctx = self.client_ctx(to);
                     let begin = waited_from
                         .unwrap_or_else(|| {
                             SimTime::from_micros(
@@ -549,7 +577,7 @@ impl TokenBackend {
 
     /// Registered spec of a client.
     pub fn spec(&self, client: ClientId) -> Option<ShareSpec> {
-        self.clients.get(&client).copied()
+        self.clients.get(client).and_then(|c| c.spec)
     }
 
     /// True if the client currently holds a valid (unexpired) token.
@@ -571,7 +599,9 @@ impl TokenBackend {
         if let Ok(i) = self.wants.binary_search(&client) {
             self.wants.remove(i);
         }
-        self.waiting_since.remove(&client);
+        if let Some(c) = self.clients.get_mut(client) {
+            c.waiting_since = None;
+        }
     }
 
     fn dispatch(&mut self, now: SimTime, out: &mut Vec<BackendTimer>) {
@@ -580,10 +610,16 @@ impl TokenBackend {
         }
         let mut candidates = std::mem::take(&mut self.candidates);
         candidates.clear();
-        candidates.extend(self.wants.iter().map(|&c| Candidate {
-            client: c,
-            spec: self.clients[&c],
-            usage: self.window.usage(now, c),
+        let (clients, window) = (&self.clients, &mut self.window);
+        candidates.extend(self.wants.iter().map(|&c| {
+            Candidate {
+                client: c,
+                spec: clients
+                    .get(c)
+                    .and_then(|r| r.spec)
+                    .expect("waiting clients are registered"),
+                usage: window.usage(now, c),
+            }
         }));
         match select_next(&candidates) {
             Some(next) => {
@@ -934,6 +970,76 @@ mod tests {
         b.deregister(t(0), A, &mut out);
         assert_eq!(b.on_grant_effective(at, epoch, &mut out), None);
         assert_eq!(b.state(), TokenState::Free);
+    }
+
+    #[test]
+    fn request_at_the_expiry_instant_waits_for_the_expiry_timer() {
+        let mut b = TokenBackend::new(cfg());
+        b.register(A, spec(0.5, 1.0)).unwrap();
+        let mut out = Vec::new();
+        b.request(t(0), A, &mut out).unwrap();
+        let (_, expires) = drive_grant(&mut b, &mut out);
+        let epoch = match b.state() {
+            TokenState::Held { epoch, .. } => epoch,
+            s => panic!("unexpected state {s:?}"),
+        };
+        out.clear();
+        // The expiry timer is due at this instant but has not fired.
+        assert!(!b.request(expires, A, &mut out).unwrap());
+        assert!(out.is_empty());
+        assert_eq!(b.on_expiry(expires, epoch, &mut out), Some(A));
+        let (holder, _) = drive_grant(&mut b, &mut out);
+        assert_eq!(holder, A);
+    }
+
+    #[test]
+    fn extreme_client_ids_cost_one_slot_each() {
+        // Ids are the caller's: any value works, and memory follows the
+        // spread of the live ids, not their size.
+        let top = ClientId(u64::MAX);
+        let next = ClientId(u64::MAX - 1);
+        let mut b = TokenBackend::new(cfg());
+        b.set_telemetry(ks_telemetry::Telemetry::enabled(), "gpu-0");
+        b.register(top, spec(0.5, 1.0)).unwrap();
+        assert_eq!(
+            b.register(top, spec(0.5, 1.0)),
+            Err(BackendError::AlreadyRegistered(top))
+        );
+        b.register(next, spec(0.5, 1.0)).unwrap();
+        assert_eq!(b.clients.span(), 2);
+        let mut out = Vec::new();
+        b.request(t(0), top, &mut out).unwrap();
+        let (holder, _) = drive_grant(&mut b, &mut out);
+        assert_eq!(holder, top);
+        out.clear();
+        b.request(t(10), next, &mut out).unwrap();
+        b.deregister(t(20), top, &mut out);
+        let (holder, _) = drive_grant(&mut b, &mut out);
+        assert_eq!(holder, next);
+        assert_eq!(b.registered(), vec![(next, spec(0.5, 1.0))]);
+        assert_eq!((b.clients.span(), b.window.span()), (1, 1));
+    }
+
+    #[test]
+    fn trace_ctx_survives_restart_but_not_deregister() {
+        let mut b = TokenBackend::new(cfg());
+        let ctx = TraceCtx {
+            trace: 9,
+            ..TraceCtx::NONE
+        };
+        b.register(A, spec(0.5, 1.0)).unwrap();
+        b.set_client_ctx(A, ctx);
+        b.set_client_ctx(B, ctx); // not registered: the context still sticks
+        b.restart(t(5));
+        assert!(b.registered().is_empty());
+        assert_eq!((b.client_ctx(A), b.client_ctx(B)), (ctx, ctx));
+        b.register(A, spec(0.5, 1.0)).unwrap();
+        b.set_client_ctx(B, TraceCtx::NONE);
+        assert_eq!(b.clients.len(), 1, "an empty record is dropped");
+        let mut out = Vec::new();
+        b.deregister(t(6), A, &mut out);
+        assert_eq!(b.client_ctx(A), TraceCtx::NONE);
+        assert!(b.clients.is_empty());
     }
 
     #[test]

@@ -23,6 +23,7 @@ use std::collections::VecDeque;
 use ks_gpu::device::GpuDevice;
 use ks_gpu::engine::KernelTag;
 use ks_gpu::types::{ContextId, CudaError, DevicePtr};
+use ks_sim_core::dense::DenseMap;
 use ks_sim_core::fxhash::FxHashMap;
 use ks_sim_core::time::{SimDuration, SimTime};
 use ks_telemetry::{Counter, Gauge, Telemetry};
@@ -105,6 +106,15 @@ struct Burst {
     tag: u64,
 }
 
+/// A burst handed to the device (running or queued there).
+#[derive(Debug, Clone, Copy)]
+struct Launch {
+    dev_tag: KernelTag,
+    client: ClientId,
+    /// The caller's tag, echoed in the completion notice.
+    tag: u64,
+}
+
 #[derive(Debug)]
 struct Frontend {
     ctx: ContextId,
@@ -124,6 +134,17 @@ struct Frontend {
     swapped_ptrs: FxHashMap<DevicePtr, u64>,
 }
 
+impl Frontend {
+    /// Share of the memory quota living in the host swap region.
+    fn swapped_fraction(&self) -> f64 {
+        if self.host_swapped > 0 {
+            self.host_swapped as f64 / self.mem_quota.max(1) as f64
+        } else {
+            0.0
+        }
+    }
+}
+
 /// Metric handles, each resolved on first use (so a series appears with
 /// its first sample, not at attach time) and kept until the telemetry
 /// handle changes.
@@ -132,7 +153,7 @@ struct Metrics {
     bursts_submitted: OnceCell<Counter>,
     bursts_completed: OnceCell<Counter>,
     degradation: OnceCell<Gauge>,
-    window_usage: FxHashMap<ClientId, Gauge>,
+    window_usage: DenseMap<ClientId, Gauge>,
 }
 
 /// A device under vGPU management. See module docs.
@@ -142,10 +163,13 @@ pub struct SharedGpu {
     backend: TokenBackend,
     mode: IsolationMode,
     swap: SwapPolicy,
-    fronts: FxHashMap<ClientId, Frontend>,
-    ctx_to_client: FxHashMap<ContextId, ClientId>,
-    /// device KernelTag -> (client, caller tag)
-    tags: FxHashMap<u64, (ClientId, u64)>,
+    /// Attached containers. Client ids are minted from 1 upward.
+    fronts: DenseMap<ClientId, Frontend>,
+    /// Bursts on the device, in submission order (device tags increase
+    /// along it). The device runs kernels FIFO and a detach drops the
+    /// client's entries with its queued kernels, so a finished kernel is
+    /// always the front entry, unless its client detached while it ran.
+    tags: VecDeque<Launch>,
     next_client: u64,
     next_tag: u64,
     next_swap_ptr: u64,
@@ -172,9 +196,8 @@ impl SharedGpu {
             backend: TokenBackend::new(cfg),
             mode,
             swap: SwapPolicy::Disabled,
-            fronts: FxHashMap::default(),
-            ctx_to_client: FxHashMap::default(),
-            tags: FxHashMap::default(),
+            fronts: DenseMap::new(),
+            tags: VecDeque::new(),
             next_client: 1,
             next_tag: 1,
             next_swap_ptr: 0,
@@ -283,7 +306,6 @@ impl SharedGpu {
                 swapped_ptrs: FxHashMap::default(),
             },
         );
-        self.ctx_to_client.insert(ctx, client);
         self.backend
             .register(client, spec)
             .expect("client ids are never reused");
@@ -297,10 +319,9 @@ impl SharedGpu {
     /// re-enters the dispatch loop normally.
     pub fn restart_backend(&mut self, now: SimTime, out: &mut VgpuEmit) {
         self.backend.restart(now);
-        let mut clients: Vec<ClientId> = self.fronts.keys().copied().collect();
-        clients.sort();
+        let clients: Vec<ClientId> = self.fronts.keys().collect();
         for client in clients {
-            let fe = self.fronts.get_mut(&client).expect("listed above");
+            let fe = self.fronts.get_mut(client).expect("listed above");
             fe.idle_since = None; // any cached token died with the daemon
             let spec = fe.spec;
             let pending = !fe.queue.is_empty() && !fe.inflight;
@@ -317,11 +338,11 @@ impl SharedGpu {
     /// Detaches a container: frees its memory, drops queued kernels and
     /// releases the token if held. An in-flight kernel finishes silently.
     pub fn detach(&mut self, now: SimTime, client: ClientId, out: &mut VgpuEmit) {
-        let Some(fe) = self.fronts.remove(&client) else {
+        let Some(fe) = self.fronts.remove(client) else {
             return;
         };
-        self.ctx_to_client.remove(&fe.ctx);
-        self.metrics.window_usage.remove(&client);
+        self.tags.retain(|l| l.client != client);
+        self.metrics.window_usage.remove(client);
         self.backend.deregister(now, client, &mut self.timers);
         self.flush_timers(out);
         self.device.detach(fe.ctx);
@@ -332,7 +353,7 @@ impl SharedGpu {
         let swap = self.swap;
         let fe = self
             .fronts
-            .get_mut(&client)
+            .get_mut(client)
             .ok_or(CudaError::InvalidContext)?;
         if self.mode.memory && fe.mem_used.saturating_add(bytes) > fe.mem_quota {
             if let SwapPolicy::HostSwap { .. } = swap {
@@ -372,14 +393,14 @@ impl SharedGpu {
 
     /// Bytes of `client`'s data currently living in the host swap region.
     pub fn mem_swapped(&self, client: ClientId) -> u64 {
-        self.fronts.get(&client).map_or(0, |f| f.host_swapped)
+        self.fronts.get(client).map_or(0, |f| f.host_swapped)
     }
 
     /// `cuMemFree` through the frontend.
     pub fn mem_free(&mut self, client: ClientId, ptr: DevicePtr) -> Result<(), CudaError> {
         let fe = self
             .fronts
-            .get_mut(&client)
+            .get_mut(client)
             .ok_or(CudaError::InvalidContext)?;
         if let Some(bytes) = fe.swapped_ptrs.remove(&ptr) {
             fe.host_swapped -= bytes;
@@ -392,7 +413,7 @@ impl SharedGpu {
 
     /// Device-memory bytes currently allocated by `client`.
     pub fn mem_used(&self, client: ClientId) -> u64 {
-        self.fronts.get(&client).map_or(0, |f| f.mem_used)
+        self.fronts.get(client).map_or(0, |f| f.mem_used)
     }
 
     /// Submits a kernel burst (`cuLaunchKernel` through the frontend).
@@ -406,7 +427,12 @@ impl SharedGpu {
         tag: u64,
         out: &mut VgpuEmit,
     ) {
-        assert!(self.fronts.contains_key(&client), "{client} not attached");
+        let fe = self
+            .fronts
+            .get_mut(client)
+            .unwrap_or_else(|| panic!("{client} not attached"));
+        fe.queue.push_back(Burst { dur, tag });
+        fe.idle_since = None;
         if self.telemetry.is_enabled() {
             self.metrics
                 .bursts_submitted
@@ -418,9 +444,6 @@ impl SharedGpu {
                 })
                 .inc();
         }
-        let fe = self.fronts.get_mut(&client).unwrap();
-        fe.queue.push_back(Burst { dur, tag });
-        fe.idle_since = None;
         if self.mode.compute {
             self.pump(now, client, out);
         } else {
@@ -436,8 +459,7 @@ impl SharedGpu {
             let (telemetry, gpu) = (&self.telemetry, self.backend.gpu_label());
             self.metrics
                 .window_usage
-                .entry(client)
-                .or_insert_with(|| {
+                .get_or_insert_with(client, || {
                     telemetry.gauge(
                         "ks_vgpu_window_usage",
                         &[("gpu", gpu), ("client", client.label().as_str())],
@@ -476,13 +498,11 @@ impl SharedGpu {
                 self.flush_timers(out);
             }
             VgpuEvent::IdleRelease { client, since } => {
-                let still_idle = self
-                    .fronts
-                    .get(&client)
-                    .map(|fe| fe.idle_since == Some(since) && fe.queue.is_empty() && !fe.inflight)
-                    .unwrap_or(false);
-                if still_idle {
-                    self.fronts.get_mut(&client).unwrap().idle_since = None;
+                let Some(fe) = self.fronts.get_mut(client) else {
+                    return;
+                };
+                if fe.idle_since == Some(since) && fe.queue.is_empty() && !fe.inflight {
+                    fe.idle_since = None;
                     self.backend.release(now, client, &mut self.timers);
                     self.flush_timers(out);
                 }
@@ -495,17 +515,22 @@ impl SharedGpu {
         if let Some(n) = next_started {
             out.push((n.end, VgpuEvent::KernelDone));
         }
-        let Some((client, user_tag)) = self.tags.remove(&finished.tag.0) else {
-            return;
+        debug_assert!(self
+            .tags
+            .front()
+            .is_none_or(|l| l.dev_tag.0 >= finished.tag.0));
+        let Some(&Launch { client, tag, .. }) =
+            self.tags.front().filter(|l| l.dev_tag == finished.tag)
+        else {
+            return; // its client detached while the kernel ran
         };
-        let Some(fe) = self.fronts.get_mut(&client) else {
-            return; // detached while the kernel ran
-        };
+        self.tags.pop_front();
+        let fe = self
+            .fronts
+            .get_mut(client)
+            .expect("a launch leaves with its client");
         fe.inflight = false;
-        notices.push(VgpuNotice::BurstDone {
-            client,
-            tag: user_tag,
-        });
+        notices.push(VgpuNotice::BurstDone { client, tag });
         if self.telemetry.is_enabled() {
             self.metrics
                 .bursts_completed
@@ -520,7 +545,7 @@ impl SharedGpu {
         if !self.mode.compute {
             return; // passthrough: everything is already on the device queue
         }
-        if self.fronts[&client].queue.is_empty() {
+        if fe.queue.is_empty() {
             // No more queued work. Keep a still-valid token cached for the
             // idle-grace period (an immediately following launch then needs
             // no handoff — Fig. 7's overhead model depends on paying one
@@ -530,11 +555,12 @@ impl SharedGpu {
             // expiry, fully release right away.
             if self.backend.holds_valid_token(now, client) {
                 let kept = self.backend.retract(now, client, &mut self.timers);
+                if kept {
+                    fe.idle_since = Some(now);
+                }
                 self.flush_timers(out);
                 if kept {
                     let grace = self.backend.config().idle_grace;
-                    let fe = self.fronts.get_mut(&client).unwrap();
-                    fe.idle_since = Some(now);
                     out.push((now + grace, VgpuEvent::IdleRelease { client, since: now }));
                 }
             } else {
@@ -550,7 +576,7 @@ impl SharedGpu {
     /// queued burst if the token is valid, request the token otherwise,
     /// release it if there is nothing to run.
     fn pump(&mut self, now: SimTime, client: ClientId, out: &mut VgpuEmit) {
-        let fe = self.fronts.get_mut(&client).expect("client attached");
+        let fe = self.fronts.get_mut(client).expect("client attached");
         if fe.inflight {
             return;
         }
@@ -562,12 +588,10 @@ impl SharedGpu {
             return;
         }
         if self.backend.holds_valid_token(now, client) {
-            let burst = {
-                let fe = self.fronts.get_mut(&client).unwrap();
-                fe.inflight = true;
-                fe.queue.pop_front().unwrap()
-            };
-            self.device_submit(now, client, burst, out);
+            fe.inflight = true;
+            let burst = fe.queue.pop_front().expect("checked non-empty");
+            let (ctx, swapped) = (fe.ctx, fe.swapped_fraction());
+            self.device_submit(now, client, ctx, swapped, burst, out);
         } else {
             let holds = match self.backend.request(now, client, &mut self.timers) {
                 Ok(h) => h,
@@ -575,7 +599,7 @@ impl SharedGpu {
                     // The frontend raced a backend restart: transparently
                     // re-register (the real library re-attaches over IPC)
                     // and retry once.
-                    let spec = self.fronts[&client].spec;
+                    let spec = self.fronts[client].spec;
                     let _ = self.backend.register(client, spec);
                     self.backend
                         .request(now, client, &mut self.timers)
@@ -586,13 +610,9 @@ impl SharedGpu {
             // new requester right away (mirrors the retract-time yield).
             if !holds {
                 if let Some(h) = self.backend.holder(now) {
-                    let holder_idle = self
-                        .fronts
-                        .get(&h)
-                        .map(|fe| fe.idle_since.is_some())
-                        .unwrap_or(false);
-                    if holder_idle {
-                        self.fronts.get_mut(&h).unwrap().idle_since = None;
+                    let holder = self.fronts.get_mut(h);
+                    if let Some(fe) = holder.filter(|fe| fe.idle_since.is_some()) {
+                        fe.idle_since = None;
                         self.backend.release(now, h, &mut self.timers);
                     }
                 }
@@ -608,30 +628,40 @@ impl SharedGpu {
 
     /// Passthrough submission: no token gating, device FIFO arbitrates.
     fn pump_passthrough(&mut self, now: SimTime, client: ClientId, out: &mut VgpuEmit) {
-        while let Some(burst) = {
-            let fe = self.fronts.get_mut(&client).unwrap();
-            fe.queue.pop_front()
-        } {
-            self.device_submit(now, client, burst, out);
+        let fe = &self.fronts[client];
+        let (ctx, swapped) = (fe.ctx, fe.swapped_fraction());
+        while let Some(burst) = self
+            .fronts
+            .get_mut(client)
+            .and_then(|fe| fe.queue.pop_front())
+        {
+            self.device_submit(now, client, ctx, swapped, burst, out);
         }
     }
 
-    fn device_submit(&mut self, now: SimTime, client: ClientId, burst: Burst, out: &mut VgpuEmit) {
-        let fe = &self.fronts[&client];
-        let ctx = fe.ctx;
+    /// Hands `burst` to the device under `client`'s context `ctx`;
+    /// `swapped` is the client's share of memory in host swap.
+    fn device_submit(
+        &mut self,
+        now: SimTime,
+        client: ClientId,
+        ctx: ContextId,
+        swapped: f64,
+        burst: Burst,
+        out: &mut VgpuEmit,
+    ) {
         // Over-commitment extension: a swapping container pages data over
         // PCIe during its kernels.
-        let swapped_fraction = if fe.host_swapped > 0 {
-            fe.host_swapped as f64 / fe.mem_quota.max(1) as f64
-        } else {
-            0.0
-        };
         let dur = burst
             .dur
-            .mul_f64(self.swap.kernel_factor(swapped_fraction) * self.degraded_factor);
+            .mul_f64(self.swap.kernel_factor(swapped) * self.degraded_factor);
         let dev_tag = KernelTag(self.next_tag);
         self.next_tag += 1;
-        self.tags.insert(dev_tag.0, (client, burst.tag));
+        self.tags.push_back(Launch {
+            dev_tag,
+            client,
+            tag: burst.tag,
+        });
         let started = self
             .device
             .submit(now, ctx, dur, dev_tag)
@@ -997,6 +1027,106 @@ mod tests {
         assert_eq!(eng.world.gpu.device().memory().used(), 0);
         // The in-flight kernel completed silently: no notice.
         assert!(eng.world.notices.is_empty());
+    }
+
+    #[test]
+    fn detach_forgets_kernels_dropped_from_the_device_queue() {
+        // A runs one 50 ms burst; B queues three behind it on the device
+        // and detaches, which drops them from the device queue. No launch
+        // record of B's may outlive the run.
+        let mut eng = new_harness(IsolationMode::NONE, 100);
+        let a = eng.world.gpu.attach(ShareSpec::new(0.5, 1.0, 0.5).unwrap());
+        let b = eng.world.gpu.attach(ShareSpec::new(0.5, 1.0, 0.5).unwrap());
+        let mut out = Vec::new();
+        let gpu = &mut eng.world.gpu;
+        gpu.submit_burst(SimTime::ZERO, a, SimDuration::from_millis(50), 1, &mut out);
+        for tag in 10..13 {
+            gpu.submit_burst(
+                SimTime::ZERO,
+                b,
+                SimDuration::from_millis(50),
+                tag,
+                &mut out,
+            );
+        }
+        gpu.detach(SimTime::ZERO, b, &mut out);
+        assert_eq!(gpu.device().queue_len(), 0);
+        seed(&mut eng, out);
+        assert_eq!(eng.run_to_completion(1000), RunOutcome::Drained);
+        assert_eq!(
+            eng.world.notices,
+            vec![(
+                SimTime::from_millis(50),
+                VgpuNotice::BurstDone { client: a, tag: 1 }
+            )]
+        );
+        assert!(eng.world.gpu.tags.is_empty(), "{:?}", eng.world.gpu.tags);
+    }
+
+    #[test]
+    fn kernel_of_a_detached_client_finishes_silently_before_the_next() {
+        // B's kernel is running when B detaches; A's queued kernel runs
+        // after it and is the only one reported.
+        let mut eng = new_harness(IsolationMode::NONE, 100);
+        let b = eng.world.gpu.attach(ShareSpec::new(0.5, 1.0, 0.5).unwrap());
+        let a = eng.world.gpu.attach(ShareSpec::new(0.5, 1.0, 0.5).unwrap());
+        let mut out = Vec::new();
+        let gpu = &mut eng.world.gpu;
+        gpu.submit_burst(SimTime::ZERO, b, SimDuration::from_millis(30), 5, &mut out);
+        gpu.submit_burst(SimTime::ZERO, a, SimDuration::from_millis(20), 6, &mut out);
+        gpu.detach(SimTime::from_millis(10), b, &mut out);
+        seed(&mut eng, out);
+        assert_eq!(eng.run_to_completion(1000), RunOutcome::Drained);
+        assert_eq!(
+            eng.world.notices,
+            vec![(
+                SimTime::from_millis(50),
+                VgpuNotice::BurstDone { client: a, tag: 6 }
+            )]
+        );
+        assert!(eng.world.gpu.tags.is_empty());
+    }
+
+    #[test]
+    fn kernel_done_at_the_expiry_instant_waits_for_the_expiry() {
+        // Two 40 ms bursts under a 40 ms quota: the first kernel ends at
+        // the instant the quota expires. Delivered before the expiry timer,
+        // its completion finds the hold no longer valid, so the next burst
+        // waits for the regrant instead of launching under a dead token.
+        let mut eng = new_harness(IsolationMode::FULL, 40);
+        let c = eng.world.gpu.attach(ShareSpec::exclusive());
+        let mut out = Vec::new();
+        for tag in 0..2 {
+            eng.world.gpu.submit_burst(
+                SimTime::ZERO,
+                c,
+                SimDuration::from_millis(40),
+                tag,
+                &mut out,
+            );
+        }
+        let grant = out.pop().expect("grant in flight");
+        assert!(out.is_empty());
+        let mut notes = Vec::new();
+        eng.world.gpu.handle(grant.0, grant.1, &mut out, &mut notes);
+        let [expiry, done] = out[..] else {
+            panic!("expected expiry + kernel done, got {out:?}")
+        };
+        assert_eq!(expiry.0, done.0);
+        let mut later = Vec::new();
+        eng.world.gpu.handle(done.0, done.1, &mut later, &mut notes);
+        assert_eq!(notes, vec![VgpuNotice::BurstDone { client: c, tag: 0 }]);
+        assert_eq!(eng.world.gpu.device().queue_len(), 0);
+        assert!(
+            !eng.world.gpu.device().is_busy(),
+            "no launch under a dead token"
+        );
+        seed(&mut eng, vec![expiry]);
+        seed(&mut eng, later);
+        assert_eq!(eng.run_to_completion(1000), RunOutcome::Drained);
+        let (at, last) = *eng.world.notices.last().unwrap();
+        assert_eq!(last, VgpuNotice::BurstDone { client: c, tag: 1 });
+        assert_eq!(at, done.0 + SimDuration::from_millis(41), "regrant + 40 ms");
     }
 
     /// Submits `n` back-to-back bursts for `c` and runs them to completion.

@@ -8,7 +8,7 @@
 
 use std::collections::VecDeque;
 
-use ks_sim_core::fxhash::FxHashMap;
+use ks_sim_core::dense::{DenseKey, DenseMap};
 use ks_sim_core::time::{SimDuration, SimTime};
 
 /// Identifies a container attached to a shared GPU.
@@ -18,6 +18,13 @@ pub struct ClientId(pub u64);
 impl std::fmt::Display for ClientId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "client-{}", self.0)
+    }
+}
+
+impl DenseKey for ClientId {
+    #[inline]
+    fn raw(self) -> u64 {
+        self.0
     }
 }
 
@@ -77,7 +84,7 @@ struct Holds {
 #[derive(Debug)]
 pub struct UsageWindow {
     window: SimDuration,
-    clients: FxHashMap<ClientId, Holds>,
+    clients: DenseMap<ClientId, Holds>,
 }
 
 impl UsageWindow {
@@ -86,7 +93,7 @@ impl UsageWindow {
         assert!(!window.is_zero(), "window must be positive");
         UsageWindow {
             window,
-            clients: FxHashMap::default(),
+            clients: DenseMap::new(),
         }
     }
 
@@ -95,12 +102,23 @@ impl UsageWindow {
         self.window
     }
 
+    /// Client-id slots the tracker's table spans (see
+    /// [`DenseMap::span`]).
+    #[cfg(test)]
+    pub(crate) fn span(&self) -> usize {
+        self.clients.span()
+    }
+
     /// Marks `client` as holding the token from `now`.
     ///
     /// # Panics
     /// Panics if the client already has an open hold.
     pub fn begin_hold(&mut self, now: SimTime, client: ClientId) {
-        let prev = self.clients.entry(client).or_default().open.replace(now);
+        let prev = self
+            .clients
+            .get_or_insert_with(client, Holds::default)
+            .open
+            .replace(now);
         assert!(prev.is_none(), "{client} already holds the token");
     }
 
@@ -109,11 +127,13 @@ impl UsageWindow {
     /// # Panics
     /// Panics if the client has no open hold.
     pub fn end_hold(&mut self, now: SimTime, client: ClientId) {
-        let holds = self.clients.entry(client).or_default();
-        let start = holds
-            .open
-            .take()
-            .unwrap_or_else(|| panic!("{client} has no open hold"));
+        let open = self
+            .clients
+            .get_mut(client)
+            .and_then(|h| Some((h.open.take()?, h)));
+        let Some((start, holds)) = open else {
+            panic!("{client} has no open hold");
+        };
         debug_assert!(now >= start);
         if now > start {
             holds.closed.push_back(Interval { start, end: now });
@@ -123,7 +143,7 @@ impl UsageWindow {
 
     /// True if the client currently has an open hold.
     pub fn holding(&self, client: ClientId) -> bool {
-        self.clients.get(&client).is_some_and(|h| h.open.is_some())
+        self.clients.get(client).is_some_and(|h| h.open.is_some())
     }
 
     /// Usage rate of `client` over `[now - window, now]`, in `[0, 1]`.
@@ -139,7 +159,7 @@ impl UsageWindow {
             SimTime::ZERO
         };
         let mut held = SimDuration::ZERO;
-        if let Some(holds) = self.clients.get_mut(&client) {
+        if let Some(holds) = self.clients.get_mut(client) {
             while let Some(front) = holds.closed.front() {
                 if front.end > horizon {
                     break;
@@ -165,7 +185,7 @@ impl UsageWindow {
 
     /// Removes all state for a departed client.
     pub fn forget(&mut self, client: ClientId) {
-        self.clients.remove(&client);
+        self.clients.remove(client);
     }
 }
 
