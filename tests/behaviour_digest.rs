@@ -197,6 +197,34 @@ fn sched_scale_256_gpus_seed_7() {
     h.check("sched_scale --gpus 256 --pods 2000 --seed 7", SCHED_SCALE);
 }
 
+/// The `sched_scale --gpus 2500 --pods 10000 --seed 7` stream drained by
+/// the Indexed path alone: at this size most fit-range scans pass over
+/// several devices before their winner, so the digest pins which devices
+/// the scan skips. Every decision and the tenants each device ends with.
+#[test]
+fn sched_scale_indexed_2500_gpus_seed_7() {
+    let (mut pool, entries) = sched_scale::inputs(2_500, 10_000, 7);
+    let decisions = schedule_batch(SchedMode::Indexed, &entries, &mut pool);
+    let mut h = Digest::default();
+    h.usize(decisions.len());
+    for (uid, d) in &decisions {
+        h.u64(uid.0);
+        h.str(&format!("{d:?}"));
+    }
+    h.usize(pool.len());
+    for d in pool.devices() {
+        h.str(d.id.as_str());
+        h.usize(d.attached.len());
+        for uid in d.attached.keys() {
+            h.u64(uid.0);
+        }
+    }
+    h.check(
+        "sched_scale --gpus 2500 --pods 10000 --seed 7, Indexed",
+        SCHED_SCALE_INDEXED,
+    );
+}
+
 /// The closed-loop remediation soak at seed 7: every figure of its
 /// report. Its drains run `drain_vgpu` against live tenants.
 #[test]
@@ -344,6 +372,7 @@ const EXPLAIN: u64 = 0xbe78_08f9_a272_9150;
 const CHAOS: u64 = 0x67a1_88f5_ccb2_d513;
 const PARTITION: u64 = 0xdccf_0903_6413_972d;
 const SCHED_SCALE: u64 = 0xeb92_1998_0ce5_bc3c;
+const SCHED_SCALE_INDEXED: u64 = 0x942f_7229_470f_cabb;
 const REMEDIATION: u64 = 0x1ede_73af_4b0f_b802;
 const GATEWAY: u64 = 0xefb8_3fd4_74a2_8408;
 const FIG8A: u64 = 0x1764_1a6e_eca1_2eca;
