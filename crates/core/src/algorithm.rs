@@ -36,7 +36,7 @@ use ks_telemetry::provenance::{DecisionKind, FlightRecorder, Outcome, ReasonCode
 
 use crate::gpuid::GpuId;
 use crate::locality::Locality;
-use crate::pool::{frac, units, DeviceIdx, PoolDevice, VgpuPool, FULL, SLOT};
+use crate::pool::{fit_key, fits, frac, units, DeviceIdx, PoolDevice, VgpuPool, FULL, SLOT};
 
 /// A container's scheduling requirements (`r` in Algorithm 1).
 #[derive(Debug, Clone)]
@@ -296,12 +296,12 @@ fn schedule_indexed_prov(
     // there keeps them in range even when the request could never fit.
     let min_fit = need.0.saturating_add(need.1).min(2 * FULL);
     let best_fit = pool.plain_fit_range_at(min_fit);
-    if let Some((idx, d)) = scan_first(best_fit, "best_fit", req, need, prov) {
+    if let Some((idx, d)) = scan_first(pool, best_fit, "best_fit", req, need, prov) {
         prov.note_static("best_fit: first survivor of ascending plain-fit scan");
         return assign(idx, &d.id);
     }
     let worst_fit = pool.labeled_fit_range_desc_at(min_fit);
-    if let Some((idx, d)) = scan_first(worst_fit, "worst_fit", req, need, prov) {
+    if let Some((idx, d)) = scan_first(pool, worst_fit, "worst_fit", req, need, prov) {
         prov.note_static("worst_fit: first survivor of descending labeled-fit scan");
         return assign(idx, &d.id);
     }
@@ -309,12 +309,19 @@ fn schedule_indexed_prov(
     (Decision::NewDevice(pool.fresh_id()), None)
 }
 
-/// The indexed path's fit-range scan: the first device of `scan` that
-/// [`passes`] the filter for `req` and its demand `need`, with its
-/// handle, marked as the winner under `rule`.
+/// The indexed path's fit-range scan over `pool`'s index entries `scan`:
+/// the first device that [`passes`] the filter for `req` and its demand
+/// `need`, with its handle, marked as the winner under `rule`.
 ///
-/// This loop is the only per-device work at cluster scale. Examined
-/// devices are staged as `(fit key, id)` pairs in a stack buffer (hot
+/// This loop is the only per-device work at cluster scale. Each entry
+/// carries its device's residual, so a device without room for the
+/// demand is rejected from the entry alone, and only the rest are read
+/// from the slab for the idle and locality filter. The skip is exact: a
+/// device with no tenants has a whole GPU free on each axis, so it
+/// covers the demand capped at one GPU per axis and is always read,
+/// while a tenanted device that misses the capped demand misses `need`
+/// too and [`passes`] would reject it. Examined devices are staged as
+/// `(fit key, id)` pairs, taken from the entry, in a stack buffer (hot
 /// lines, pipelined stores) while the collector has room — with the
 /// collector off, [`SchedProv::scan_room`] is 0 and nothing is staged —
 /// and become candidate records in one burst after the loop. Writing the
@@ -324,24 +331,30 @@ fn schedule_indexed_prov(
 /// candidates the collector already held, so the string-searching
 /// [`SchedProv::choose`] is never needed.
 fn scan_first<'a>(
-    scan: impl Iterator<Item = (DeviceIdx, &'a PoolDevice)>,
+    pool: &'a VgpuPool,
+    scan: impl Iterator<Item = (DeviceIdx, &'a GpuId, (u32, u32))>,
     rule: &'static str,
     req: &SchedRequest,
     need: (u32, u32),
     prov: &mut SchedProv,
 ) -> Option<(DeviceIdx, &'a PoolDevice)> {
+    let capped = (need.0.min(FULL), need.1.min(FULL));
     let base = prov.candidates().len();
     let room = prov.scan_room();
     let mut seen: [(u32, &str); SchedProv::MAX_CANDIDATES] = Default::default();
     let (mut staged, mut scanned) = (0usize, 0usize);
     let mut winner = None;
-    for (idx, d) in scan {
+    for (idx, id, free) in scan {
         scanned += 1;
         let pushed = staged < room;
         if pushed {
-            seen[staged] = (d.fit_key(), d.id.as_str());
+            seen[staged] = (fit_key(free), id.as_str());
             staged += 1;
         }
+        if !fits(free, capped) {
+            continue;
+        }
+        let d = pool.slot(idx);
         if passes(req, need, d) {
             winner = Some((idx, d, pushed));
             break;
@@ -1343,5 +1356,80 @@ mod tests {
             assert_eq!(tenants(&ids[2]), [Uid(2)], "{mode:?}");
             p.verify_indexes().unwrap();
         }
+    }
+
+    // ---- the fit scan's residual pre-check ----
+
+    #[test]
+    fn whole_gpu_request_wins_an_idle_device() {
+        // Only the idle device has a whole GPU free; the residual carried
+        // in its fit entry covers the demand exactly.
+        let build = || {
+            let (mut p, ids) = pool(3);
+            p.attach(&ids[0], Uid(1), 0.1, 0.1, None, None, None);
+            p.attach(&ids[2], Uid(2), 0.2, 0.2, Some("g"), None, None);
+            p
+        };
+        let (_, ids) = pool(3);
+        let d = both_modes(build, &req(1.0, 1.0));
+        assert_eq!(d, Decision::Assign(ids[1].clone()));
+        // A demand over one GPU fits no residual, yet idle devices always
+        // pass the filter: the pre-check caps the demand at one GPU per
+        // axis, so the idle device is still read and still wins.
+        let d = both_modes(build, &req(1.5, 0.2));
+        assert_eq!(d, Decision::Assign(ids[1].clone()));
+        // Applied in a batch, the first whole-GPU entry fills the idle
+        // device and the second needs a new one.
+        let entries: Vec<BatchEntry> = (0..2)
+            .map(|i| BatchEntry {
+                uid: Uid(10 + i),
+                req: req(1.0, 1.0),
+            })
+            .collect();
+        for mode in [SchedMode::Reference, SchedMode::Indexed] {
+            let mut p = build();
+            let out = schedule_batch(mode, &entries, &mut p);
+            assert_eq!(out[0].1, Decision::Assign(ids[1].clone()), "{mode:?}");
+            assert!(matches!(out[1].1, Decision::NewDevice(_)), "{mode:?}");
+            assert_eq!(p.get(&ids[1]).unwrap().fit_key(), 0, "{mode:?}");
+            p.verify_indexes().unwrap();
+        }
+    }
+
+    #[test]
+    fn zero_demand_tenant_at_full_residual_is_still_filtered() {
+        // ids[0] hosts a zero-demand tenant: its residual is a whole GPU,
+        // the same as an idle device's, but it is not idle and keeps its
+        // tenant's labels. ids[1] has no room for the requests below.
+        let build = |aff: Option<&str>, anti: Option<&str>, excl: Option<&str>| {
+            let (mut p, ids) = pool(2);
+            p.attach(&ids[0], Uid(1), 0.0, 0.0, aff, anti, excl);
+            p.attach(&ids[1], Uid(2), 0.9, 0.9, None, None, None);
+            p
+        };
+        let (_, ids) = pool(2);
+        let full = build(None, None, Some("tenant-a"));
+        assert_eq!(full.get(&ids[0]).unwrap().fit_key(), 2 * FULL);
+        assert!(!full.get(&ids[0]).unwrap().is_idle());
+        let r = req(0.5, 0.5);
+        // Best-fit scan: the exclusion still keeps an unlabeled request off.
+        let d = both_modes(|| build(None, None, Some("tenant-a")), &r);
+        assert!(matches!(d, Decision::NewDevice(_)), "{d:?}");
+        let same = req_loc(0.5, 0.5, Locality::none().with_exclusion("tenant-a"));
+        let d = both_modes(|| build(None, None, Some("tenant-a")), &same);
+        assert_eq!(d, Decision::Assign(ids[0].clone()));
+        // Anti-affinity is checked too.
+        let noisy = req_loc(0.5, 0.5, Locality::none().with_anti_affinity("noisy"));
+        let d = both_modes(|| build(None, Some("noisy"), None), &noisy);
+        assert!(matches!(d, Decision::NewDevice(_)), "{d:?}");
+        assert_eq!(
+            both_modes(|| build(None, Some("noisy"), None), &r),
+            Decision::Assign(ids[0].clone())
+        );
+        // Worst-fit scan: an affinity-labelled full-residual device.
+        let d = both_modes(|| build(Some("g"), None, Some("tenant-a")), &r);
+        assert!(matches!(d, Decision::NewDevice(_)), "{d:?}");
+        let d = both_modes(|| build(Some("g"), None, Some("tenant-a")), &same);
+        assert_eq!(d, Decision::Assign(ids[0].clone()));
     }
 }

@@ -26,7 +26,13 @@
 //!   `util_free + mem_free` and their id, split by whether the device
 //!   carries affinity labels. `plain_fit` orders by (fit key, id), the
 //!   best-fit scan order; `labeled_fit` by (fit key descending, id), so
-//!   the worst-fit scan is a forward walk that stops below the bound;
+//!   the worst-fit scan is a forward walk that stops below the bound.
+//!   Besides its handle, each fit entry carries the device's residual
+//!   `(util_free, mem_free)`, so Algorithm 1's scan rejects a device
+//!   that lacks room without reading it from the slab. The skip is
+//!   exact: a device with no tenants has a whole GPU free on each axis
+//!   and so covers any demand capped at one GPU, and a tenanted device
+//!   without room fails the filter anyway;
 //! * `unattached` — devices with no tenants (Algorithm 1's `d.idle`),
 //!   in id order;
 //! * `idle` — devices in the `Idle` lifecycle phase (release-policy
@@ -40,7 +46,9 @@
 //! `attach_slice`, `detach`, `mark_releasing`, `remove`) snapshots where
 //! the device sits in the scheduler indexes before it changes the device,
 //! then applies only the difference through one routine: an `attach`
-//! moves one fit entry and adds at most its one new affinity label.
+//! moves one fit entry and adds at most its one new affinity label. The
+//! snapshot records the residual pair, not just its sum, so a fit entry
+//! is rewritten whenever its carried residual would go stale.
 //! [`VgpuPool::verify_indexes`] cross-checks the handle map and the
 //! indexes against a from-scratch rebuild and backs the
 //! index-consistency property tests.
@@ -164,7 +172,12 @@ impl PoolDevice {
     /// for a fixed request the placement residual is this sum minus a
     /// constant, so ordering by the sum is ordering by the residual.
     pub fn fit_key(&self) -> u32 {
-        self.util_free + self.mem_free
+        fit_key(self.free())
+    }
+
+    /// The residual `(util_free, mem_free)`.
+    pub(crate) fn free(&self) -> (u32, u32) {
+        (self.util_free, self.mem_free)
     }
 
     /// The (free, reachable) compute units the fragmentation score counts:
@@ -181,8 +194,13 @@ impl PoolDevice {
 
     /// [`fits`] on this device's residual.
     pub fn fits(&self, need: (u32, u32)) -> bool {
-        fits((self.util_free, self.mem_free), need)
+        fits(self.free(), need)
     }
+}
+
+/// The fit key of a residual `(util_free, mem_free)`: its sum.
+pub(crate) fn fit_key(free: (u32, u32)) -> u32 {
+    free.0 + free.1
 }
 
 /// Dense handle of a device's slot in the pool's slab. Crate-visible so
@@ -206,6 +224,11 @@ impl DeviceIdx {
 /// One index bucket: devices in id order, each with its slab handle so a
 /// scan reads the device without looking its id up.
 type IdMap = BTreeMap<GpuId, DeviceIdx>;
+
+/// A fit-index entry's value: the device's slab handle and its residual
+/// `(util_free, mem_free)`, so a fit-range scan rejects a device that
+/// lacks room without reading it from the slab.
+type FitEntry = (DeviceIdx, (u32, u32));
 
 /// Adds `(id, idx)` to the bucket under `key`. The key is looked up
 /// before it is cloned, so an existing bucket costs no key allocation.
@@ -245,10 +268,11 @@ fn min_id() -> &'static GpuId {
 struct Placement {
     /// In `spatial`: a non-releasing partitioned device.
     spatial: bool,
-    /// A non-releasing time-sliced device's fit entry: its key and whether
-    /// it sits in `labeled_fit`. Such a device also has one `aff_index`
-    /// entry per affinity label.
-    fit: Option<(u32, bool)>,
+    /// A non-releasing time-sliced device's fit entry: its residual
+    /// `(util_free, mem_free)`, which the entry carries and whose sum is
+    /// its key, and whether it sits in `labeled_fit`. Such a device also
+    /// has one `aff_index` entry per affinity label.
+    fit: Option<((u32, u32), bool)>,
     /// In `unattached`.
     unattached: bool,
     /// In `idle`.
@@ -275,7 +299,7 @@ impl Placement {
         } else {
             Placement {
                 spatial: false,
-                fit: Some((d.fit_key(), !d.aff.is_empty())),
+                fit: Some((d.free(), !d.aff.is_empty())),
                 unattached: d.attached.is_empty(),
                 idle: d.phase == VgpuPhase::Idle,
             }
@@ -300,10 +324,10 @@ enum LabelChange<'a> {
 struct PoolIndexes {
     /// Schedulable devices without affinity labels, ascending by
     /// (fit key, id): the best-fit scan order.
-    plain_fit: BTreeMap<(u32, GpuId), DeviceIdx>,
+    plain_fit: BTreeMap<(u32, GpuId), FitEntry>,
     /// Schedulable devices with affinity labels, by fit key descending
     /// and id ascending within a key: the worst-fit scan order.
-    labeled_fit: BTreeMap<(Reverse<u32>, GpuId), DeviceIdx>,
+    labeled_fit: BTreeMap<(Reverse<u32>, GpuId), FitEntry>,
     /// Schedulable devices with no attached sharePods, in id order.
     unattached: IdMap,
     /// Non-releasing devices in the `Idle` phase, in id order.
@@ -344,20 +368,23 @@ impl PoolIndexes {
         }
         if before.fit != after.fit {
             match before.fit {
-                Some((fit, false)) => {
-                    self.plain_fit.remove(&(fit, id.clone()));
+                Some((free, false)) => {
+                    self.plain_fit.remove(&(fit_key(free), id.clone()));
                 }
-                Some((fit, true)) => {
-                    self.labeled_fit.remove(&(Reverse(fit), id.clone()));
+                Some((free, true)) => {
+                    self.labeled_fit
+                        .remove(&(Reverse(fit_key(free)), id.clone()));
                 }
                 None => {}
             }
             match after.fit {
-                Some((fit, false)) => {
-                    self.plain_fit.insert((fit, id.clone()), idx);
+                Some((free, false)) => {
+                    self.plain_fit
+                        .insert((fit_key(free), id.clone()), (idx, free));
                 }
-                Some((fit, true)) => {
-                    self.labeled_fit.insert((Reverse(fit), id.clone()), idx);
+                Some((free, true)) => {
+                    let key = (Reverse(fit_key(free)), id.clone());
+                    self.labeled_fit.insert(key, (idx, free));
                 }
                 None => {}
             }
@@ -422,8 +449,8 @@ impl PoolIndexes {
 
     /// Every index entry.
     fn entries(&self) -> impl Iterator<Item = (&GpuId, &DeviceIdx)> {
-        let fit = (self.plain_fit.iter().map(|((_, id), idx)| (id, idx)))
-            .chain(self.labeled_fit.iter().map(|((_, id), idx)| (id, idx)));
+        let fit = (self.plain_fit.iter().map(|((_, id), (idx, _))| (id, idx)))
+            .chain(self.labeled_fit.iter().map(|((_, id), (idx, _))| (id, idx)));
         let buckets = (self.aff_index.values().chain(self.by_node.values()))
             .chain([&self.unattached, &self.idle, &self.spatial])
             .flatten();
@@ -936,37 +963,40 @@ impl VgpuPool {
     /// least `min_fit`, ascending by (fit key, id) — the best-fit scan
     /// order (tightest candidate first, id as the tie-break).
     pub fn plain_fit_range(&self, min_fit: u32) -> impl Iterator<Item = &PoolDevice> {
-        self.plain_fit_range_at(min_fit).map(|(_, d)| d)
+        (self.plain_fit_range_at(min_fit)).map(move |(idx, _, _)| self.slot(idx))
     }
 
-    /// [`VgpuPool::plain_fit_range`] with each device's handle.
+    /// [`VgpuPool::plain_fit_range`] as its index entries: each device's
+    /// handle, id and residual `(util_free, mem_free)`, read without
+    /// touching the slab.
     pub(crate) fn plain_fit_range_at(
         &self,
         min_fit: u32,
-    ) -> impl Iterator<Item = (DeviceIdx, &PoolDevice)> {
+    ) -> impl Iterator<Item = (DeviceIdx, &GpuId, (u32, u32))> {
         self.ix
             .plain_fit
             .range((min_fit, min_id().clone())..)
-            .map(move |(_, &idx)| (idx, self.slot(idx)))
+            .map(|((_, id), &(idx, free))| (idx, id, free))
     }
 
     /// Schedulable devices *with* affinity labels whose fit key is at least
     /// `min_fit`, descending by fit key with ascending id inside one key —
     /// the worst-fit scan order (roomiest candidate first, id tie-break).
     pub fn labeled_fit_range_desc(&self, min_fit: u32) -> impl Iterator<Item = &PoolDevice> {
-        self.labeled_fit_range_desc_at(min_fit).map(|(_, d)| d)
+        (self.labeled_fit_range_desc_at(min_fit)).map(move |(idx, _, _)| self.slot(idx))
     }
 
-    /// [`VgpuPool::labeled_fit_range_desc`] with each device's handle.
+    /// [`VgpuPool::labeled_fit_range_desc`] as its index entries, like
+    /// [`VgpuPool::plain_fit_range_at`].
     pub(crate) fn labeled_fit_range_desc_at(
         &self,
         min_fit: u32,
-    ) -> impl Iterator<Item = (DeviceIdx, &PoolDevice)> {
+    ) -> impl Iterator<Item = (DeviceIdx, &GpuId, (u32, u32))> {
         self.ix
             .labeled_fit
             .iter()
             .take_while(move |((Reverse(fit), _), _)| *fit >= min_fit)
-            .map(move |(_, &idx)| (idx, self.slot(idx)))
+            .map(|((_, id), &(idx, free))| (idx, id, free))
     }
 
     /// Cross-checks the slab's handle map and the incrementally-maintained
@@ -1288,6 +1318,26 @@ mod tests {
         bad.free.push(a);
         assert!(bad.verify_indexes().unwrap_err().contains("free list"));
         p.verify_indexes().unwrap();
+    }
+
+    #[test]
+    fn verify_catches_a_stale_carried_residual() {
+        let (mut p, ids) = pool_with_ready(2);
+        p.attach(&ids[1], Uid(1), 0.2, 0.3, Some("g"), None, None);
+        p.verify_indexes().unwrap();
+        // A residual that no longer matches its device, under the right key.
+        let mut bad = p.clone();
+        let entry = bad.ix.plain_fit.get_mut(&(2 * FULL, ids[0].clone()));
+        entry.unwrap().1 = (FULL + 1, FULL - 1);
+        let err = bad.verify_indexes().unwrap_err();
+        assert!(err.contains("index plain_fit drifted"), "{err}");
+        // Swapped axes keep the sum, and are caught as well.
+        let mut bad = p.clone();
+        let d = p.get(&ids[1]).unwrap();
+        let key = (Reverse(d.fit_key()), ids[1].clone());
+        bad.ix.labeled_fit.get_mut(&key).unwrap().1 = (d.mem_free, d.util_free);
+        let err = bad.verify_indexes().unwrap_err();
+        assert!(err.contains("index labeled_fit drifted"), "{err}");
     }
 
     #[test]
