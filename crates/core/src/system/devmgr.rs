@@ -5,11 +5,31 @@ use ks_cluster::api::{ResourceList, Uid, NVIDIA_GPU};
 use ks_sim_core::time::SimTime;
 use ks_telemetry::TraceCtx;
 
-use super::{
-    lifted, AnchorRetry, KsEmit, KsEvent, KsNotice, KubeShareSystem, PoolPolicy, SystemError,
-};
+use super::{lifted, KsEmit, KsEvent, KsNotice, KubeShareSystem, PoolPolicy, SystemError};
 use crate::gpuid::GpuId;
 use crate::sharepod::SharePodPhase;
+
+/// DevMgr's state for one vGPU: created with its pool entry, dropped with
+/// it by [`KubeShareSystem::forget_vgpu`].
+#[derive(Debug, Default)]
+pub(super) struct VgpuRecord {
+    /// The anchor pod holding the physical GPU, while one exists.
+    pub(super) anchor: Option<Uid>,
+    /// sharePods parked until the anchor reports the device UUID.
+    pub(super) waiting: Vec<Uid>,
+    /// Launch bookkeeping; `None` once the anchor reports in.
+    pub(super) retry: Option<AnchorRetry>,
+    /// Trace of the sharePod whose decision created the vGPU, so DevMgr's
+    /// launch and backoff events land in it.
+    pub(super) ctx: TraceCtx,
+}
+
+/// Anchor launch attempts so far and the node to relaunch on.
+#[derive(Debug)]
+pub(super) struct AnchorRetry {
+    attempts: u32,
+    node: Option<String>,
+}
 
 impl KubeShareSystem {
     pub(super) fn launch_anchor(
@@ -20,21 +40,16 @@ impl KubeShareSystem {
         out: &mut KsEmit,
         notices: &mut Vec<KsNotice>,
     ) {
-        self.anchor_retry
-            .entry(gpuid.clone())
-            .or_insert(AnchorRetry {
-                attempts: 0,
-                node: node_name.clone(),
-            });
+        let rec = self.vgpus.entry(gpuid.clone()).or_default();
+        rec.retry.get_or_insert(AnchorRetry {
+            attempts: 0,
+            node: node_name.clone(),
+        });
+        let ctx = rec.ctx;
         if self.telemetry.is_enabled() {
             self.telemetry
                 .counter("ks_devmgr_anchor_launches_total", &[])
                 .inc();
-            let ctx = self
-                .anchor_ctx
-                .get(gpuid)
-                .copied()
-                .unwrap_or(TraceCtx::NONE);
             self.telemetry.trace_event_in(
                 now,
                 ctx,
@@ -61,11 +76,9 @@ impl KubeShareSystem {
             self.cluster
                 .submit_pod(now, format!("anchor-{gpuid}"), spec, o)
         });
-        if let Some(ctx) = self.anchor_ctx.get(gpuid) {
-            self.cluster.set_pod_trace(pod, *ctx);
-        }
+        self.cluster.set_pod_trace(pod, ctx);
         self.anchor_vgpu.insert(pod, gpuid.clone());
-        self.vgpu_anchor.insert(gpuid.clone(), pod);
+        self.vgpus.entry(gpuid.clone()).or_default().anchor = Some(pod);
     }
 
     /// One anchor launch attempt failed. Retry with capped exponential
@@ -78,7 +91,8 @@ impl KubeShareSystem {
         out: &mut KsEmit,
         notices: &mut Vec<KsNotice>,
     ) {
-        let Some(retry) = self.anchor_retry.get_mut(&gpuid) else {
+        let rec = self.vgpus.get_mut(&gpuid);
+        let Some((ctx, Some(retry))) = rec.map(|r| (r.ctx, r.retry.as_mut())) else {
             return; // vGPU already gone (node failure raced the retry)
         };
         retry.attempts += 1;
@@ -97,11 +111,6 @@ impl KubeShareSystem {
             self.telemetry
                 .counter("ks_devmgr_anchor_backoffs_total", &[])
                 .inc();
-            let ctx = self
-                .anchor_ctx
-                .get(&gpuid)
-                .copied()
-                .unwrap_or(TraceCtx::NONE);
             self.telemetry.trace_event_in(
                 now,
                 ctx,
@@ -140,10 +149,11 @@ impl KubeShareSystem {
             .pool
             .get(&gpuid)
             .is_some_and(|d| d.uuid.is_none() && !d.releasing);
-        if !still_creating || self.vgpu_anchor.contains_key(&gpuid) {
+        let rec = self.vgpus.get(&gpuid);
+        if !still_creating || rec.is_some_and(|r| r.anchor.is_some()) {
             return;
         }
-        let node = self.anchor_retry.get(&gpuid).and_then(|r| r.node.clone());
+        let node = rec.and_then(|r| r.retry.as_ref()?.node.clone());
         self.launch_anchor(now, &gpuid, node, out, notices);
     }
 
@@ -307,11 +317,11 @@ impl KubeShareSystem {
         // otherwise a sharePod could bind during the anchor's termination
         // window and the GPU would vanish under it.
         self.pool.mark_releasing(gpuid);
-        match self.vgpu_anchor.get(gpuid) {
+        match self.vgpus.get(gpuid).and_then(|r| r.anchor) {
             // A creating vGPU whose tenants all left: its anchor may not
             // even be running yet; delete it regardless — the cluster
             // handles both, and its PodDeleted notice forgets the vGPU.
-            Some(&anchor) => {
+            Some(anchor) => {
                 self.cluster_call(now, out, notices, |c, o, n| c.delete_pod(now, anchor, o, n));
             }
             // Backing off between anchor launches: no pod exists, so no
@@ -332,11 +342,9 @@ impl KubeShareSystem {
         lost: Option<&str>,
         notices: &mut Vec<KsNotice>,
     ) {
-        if let Some(anchor) = self.vgpu_anchor.remove(gpuid) {
+        if let Some(anchor) = self.vgpus.remove(gpuid).and_then(|r| r.anchor) {
             self.anchor_vgpu.remove(&anchor);
         }
-        self.anchor_retry.remove(gpuid);
-        self.anchor_ctx.remove(gpuid);
         self.pool.remove(gpuid);
         let gpuid = gpuid.clone();
         match lost {
@@ -352,5 +360,15 @@ impl KubeShareSystem {
                 notices.push(KsNotice::VgpuReleased { gpuid });
             }
         }
+    }
+
+    /// Drops a dead anchor pod from both directions of the anchor index;
+    /// returns the vGPU it reserved.
+    pub(super) fn take_anchor(&mut self, pod: Uid) -> Option<GpuId> {
+        let gpuid = self.anchor_vgpu.remove(&pod)?;
+        if let Some(r) = self.vgpus.get_mut(&gpuid) {
+            r.anchor = None;
+        }
+        Some(gpuid)
     }
 }

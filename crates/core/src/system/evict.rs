@@ -25,11 +25,8 @@ impl KubeShareSystem {
         out: &mut KsEmit,
         notices: &mut Vec<KsNotice>,
     ) {
-        if let Some(w) = self.waiting.get_mut(gpuid) {
-            w.retain(|&u| u != sp);
-            if w.is_empty() {
-                self.waiting.remove(gpuid);
-            }
+        if let Some(r) = self.vgpus.get_mut(gpuid) {
+            r.waiting.retain(|&u| u != sp);
         }
         let Some(device) = self.pool.get(gpuid) else {
             notices.push(KsNotice::Fault {
@@ -72,7 +69,7 @@ impl KubeShareSystem {
             .get(gpuid)
             .map(|d| d.attached.keys().copied().collect())
             .unwrap_or_default();
-        for &sp in self.waiting.get(gpuid).into_iter().flatten() {
+        for &sp in self.vgpus.get(gpuid).into_iter().flat_map(|r| &r.waiting) {
             if !tenants.contains(&sp) {
                 tenants.push(sp);
             }

@@ -45,11 +45,10 @@ impl KubeShareSystem {
         let mut displaced: Vec<Uid> = Vec::new();
         let mut orphaned: Vec<GpuId> = Vec::new();
         for pod in victims {
-            if let Some(gpuid) = self.anchor_vgpu.remove(&pod) {
+            if let Some(gpuid) = self.take_anchor(pod) {
                 // The anchor died with its node. A ready vGPU sits on that
                 // node and is handled with `dead` below; one whose anchor
                 // had not reported in yet is not, and is orphaned.
-                self.vgpu_anchor.remove(&gpuid);
                 orphaned.push(gpuid);
             } else if let Some(sp) = self.pod_sp.remove(&pod) {
                 // Pods mid-preemption-teardown: their sharePods are already

@@ -46,6 +46,8 @@ mod faults;
 mod reconcile;
 mod sched;
 
+use devmgr::VgpuRecord;
+
 /// When to release idle vGPUs back to Kubernetes (paper §4.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PoolPolicy {
@@ -307,10 +309,10 @@ pub struct KubeShareSystem {
     sharepods: Store<SharePod>,
     sp_uids: UidAllocator,
     pool: VgpuPool,
-    /// anchor pod uid → vGPU it reserves.
+    /// DevMgr's record of each vGPU in the pool, keyed like the pool.
+    vgpus: HashMap<GpuId, VgpuRecord>,
+    /// anchor pod uid → vGPU it reserves (the records' anchors, reversed).
     anchor_vgpu: HashMap<Uid, GpuId>,
-    /// vGPU → its anchor pod uid.
-    vgpu_anchor: HashMap<GpuId, Uid>,
     /// backing pod uid → sharePod uid.
     pod_sp: HashMap<Uid, Uid>,
     /// `Starting` sharePod → when its latest `CreatePod` order fires.
@@ -320,8 +322,6 @@ pub struct KubeShareSystem {
     /// `PodFailed` notice that eventually arrives for them must be
     /// swallowed instead of driving the normal terminal transition.
     preempted_pods: HashSet<Uid>,
-    /// sharePods waiting for their vGPU to become ready.
-    waiting: HashMap<GpuId, Vec<Uid>>,
     /// Hybrid policy: idle-TTL tickets → the vGPU they refer to.
     idle_tickets: HashMap<u64, GpuId>,
     /// Anchor-retry tickets → the vGPU whose anchor is being relaunched.
@@ -329,9 +329,6 @@ pub struct KubeShareSystem {
     /// Partition-reconfiguration tickets → the draining vGPU and the open
     /// `partition/reconfig` span to close at activation.
     reconfig_tickets: HashMap<u64, (GpuId, SpanId)>,
-    /// Per-vGPU anchor launch attempts and the node preference to relaunch
-    /// with; cleared once the anchor reports in.
-    anchor_retry: HashMap<GpuId, AnchorRetry>,
     next_ticket: u64,
     /// Optional fault injector consulted on anchor launches; the embedding
     /// world drives its time-based streams.
@@ -346,9 +343,6 @@ pub struct KubeShareSystem {
     /// Per-sharePod causal trace state (populated only when telemetry is
     /// enabled; removed when the trace closes on a terminal transition).
     sp_trace: HashMap<Uid, SpTrace>,
-    /// Trace context of the sharePod whose decision triggered each vGPU's
-    /// anchor, so DevMgr launch/backoff events land in that trace.
-    anchor_ctx: HashMap<GpuId, TraceCtx>,
     /// `Pending` sharePod count, maintained on every phase transition so
     /// gauge mirrors don't rescan the store after each event.
     sp_pending: usize,
@@ -366,13 +360,6 @@ struct Gauges {
     running: OnceCell<Gauge>,
     awaiting: OnceCell<Gauge>,
     fragmentation: OnceCell<Gauge>,
-}
-
-/// DevMgr's retry bookkeeping for one vGPU's anchor.
-#[derive(Debug, Clone)]
-struct AnchorRetry {
-    attempts: u32,
-    node: Option<String>,
 }
 
 /// One sharePod's causal trace: the root context plus the child spans
@@ -402,16 +389,14 @@ impl KubeShareSystem {
             sharepods: Store::new(),
             sp_uids: UidAllocator::new(),
             pool: VgpuPool::new(),
+            vgpus: HashMap::new(),
             anchor_vgpu: HashMap::new(),
-            vgpu_anchor: HashMap::new(),
             pod_sp: HashMap::new(),
             pod_due: HashMap::new(),
             preempted_pods: HashSet::new(),
-            waiting: HashMap::new(),
             idle_tickets: HashMap::new(),
             retry_tickets: HashMap::new(),
             reconfig_tickets: HashMap::new(),
-            anchor_retry: HashMap::new(),
             next_ticket: 0,
             chaos: None,
             telemetry: Telemetry::disabled(),
@@ -419,7 +404,6 @@ impl KubeShareSystem {
             recorder: FlightRecorder::disabled(),
             logger: Logger::disabled(),
             sp_trace: HashMap::new(),
-            anchor_ctx: HashMap::new(),
             sp_pending: 0,
             sp_running: 0,
         }
@@ -584,7 +568,7 @@ impl KubeShareSystem {
         g.running
             .get_or_init(|| t.gauge("ks_sched_running_sharepods", &[]))
             .set(self.sp_running as f64);
-        let waiting: usize = self.waiting.values().map(Vec::len).sum();
+        let waiting: usize = self.vgpus.values().map(|r| r.waiting.len()).sum();
         g.awaiting
             .get_or_init(|| t.gauge("ks_sched_awaiting_vgpu_sharepods", &[]))
             .set(waiting as f64);

@@ -29,7 +29,7 @@ impl KubeShareSystem {
                     }
                 }
                 ClusterNotice::PodDeleted { pod } => {
-                    if let Some(gpuid) = self.anchor_vgpu.remove(pod) {
+                    if let Some(gpuid) = self.take_anchor(*pod) {
                         self.forget_vgpu(now, &gpuid, None, notices);
                     } else if let Some(sp) = self.pod_sp.remove(pod) {
                         // A preempted pod's sharePod was reset to `Pending`
@@ -43,11 +43,10 @@ impl KubeShareSystem {
                     }
                 }
                 ClusterNotice::PodFailed { pod, reason } => {
-                    if let Some(gpuid) = self.anchor_vgpu.remove(pod) {
+                    if let Some(gpuid) = self.take_anchor(*pod) {
                         // The anchor never made it (admission race, crash
                         // during start): treat as a failed launch attempt
                         // and back off.
-                        self.vgpu_anchor.remove(&gpuid);
                         self.on_anchor_launch_failed(now, gpuid, out, notices);
                     } else if let Some(sp) = self.pod_sp.remove(pod) {
                         if self.preempted_pods.remove(pod) {
@@ -117,13 +116,14 @@ impl KubeShareSystem {
                     gpuid: gpuid.clone(),
                 },
             });
-            self.anchor_vgpu.remove(&anchor_pod);
-            self.vgpu_anchor.remove(&gpuid);
+            self.take_anchor(anchor_pod);
             self.on_anchor_launch_failed(now, gpuid, out, notices);
             return;
         };
-        self.anchor_retry.remove(&gpuid);
-        self.anchor_ctx.remove(&gpuid);
+        let parked = self.vgpus.get_mut(&gpuid).map(|r| {
+            r.retry = None;
+            std::mem::take(&mut r.waiting)
+        });
         self.pool.mark_ready(&gpuid, node.clone(), uuid.clone());
         self.note_vgpu_churn(now, "vgpu_created", &gpuid);
         let uuid_for_spans = uuid.clone();
@@ -133,7 +133,7 @@ impl KubeShareSystem {
             uuid,
         });
         // Release any sharePods parked on this vGPU.
-        for sp in self.waiting.remove(&gpuid).unwrap_or_default() {
+        for sp in parked.into_iter().flatten() {
             if self
                 .sharepods
                 .get(sp)

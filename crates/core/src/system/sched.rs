@@ -280,10 +280,7 @@ impl KubeShareSystem {
                 }
                 // DevMgr work for this vGPU is on behalf of the sharePod
                 // whose decision demanded it.
-                let ctx = self.sp_ctx(sp);
-                if !ctx.is_none() {
-                    self.anchor_ctx.insert(gpuid.clone(), ctx);
-                }
+                self.vgpus.entry(gpuid.clone()).or_default().ctx = self.sp_ctx(sp);
                 self.launch_anchor(now, &gpuid, spec.node_name.clone(), out, notices);
                 // The launch may have failed and be backing off — the
                 // sharePod still binds and waits; a successful retry will
@@ -363,7 +360,7 @@ impl KubeShareSystem {
                     &[("gpuid", gpuid.as_str())],
                 );
             }
-            self.waiting.entry(gpuid).or_default().push(sp);
+            self.vgpus.entry(gpuid).or_default().waiting.push(sp);
         }
     }
 
