@@ -7,6 +7,7 @@ use ks_telemetry::TraceCtx;
 
 use super::{lifted, KsEmit, KsEvent, KsNotice, KubeShareSystem, PoolPolicy, SystemError};
 use crate::gpuid::GpuId;
+use crate::pool::FULL;
 use crate::sharepod::SharePodPhase;
 
 /// DevMgr's state for one vGPU: created with its pool entry, dropped with
@@ -177,15 +178,7 @@ impl KubeShareSystem {
                 .get(sp)
                 .is_some_and(|s| s.spec.gpuid.as_ref() == Some(gpuid));
             if pinned {
-                self.transition_sp(sp, SharePodPhase::Rejected, |s| {
-                    s.status.bound_gpuid = None;
-                    s.status.message = Some(reason.to_string());
-                });
-                self.close_sp_trace(now, sp, "rejected");
-                notices.push(KsNotice::SharePodRejected {
-                    sp,
-                    reason: reason.to_string(),
-                });
+                self.reject_sharepod(now, sp, reason.to_string(), notices);
             } else {
                 self.requeue_sharepod(now, sp, out, notices);
             }
@@ -370,5 +363,79 @@ impl KubeShareSystem {
             r.anchor = None;
         }
         Some(gpuid)
+    }
+
+    /// DevMgr's invariants: its records and the pool's devices are in
+    /// bijection, and the anchor index agrees with the records; every
+    /// device's residuals lie in `[0, FULL]` share units and, on a
+    /// time-sliced device, add up with its tenants' demand to exactly
+    /// `FULL` (a partitioned device counts free slots instead); no device
+    /// sits on a node that is down; and every `AwaitingVgpu` sharePod is
+    /// parked in its bound vGPU's record.
+    pub(super) fn verify_devmgr(&self) -> Result<(), String> {
+        let devices = self.pool.devices().count();
+        if self.vgpus.len() != devices {
+            return Err(format!(
+                "{} DevMgr records for {devices} pool devices",
+                self.vgpus.len()
+            ));
+        }
+        let mut anchors = 0;
+        for (gpuid, rec) in &self.vgpus {
+            if let Some(pod) = rec.anchor {
+                anchors += 1;
+                if self.anchor_vgpu.get(&pod) != Some(gpuid) {
+                    return Err(format!("{gpuid}: anchor {pod:?} missing from the index"));
+                }
+            }
+        }
+        if self.anchor_vgpu.len() != anchors {
+            return Err(format!(
+                "anchor index holds {} pods, records hold {anchors}",
+                self.anchor_vgpu.len()
+            ));
+        }
+        for d in self.pool.devices() {
+            let id = &d.id;
+            if !self.vgpus.contains_key(id) {
+                return Err(format!("{id}: pool device without a DevMgr record"));
+            }
+            let (util_free, mem_free) = (d.util_free, d.mem_free);
+            if util_free > FULL || mem_free > FULL {
+                return Err(format!(
+                    "{id}: residual ({util_free}, {mem_free}) out of range"
+                ));
+            }
+            let used_util: u32 = d.attached.values().map(|&(u, _)| u).sum();
+            let used_mem: u32 = d.attached.values().map(|&(_, m)| m).sum();
+            if !d.is_spatial() && (used_util + util_free != FULL || used_mem + mem_free != FULL) {
+                return Err(format!(
+                    "{id}: Σ(util, mem) ({used_util}, {used_mem}) + free ({util_free}, \
+                     {mem_free}) != {FULL}"
+                ));
+            }
+            if let Some(node) = d.node.as_deref() {
+                if self.cluster.node_up(node) != Some(true) {
+                    return Err(format!("{id} leaked on failed node {node}"));
+                }
+            }
+        }
+        for (uid, s) in self.sharepods.iter() {
+            if s.status.phase != SharePodPhase::AwaitingVgpu {
+                continue;
+            }
+            let parked = s
+                .status
+                .bound_gpuid
+                .as_ref()
+                .and_then(|g| self.vgpus.get(g));
+            if !parked.is_some_and(|r| r.waiting.contains(&uid)) {
+                return Err(format!(
+                    "{uid:?} awaits {:?} but is not parked in its record",
+                    s.status.bound_gpuid
+                ));
+            }
+        }
+        Ok(())
     }
 }

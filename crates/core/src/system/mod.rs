@@ -152,11 +152,6 @@ pub enum SystemError {
         /// The anchor pod uid.
         pod: Uid,
     },
-    /// A sharePod in a pod-backed phase has no backing pod recorded.
-    MissingBackingPod {
-        /// The sharePod.
-        sp: Uid,
-    },
 }
 
 impl fmt::Display for SystemError {
@@ -166,9 +161,6 @@ impl fmt::Display for SystemError {
             SystemError::UnboundSharePod { sp } => write!(f, "sharePod {sp:?} has no bound GPUID"),
             SystemError::VgpuNotReady { gpuid } => write!(f, "vGPU {gpuid} has no node/UUID"),
             SystemError::MissingAnchor { pod } => write!(f, "anchor pod {pod:?} missing"),
-            SystemError::MissingBackingPod { sp } => {
-                write!(f, "sharePod {sp:?} has no backing pod")
-            }
         }
     }
 }
@@ -502,7 +494,7 @@ impl KubeShareSystem {
     /// Sets a sharePod's phase through the tally bookkeeping that backs
     /// the scheduler gauges, applying any extra status mutation in the
     /// same store write. Every phase transition MUST go through here (or
-    /// the tallies drift — `verify_sp_tally` cross-checks in tests).
+    /// the tallies drift — `verify_sp_tally` cross-checks).
     fn transition_sp(&mut self, sp: Uid, to: SharePodPhase, f: impl FnOnce(&mut SharePod)) {
         let Some(from) = self.sharepods.get(sp).map(|s| s.status.phase) else {
             return;
@@ -525,10 +517,24 @@ impl KubeShareSystem {
         });
     }
 
-    /// Recounts the phase tallies from the store (test cross-check for
+    /// Checks the control plane's invariants, each with the component that
+    /// owns it: the pool's capacity indexes, the cluster's node ranking,
+    /// the sharePod phase tallies, DevMgr's vGPU records
+    /// ([`KubeShareSystem::verify_devmgr`]) and Sched's bindings
+    /// ([`KubeShareSystem::verify_bindings`]). Returns the first
+    /// violation found. It walks the pool and the sharePod store, so tests
+    /// can afford it after every operation.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        self.pool.verify_indexes()?;
+        self.cluster.verify_node_rank()?;
+        self.verify_sp_tally()?;
+        self.verify_devmgr()?;
+        self.verify_bindings()
+    }
+
+    /// Recounts the phase tallies from the store (the cross-check for
     /// [`KubeShareSystem::transition_sp`] discipline).
-    #[cfg(test)]
-    pub(crate) fn verify_sp_tally(&self) -> Result<(), String> {
+    fn verify_sp_tally(&self) -> Result<(), String> {
         let (mut pending, mut running) = (0usize, 0usize);
         for (_, s) in self.sharepods.iter() {
             match s.status.phase {
@@ -663,7 +669,9 @@ impl KubeShareSystem {
 
     /// Submits a sharePod into a specific namespace. The gateway runs one
     /// namespace per tenant, so a tenant's objects are separable through
-    /// the store's [`Store::iter_namespace`] views.
+    /// the store's [`Store::iter_namespace`] views. A share spec that fails
+    /// [`ShareSpec::validate`] ends `Rejected` at its decision, with a
+    /// [`KsNotice::SharePodRejected`] naming the error.
     pub fn submit_sharepod_in(
         &mut self,
         now: SimTime,
@@ -672,7 +680,6 @@ impl KubeShareSystem {
         spec: SharePodSpec,
         out: &mut KsEmit,
     ) -> Uid {
-        spec.share.validate().expect("invalid share spec");
         let uid = self.sp_uids.next();
         let meta = ObjectMeta::new(name, uid, now).with_namespace(namespace);
         let sp_name = meta.name.clone();

@@ -113,6 +113,13 @@ impl KubeShareSystem {
         }
         let submitted = sharepod.meta.created_at;
         let spec = sharepod.spec.clone();
+        // `ShareSpec`'s fields are public, so a spec that skipped
+        // `ShareSpec::new` can reach the API server; it never reaches
+        // Algorithm 1.
+        if let Err(e) = spec.share.validate() {
+            self.reject_sharepod(now, sp, format!("{e:?}"), notices);
+            return;
+        }
         let req = SchedRequest {
             util: spec.share.request,
             mem: spec.share.mem,
@@ -251,14 +258,7 @@ impl KubeShareSystem {
                     });
                     return;
                 }
-                self.transition_sp(sp, SharePodPhase::Rejected, |s| {
-                    s.status.message = Some(format!("{reason:?}"));
-                });
-                self.close_sp_trace(now, sp, "rejected");
-                notices.push(KsNotice::SharePodRejected {
-                    sp,
-                    reason: format!("{reason:?}"),
-                });
+                self.reject_sharepod(now, sp, format!("{reason:?}"), notices);
             }
             Decision::Assign(gpuid) => {
                 self.bind(now, sp, &spec, gpuid, out);
@@ -293,6 +293,23 @@ impl KubeShareSystem {
                 self.reconfigure_partition(now, sp, gpuid, out, notices);
             }
         }
+    }
+
+    /// Ends an unplaceable sharePod `Rejected` with `reason`, clearing any
+    /// binding, and tells the embedding world why.
+    pub(super) fn reject_sharepod(
+        &mut self,
+        now: SimTime,
+        sp: Uid,
+        reason: String,
+        notices: &mut Vec<KsNotice>,
+    ) {
+        self.transition_sp(sp, SharePodPhase::Rejected, |s| {
+            s.status.bound_gpuid = None;
+            s.status.message = Some(reason.clone());
+        });
+        self.close_sp_trace(now, sp, "rejected");
+        notices.push(KsNotice::SharePodRejected { sp, reason });
     }
 
     /// Records the sharePod on the vGPU; creates the backing pod now (ready
@@ -507,5 +524,30 @@ impl KubeShareSystem {
             _ => "device_lost",
         };
         self.telemetry.span_end(now, span, &[("outcome", outcome)]);
+    }
+
+    /// Sched's invariant: every sharePod in a bound phase (`AwaitingVgpu`,
+    /// `Starting`, `Running`) names a GPUID whose pool device carries its
+    /// attachment.
+    pub(super) fn verify_bindings(&self) -> Result<(), String> {
+        for (uid, s) in self.sharepods.iter() {
+            if !matches!(
+                s.status.phase,
+                SharePodPhase::AwaitingVgpu | SharePodPhase::Starting | SharePodPhase::Running
+            ) {
+                continue;
+            }
+            let Some(gpuid) = s.status.bound_gpuid.as_ref() else {
+                return Err(format!("{uid:?} is {:?} without a GPUID", s.status.phase));
+            };
+            match self.pool.get(gpuid) {
+                None => return Err(format!("{uid:?} bound to vanished {gpuid}")),
+                Some(d) if !d.attached.contains_key(&uid) => {
+                    return Err(format!("{uid:?} not attached to its bound {gpuid}"));
+                }
+                Some(_) => {}
+            }
+        }
+        Ok(())
     }
 }

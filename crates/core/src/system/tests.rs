@@ -20,6 +20,10 @@ impl SimEvent<World> for Ev {
         let mut out = Vec::new();
         let mut notes = Vec::new();
         w.ks.handle(now, self.0, &mut out, &mut notes);
+        // Every event leaves the control plane consistent.
+        if let Err(e) = w.ks.check_invariants() {
+            panic!("after {:?} at {now:?}: {e}", self.0);
+        }
         for n in notes {
             w.notices.push((now, n));
         }
@@ -150,8 +154,7 @@ fn drain_vgpu_requeues_tenants_onto_fresh_device() {
     let snap = telemetry.snapshot();
     assert_eq!(snap.counter_value("ks_vgpu_drains_total", &[]), Some(1));
     assert_eq!(snap.counter_value("ks_sched_requeues_total", &[]), Some(2));
-    eng.world.ks.pool().verify_indexes().unwrap();
-    eng.world.ks.verify_sp_tally().unwrap();
+    eng.world.ks.check_invariants().unwrap();
 }
 
 #[test]
@@ -195,7 +198,7 @@ fn cordon_steers_placement_and_counts() {
         snap.gauge_value("ks_cluster_cordoned_nodes", &[]),
         Some(0.0)
     );
-    eng.world.ks.cluster.verify_node_rank().unwrap();
+    eng.world.ks.check_invariants().unwrap();
 }
 
 #[test]
@@ -327,8 +330,7 @@ fn preemption_evicts_running_sharepod_and_higher_priority_wins_drain() {
     );
     // Preemption churns phases through every transition path; the
     // incremental gauge tallies must agree with a recount.
-    eng.world.ks.verify_sp_tally().unwrap();
-    eng.world.ks.pool().verify_indexes().unwrap();
+    eng.world.ks.check_invariants().unwrap();
 }
 
 #[test]
@@ -606,6 +608,36 @@ fn affinity_conflict_rejects() {
 }
 
 #[test]
+fn invalid_share_spec_is_rejected_not_a_panic() {
+    let mut eng = engine(1, 2);
+    // The fields are public, so a spec can skip `ShareSpec::new`.
+    let mut spec = sp_spec(0.5, 1.0, 0.5);
+    spec.share = ShareSpec {
+        request: 2.0,
+        ..spec.share
+    };
+    let bad = submit(&mut eng, "bad", spec);
+    let good = submit(&mut eng, "good", sp_spec(0.5, 1.0, 0.5));
+    eng.run_to_completion(20_000);
+    let s = eng.world.ks.sharepod(bad).unwrap();
+    assert_eq!(s.status.phase, SharePodPhase::Rejected);
+    let reason = format!("{:?}", ks_vgpu::SpecError::OutOfRange("gpu_request"));
+    assert_eq!(s.status.message.as_deref(), Some(reason.as_str()));
+    assert!(eng.world.notices.iter().any(|(_, n)| {
+        matches!(n, KsNotice::SharePodRejected { sp, reason: r } if *sp == bad && *r == reason)
+    }));
+    // Nothing of it reached the pool or the cluster.
+    assert!(eng
+        .world
+        .ks
+        .pool()
+        .devices()
+        .all(|d| !d.attached.contains_key(&bad)));
+    assert!(running_notice(&eng.world, good).is_some());
+    eng.world.ks.check_invariants().unwrap();
+}
+
+#[test]
 fn explicit_gpuid_creates_and_binds() {
     let mut eng = engine(1, 1);
     let sp = submit(
@@ -829,8 +861,7 @@ fn node_recovery_restores_capacity() {
     assert_eq!(eng.world.ks.pool().len(), 1);
     // Failure/requeue/recovery churn crosses the remaining phase
     // transitions; the incremental tallies must survive it.
-    eng.world.ks.verify_sp_tally().unwrap();
-    eng.world.ks.pool().verify_indexes().unwrap();
+    eng.world.ks.check_invariants().unwrap();
 }
 
 #[test]
@@ -1018,8 +1049,7 @@ fn fragmented_partition_reconfigures_and_rebinds() {
         .filter(|(_, n)| matches!(n, KsNotice::SharePodStopped { sp, .. } if *sp == sps[2]))
         .count();
     assert_eq!(stops, 1);
-    eng.world.ks.pool().verify_indexes().unwrap();
-    eng.world.ks.verify_sp_tally().unwrap();
+    eng.world.ks.check_invariants().unwrap();
 }
 
 #[test]
@@ -1094,8 +1124,7 @@ fn drain_slice_displaces_only_the_slice_tenant() {
         snap.counter_value("ks_vgpu_slice_drains_total", &[]),
         Some(1)
     );
-    eng.world.ks.pool().verify_indexes().unwrap();
-    eng.world.ks.verify_sp_tally().unwrap();
+    eng.world.ks.check_invariants().unwrap();
 }
 
 #[test]
@@ -1172,7 +1201,7 @@ fn vgpu_released_during_anchor_backoff_is_forgotten() {
         .notices
         .iter()
         .any(|(_, n)| matches!(n, KsNotice::VgpuReleased { gpuid: g } if *g == gpuid)));
-    eng.world.ks.pool().verify_indexes().unwrap();
+    eng.world.ks.check_invariants().unwrap();
 }
 
 #[test]
@@ -1213,8 +1242,7 @@ fn drain_vgpu_requeues_an_awaiting_tenant_once() {
     );
     seed(&mut eng, out);
     eng.run_to_completion(20_000);
-    eng.world.ks.pool().verify_indexes().unwrap();
-    eng.world.ks.verify_sp_tally().unwrap();
+    eng.world.ks.check_invariants().unwrap();
 }
 
 #[test]
@@ -1246,7 +1274,7 @@ fn node_failure_mid_anchor_start_relaunches_the_anchor() {
     let gpuid = s.status.bound_gpuid.clone().unwrap();
     let dev = eng.world.ks.pool().get(&gpuid).unwrap();
     assert_ne!(dev.node.as_deref(), Some(node.as_str()));
-    eng.world.ks.verify_sp_tally().unwrap();
+    eng.world.ks.check_invariants().unwrap();
 }
 
 #[test]

@@ -4,7 +4,8 @@
 //! deletions, preemptions, vGPU drains, cordons and short time advances
 //! that let teardown land while anchors are still being created.
 //!
-//! The invariants checked after every injected operation:
+//! After every injected operation and every DES event,
+//! `KubeShareSystem::check_invariants` must hold. Among its checks:
 //!
 //! 1. per-device residuals stay normalized: `util_free`, `mem_free` ∈
 //!    [0, FULL] share units;
@@ -12,9 +13,11 @@
 //!    (`FULL`), exactly, for both compute and memory;
 //! 3. no leaked vGPU lives on a failed node;
 //! 4. every bound sharePod points at a device that exists and carries its
-//!    attachment (no dangling GPUID after recovery shuffles the pool).
+//!    attachment (no dangling GPUID after recovery shuffles the pool);
 //!
-//! The eviction property adds two more:
+//! plus the pool's indexes, the cluster's node ranking, the sharePod phase
+//! tallies and DevMgr's per-vGPU records. The eviction property adds two
+//! more:
 //!
 //! 5. no single operation or DES event requeues a sharePod twice (one
 //!    `SharePodRequeued` per sharePod at most);
@@ -30,8 +33,7 @@ use ks_cluster::scheduler::ScorePolicy;
 use ks_cluster::sim::{ClusterConfig, GpuPluginKind};
 use ks_sim_core::prelude::*;
 use ks_vgpu::ShareSpec;
-use kubeshare::pool::FULL;
-use kubeshare::sharepod::{SharePodPhase, SharePodSpec};
+use kubeshare::sharepod::SharePodSpec;
 use kubeshare::system::KsEmit;
 use kubeshare::{KsConfig, KsEvent, KsNotice, KubeShareSystem};
 use proptest::prelude::*;
@@ -106,6 +108,7 @@ impl SimEvent<World> for Ev {
         let mut out = Vec::new();
         let mut notes = Vec::new();
         w.ks.handle(now, self.0, &mut out, &mut notes);
+        check_invariants(w);
         w.absorb(now, &self.0, notes);
         for (at, e) in out {
             q.schedule_at(at, Ev(e));
@@ -146,15 +149,15 @@ fn sp_spec(util: f64, mem: f64) -> SharePodSpec {
 
 /// Applies one op a second after the engine's current time and drains
 /// the queue.
-fn apply(eng: &mut Engine<World, Ev>, op: &Op, down: &mut [bool; NODES]) {
+fn apply(eng: &mut Engine<World, Ev>, op: &Op) {
     let now = eng.now() + SimDuration::from_secs(1);
-    inject(eng, now, op, down);
+    inject(eng, now, op);
     eng.run_to_completion(1_000_000);
 }
 
 /// Injects one op at `now`, leaving its consequences queued (an `Advance`
 /// fires them up to its horizon).
-fn inject(eng: &mut Engine<World, Ev>, now: SimTime, op: &Op, down: &mut [bool; NODES]) {
+fn inject(eng: &mut Engine<World, Ev>, now: SimTime, op: &Op) {
     let mut out = Vec::new();
     let mut notes = Vec::new();
     match op {
@@ -173,13 +176,11 @@ fn inject(eng: &mut Engine<World, Ev>, now: SimTime, op: &Op, down: &mut [bool; 
             }
         }
         Op::FailNode { node } => {
-            down[*node] = true;
             eng.world
                 .ks
                 .fail_node(now, &format!("node-{node}"), &mut out, &mut notes);
         }
         Op::RecoverNode { node } => {
-            down[*node] = false;
             eng.world
                 .ks
                 .recover_node(now, &format!("node-{node}"), &mut out);
@@ -226,66 +227,8 @@ fn inject(eng: &mut Engine<World, Ev>, now: SimTime, op: &Op, down: &mut [bool; 
     seed(eng, out);
 }
 
-fn check_invariants(w: &World, down: &[bool; NODES]) {
-    for d in w.ks.pool().devices() {
-        // 1. residuals normalized.
-        prop_assert!(
-            d.util_free <= FULL,
-            "{}: util_free {} out of range",
-            d.id,
-            d.util_free
-        );
-        prop_assert!(
-            d.mem_free <= FULL,
-            "{}: mem_free {} out of range",
-            d.id,
-            d.mem_free
-        );
-        // 2. conservation against unit capacity, exactly.
-        let used_util: u32 = d.attached.values().map(|&(u, _)| u).sum();
-        let used_mem: u32 = d.attached.values().map(|&(_, m)| m).sum();
-        prop_assert!(
-            used_util + d.util_free == FULL,
-            "{}: Σutil {} + free {} ≠ {FULL}",
-            d.id,
-            used_util,
-            d.util_free
-        );
-        prop_assert!(
-            used_mem + d.mem_free == FULL,
-            "{}: Σmem {} + free {} ≠ {FULL}",
-            d.id,
-            used_mem,
-            d.mem_free
-        );
-        // 3. no vGPU survives on a dead node.
-        if let Some(node) = d.node.as_deref() {
-            let idx: usize = node
-                .strip_prefix("node-")
-                .and_then(|s| s.parse().ok())
-                .expect("node name");
-            prop_assert!(!down[idx], "{} leaked on failed {node}", d.id);
-        }
-    }
-    // 4. bound sharePods point at live attachments.
-    for (uid, sp) in w.ks.sharepods().iter() {
-        if matches!(
-            sp.status.phase,
-            SharePodPhase::AwaitingVgpu | SharePodPhase::Starting | SharePodPhase::Running
-        ) {
-            let gpuid = sp
-                .status
-                .bound_gpuid
-                .as_ref()
-                .expect("bound phase implies GPUID");
-            let dev = w.ks.pool().get(gpuid);
-            prop_assert!(dev.is_some(), "{uid:?} bound to vanished {gpuid}");
-            prop_assert!(
-                dev.unwrap().attached.contains_key(&uid),
-                "{uid:?} not attached to its bound {gpuid}"
-            );
-        }
-    }
+fn check_invariants(w: &World) {
+    prop_assert_eq!(w.ks.check_invariants(), Ok(()));
 }
 
 proptest! {
@@ -300,17 +243,16 @@ proptest! {
             notices: Vec::new(),
             double_requeues: Vec::new(),
         });
-        let mut down = [false; NODES];
         for op in &ops {
-            apply(&mut eng, op, &mut down);
-            check_invariants(&eng.world, &down);
+            apply(&mut eng, op);
+            check_invariants(&eng.world);
         }
         // Full recovery at the end: every node back, queue drained — all
         // non-rejected sharePods must eventually run again.
         for node in 0..NODES {
-            apply(&mut eng, &Op::RecoverNode { node }, &mut down);
+            apply(&mut eng, &Op::RecoverNode { node });
         }
-        check_invariants(&eng.world, &down);
+        check_invariants(&eng.world);
     }
 }
 
@@ -359,17 +301,16 @@ proptest! {
             notices: Vec::new(),
             double_requeues: Vec::new(),
         });
-        let mut down = [false; NODES];
         for op in &ops {
             let now = eng.now();
-            inject(&mut eng, now, op, &mut down);
-            check_invariants(&eng.world, &down);
+            inject(&mut eng, now, op);
+            check_invariants(&eng.world);
         }
         for node in 0..NODES {
-            apply(&mut eng, &Op::Uncordon { node }, &mut down);
-            apply(&mut eng, &Op::RecoverNode { node }, &mut down);
+            apply(&mut eng, &Op::Uncordon { node });
+            apply(&mut eng, &Op::RecoverNode { node });
         }
-        check_invariants(&eng.world, &down);
+        check_invariants(&eng.world);
         prop_assert!(
             eng.world.double_requeues.is_empty(),
             "double requeue: {:?}",

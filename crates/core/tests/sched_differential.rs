@@ -26,7 +26,8 @@ use proptest::prelude::*;
 /// set so fit-key ties actually happen (ties are where best-fit /
 /// worst-fit tie-breaking can diverge); labels come from tiny alphabets
 /// so affinity groups, anti-affinity conflicts, and tenant exclusions all
-/// collide. `util == 0.0` with `mem > 0` is explicitly in range.
+/// collide. `util == 0.0` with `mem > 0` is explicitly in range, and so
+/// is a whole GPU (`1.0`), the most a device can hold.
 #[derive(Debug, Clone)]
 struct GenReq {
     util: f64,
@@ -38,9 +39,15 @@ struct GenReq {
 
 fn frac() -> impl Strategy<Value = f64> {
     prop_oneof![
-        4 => (0usize..7).prop_map(|i| [0.0, 0.1, 0.25, 0.3, 0.5, 0.75, 0.9][i]),
+        4 => (0usize..8).prop_map(|i| [0.0, 0.1, 0.25, 0.3, 0.5, 0.75, 0.9, 1.0][i]),
         1 => 0.0f64..0.95,
     ]
+}
+
+/// A demand for a decision-only probe: `frac()`'s values plus one above
+/// a whole GPU, which no device can hold.
+fn probe_frac() -> impl Strategy<Value = f64> {
+    prop_oneof![4 => frac(), 1 => Just(1.5)]
 }
 
 fn gen_req() -> impl Strategy<Value = GenReq> {
@@ -60,6 +67,11 @@ fn gen_req() -> impl Strategy<Value = GenReq> {
         })
 }
 
+/// [`gen_req`] with [`probe_frac`] demands.
+fn gen_probe() -> impl Strategy<Value = GenReq> {
+    (probe_frac(), probe_frac(), gen_req()).prop_map(|(util, mem, r)| GenReq { util, mem, ..r })
+}
+
 /// One step of a pool-state interleaving.
 #[derive(Debug, Clone)]
 enum Op {
@@ -73,6 +85,9 @@ enum Op {
     Release(u8),
     /// Remove the k-th releasing device from the pool.
     Remove(u8),
+    /// Decide a request through both modes without applying it, so its
+    /// demand may exceed what any device can hold.
+    Probe(GenReq),
 }
 
 fn gen_op() -> impl Strategy<Value = Op> {
@@ -82,6 +97,7 @@ fn gen_op() -> impl Strategy<Value = Op> {
         1 => any::<u8>().prop_map(Op::Ready),
         1 => any::<u8>().prop_map(Op::Release),
         1 => any::<u8>().prop_map(Op::Remove),
+        1 => gen_probe().prop_map(Op::Probe),
     ]
 }
 
@@ -131,8 +147,17 @@ fn apply(pool: &mut VgpuPool, uid: Uid, r: &GenReq, decision: &Decision) {
     );
 }
 
+/// Runs Algorithm 1 for `r` in one mode.
+fn decide(pool: &mut VgpuPool, mode: SchedMode, r: &GenReq) -> Decision {
+    let req = sched_request(r);
+    match mode {
+        SchedMode::Reference => schedule(&req, pool),
+        SchedMode::Indexed => schedule_indexed(&req, pool),
+    }
+}
+
 /// Drives one op against a pool in a given mode. Returns the decision for
-/// `Submit` ops so the caller can compare across modes. Non-submit ops
+/// `Submit` and `Probe` ops so the caller can compare across modes. Non-submit ops
 /// mutate deterministically from the pool's current state, so two pools
 /// that have made identical decisions stay identical.
 fn step(
@@ -144,11 +169,7 @@ fn step(
 ) -> Option<Decision> {
     match op {
         Op::Submit(r) => {
-            let req = sched_request(r);
-            let decision = match mode {
-                SchedMode::Reference => schedule(&req, pool),
-                SchedMode::Indexed => schedule_indexed(&req, pool),
-            };
+            let decision = decide(pool, mode, r);
             *next_uid += 1;
             let uid = Uid(*next_uid);
             apply(pool, uid, r, &decision);
@@ -161,6 +182,7 @@ fn step(
             }
             Some(decision)
         }
+        Op::Probe(r) => Some(decide(pool, mode, r)),
         Op::Detach(k) => {
             if !live.is_empty() {
                 let (uid, id) = live.remove(*k as usize % live.len());
@@ -283,11 +305,20 @@ impl Lcg {
     }
 
     fn frac(&mut self) -> f64 {
-        const CHOICES: [f64; 7] = [0.0, 0.1, 0.25, 0.3, 0.5, 0.75, 0.9];
+        const CHOICES: [f64; 8] = [0.0, 0.1, 0.25, 0.3, 0.5, 0.75, 0.9, 1.0];
         if self.next().is_multiple_of(5) {
             (self.next() >> 11) as f64 / (1u64 << 53) as f64 * 0.95
         } else {
             CHOICES[self.next() as usize % CHOICES.len()]
+        }
+    }
+
+    /// [`probe_frac`]'s distribution.
+    fn probe_frac(&mut self) -> f64 {
+        if self.next().is_multiple_of(5) {
+            1.5
+        } else {
+            self.frac()
         }
     }
 
@@ -296,7 +327,7 @@ impl Lcg {
     }
 
     fn op(&mut self) -> Op {
-        match self.next() % 10 {
+        match self.next() % 11 {
             0..=4 => Op::Submit(GenReq {
                 util: self.frac(),
                 mem: self.frac(),
@@ -307,7 +338,14 @@ impl Lcg {
             5 | 6 => Op::Detach((self.next() % 256) as u8),
             7 => Op::Ready((self.next() % 256) as u8),
             8 => Op::Release((self.next() % 256) as u8),
-            _ => Op::Remove((self.next() % 256) as u8),
+            9 => Op::Remove((self.next() % 256) as u8),
+            _ => Op::Probe(GenReq {
+                util: self.probe_frac(),
+                mem: self.probe_frac(),
+                aff: self.label(1, 4, 3),
+                anti: self.label(1, 4, 3),
+                excl: self.label(1, 4, 2),
+            }),
         }
     }
 }
