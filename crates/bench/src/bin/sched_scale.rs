@@ -12,6 +12,8 @@
 //! default sweep covers 1k–10k GPUs. Each point also records the median
 //! and interquartile range of repeated plain indexed drains.
 
+use std::path::Path;
+
 use ks_bench::report::{f1, Table};
 use ks_bench::sched_scale::{append_json, run, SchedScaleConfig, Stamp};
 
@@ -83,8 +85,13 @@ fn main() {
     println!("{}", table.render());
 
     let existing = std::fs::read_to_string(&out).ok();
-    let json = append_json(existing.as_deref(), &cfg, &points, &Stamp::current())
-        .unwrap_or_else(|e| panic!("appending to {out}: {e}"));
+    let json = append_json(
+        existing.as_deref(),
+        &cfg,
+        &points,
+        &Stamp::current(Path::new(&out)),
+    )
+    .unwrap_or_else(|e| panic!("appending to {out}: {e}"));
     std::fs::write(&out, &json).unwrap_or_else(|e| panic!("writing {out}: {e}"));
     println!("appended to {out}");
 

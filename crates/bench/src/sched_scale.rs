@@ -18,6 +18,7 @@
 //! plain indexed drains and records their median and interquartile
 //! range, so a trajectory point carries its own spread.
 
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use ks_cluster::api::Uid;
@@ -341,8 +342,8 @@ pub fn run(cfg: &SchedScaleConfig) -> Vec<ScalePoint> {
 #[derive(Debug, Clone, Serialize)]
 pub struct Stamp {
     /// `git rev-parse --short HEAD` of the working directory, with
-    /// `-dirty` appended when tracked files differ from it; `"unknown"`
-    /// outside a git checkout.
+    /// `-dirty` appended when tracked files other than the trajectory
+    /// file differ from it; `"unknown"` outside a git checkout.
     pub rev: String,
     /// The measuring host.
     pub host: Host,
@@ -358,13 +359,9 @@ pub struct Host {
 }
 
 impl Stamp {
-    /// Stamps a measurement taken now, from the current directory.
-    pub fn current() -> Self {
-        let git = |args: &[&str]| std::process::Command::new("git").args(args).output().ok();
-        let rev = git(&["rev-parse", "--short", "HEAD"])
-            .filter(|o| o.status.success())
-            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string());
-        let dirty = git(&["diff", "--quiet", "HEAD"]).is_some_and(|o| o.status.code() == Some(1));
+    /// Stamps a measurement taken now, from the current directory, whose
+    /// sweep is appended to the trajectory file `out`.
+    pub fn current(out: &Path) -> Self {
         let cpu = std::fs::read_to_string("/proc/cpuinfo")
             .ok()
             .and_then(|info| {
@@ -373,16 +370,42 @@ impl Stamp {
                     .map(|(_, model)| model.trim().to_string())
             });
         Stamp {
-            rev: match rev {
-                Some(rev) if dirty => format!("{rev}-dirty"),
-                Some(rev) => rev,
-                None => "unknown".to_string(),
-            },
+            rev: revision(Path::new("."), out),
             host: Host {
                 cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
                 cpu: cpu.unwrap_or_else(|| "unknown".to_string()),
             },
         }
+    }
+}
+
+/// The short revision of the git checkout at `dir`, `-dirty` when a
+/// tracked file differs from `HEAD`. The trajectory file `out` does not
+/// count: an earlier sweep in the same checkout appended to it, which
+/// changes no measured code.
+fn revision(dir: &Path, out: &Path) -> String {
+    let git = |args: &[&str]| {
+        let o = std::process::Command::new("git")
+            .arg("-C")
+            .arg(dir)
+            .args(args)
+            .output()
+            .ok()?;
+        o.status
+            .success()
+            .then(|| String::from_utf8_lossy(&o.stdout).trim().to_string())
+    };
+    let Some(rev) = git(&["rev-parse", "--short", "HEAD"]) else {
+        return "unknown".to_string();
+    };
+    let top = PathBuf::from(git(&["rev-parse", "--show-toplevel"]).unwrap_or_default());
+    let out = std::fs::canonicalize(out).ok();
+    let changed = git(&["diff", "--name-only", "HEAD"]).unwrap_or_default();
+    let dirty = changed.lines().any(|f| Some(top.join(f)) != out);
+    if dirty {
+        format!("{rev}-dirty")
+    } else {
+        rev
     }
 }
 
@@ -505,6 +528,37 @@ mod tests {
         let p = run_point(32, 200, 3);
         let (q1, q3) = p.indexed_dps_iqr;
         assert!(0.0 < q1 && q1 <= p.indexed_dps_median && p.indexed_dps_median <= q3);
+    }
+
+    #[test]
+    fn appending_to_the_trajectory_keeps_the_stamp_clean() {
+        let dir = std::env::temp_dir().join(format!("ks-stamp-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let git = |args: &[&str]| {
+            let ok = std::process::Command::new("git")
+                .arg("-C")
+                .arg(&dir)
+                .args(["-c", "user.name=t", "-c", "user.email=t@t"])
+                .args(args)
+                .status()
+                .unwrap()
+                .success();
+            assert!(ok, "git {args:?}");
+        };
+        let (out, src) = (dir.join("BENCH_sched.json"), dir.join("src.rs"));
+        std::fs::write(&out, "{}\n").unwrap();
+        std::fs::write(&src, "fn main() {}\n").unwrap();
+        git(&["init", "-q"]);
+        git(&["add", "."]);
+        git(&["commit", "-q", "-m", "init"]);
+        let clean = revision(&dir, &out);
+        assert!(!clean.ends_with("-dirty") && clean != "unknown", "{clean}");
+        std::fs::write(&out, "{\"appended\": true}\n").unwrap();
+        assert_eq!(revision(&dir, &out), clean);
+        std::fs::write(&src, "fn main() { println!(); }\n").unwrap();
+        assert_eq!(revision(&dir, &out), format!("{clean}-dirty"));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
