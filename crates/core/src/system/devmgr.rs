@@ -1,4 +1,6 @@
-//! KubeShare-DevMgr.
+//! KubeShare-DevMgr (paper §4.4): materializes each vGPU through an
+//! anchor pod that holds one whole GPU, creates sharePods' backing pods
+//! pinned to the vGPU's device, and releases idle vGPUs by pool policy.
 
 use ks_cluster::api::pod::PodSpec;
 use ks_cluster::api::{ResourceList, Uid, NVIDIA_GPU};

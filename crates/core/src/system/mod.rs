@@ -20,6 +20,22 @@
 //! 5. on deletion, the pod's demand returns to the vGPU; an idle vGPU is
 //!    released (on-demand policy) or kept (reservation policy), trading
 //!    creation latency against cluster-level utilization (paper §4.4).
+//!
+//! One `impl KubeShareSystem` block per component, each in its own file:
+//!
+//! - this module: the types, the configuration, the system itself, the
+//!   sharePod and native-pod lifecycle, the event router and accessors,
+//!   and [`KubeShareSystem::check_invariants`];
+//! - `sched`: **KubeShare-Sched** — Algorithm 1 per decision and in batch
+//!   drains, binding, partition reconfiguration;
+//! - `devmgr`: **KubeShare-DevMgr** — one `VgpuRecord` per vGPU in the
+//!   pool, anchor launch and capped-backoff retry, backing-pod creation
+//!   with explicit device binding, and the idle-vGPU policy;
+//! - `evict`: the helpers every path that takes a sharePod off a vGPU
+//!   composes;
+//! - `faults`: fault and remediation entry points (node failure, cordons,
+//!   drains, crashes, preemption);
+//! - `reconcile`: both controllers' reactions to cluster watch events.
 
 use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
@@ -519,9 +535,8 @@ impl KubeShareSystem {
 
     /// Checks the control plane's invariants, each with the component that
     /// owns it: the pool's capacity indexes, the cluster's node ranking,
-    /// the sharePod phase tallies, DevMgr's vGPU records
-    /// ([`KubeShareSystem::verify_devmgr`]) and Sched's bindings
-    /// ([`KubeShareSystem::verify_bindings`]). Returns the first
+    /// the sharePod phase tallies, DevMgr's vGPU records (`verify_devmgr`)
+    /// and Sched's bindings (`verify_bindings`). Returns the first
     /// violation found. It walks the pool and the sharePod store, so tests
     /// can afford it after every operation.
     pub fn check_invariants(&self) -> Result<(), String> {

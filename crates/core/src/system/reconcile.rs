@@ -1,4 +1,6 @@
-//! Controller reconciliation on cluster watch events.
+//! Controller reconciliation on cluster watch events: anchor pods drive
+//! DevMgr's vGPU lifecycle, backing pods drive their sharePods', and
+//! every other pod's notice passes through untouched (§4.6).
 
 use ks_cluster::api::Uid;
 use ks_cluster::sim::{ClusterEmit, ClusterNotice, ClusterSim};

@@ -1,4 +1,5 @@
-//! KubeShare-Sched.
+//! KubeShare-Sched (paper §4.3): runs Algorithm 1 for each pending
+//! sharePod, fills in its GPUID or rejects it, and binds it to the vGPU.
 
 use ks_cluster::api::{Uid, NVIDIA_GPU};
 use ks_partition::Profile;
