@@ -375,15 +375,11 @@ impl KubeShareSystem {
     /// sits on a node that is down; and every `AwaitingVgpu` sharePod is
     /// parked in its bound vGPU's record.
     pub(super) fn verify_devmgr(&self) -> Result<(), String> {
-        let devices = self.pool.devices().count();
-        if self.vgpus.len() != devices {
-            return Err(format!(
-                "{} DevMgr records for {devices} pool devices",
-                self.vgpus.len()
-            ));
-        }
         let mut anchors = 0;
         for (gpuid, rec) in &self.vgpus {
+            if self.pool.get(gpuid).is_none() {
+                return Err(format!("{gpuid}: DevMgr record without a pool device"));
+            }
             if let Some(pod) = rec.anchor {
                 anchors += 1;
                 if self.anchor_vgpu.get(&pod) != Some(gpuid) {
