@@ -368,17 +368,28 @@ impl KubeShareSystem {
     }
 
     /// DevMgr's invariants: its records and the pool's devices are in
-    /// bijection, and the anchor index agrees with the records; every
-    /// device's residuals lie in `[0, FULL]` share units and, on a
-    /// time-sliced device, add up with its tenants' demand to exactly
-    /// `FULL` (a partitioned device counts free slots instead); no device
-    /// sits on a node that is down; and every `AwaitingVgpu` sharePod is
-    /// parked in its bound vGPU's record.
+    /// bijection, and the anchor index agrees with the records; a sharePod
+    /// is parked in a record if and only if it is `AwaitingVgpu`, bound to
+    /// that vGPU and attached to it; every device's residuals lie in
+    /// `[0, FULL]` share units and, on a time-sliced device, add up with
+    /// its tenants' demand to exactly `FULL` (a partitioned device counts
+    /// free slots instead); and no device sits on a node that is down.
     pub(super) fn verify_devmgr(&self) -> Result<(), String> {
         let mut anchors = 0;
         for (gpuid, rec) in &self.vgpus {
-            if self.pool.get(gpuid).is_none() {
+            let Some(device) = self.pool.get(gpuid) else {
                 return Err(format!("{gpuid}: DevMgr record without a pool device"));
+            };
+            for &sp in &rec.waiting {
+                let awaits = self.sharepods.get(sp).is_some_and(|s| {
+                    s.status.phase == SharePodPhase::AwaitingVgpu
+                        && s.status.bound_gpuid.as_ref() == Some(gpuid)
+                });
+                if !awaits || !device.attached.contains_key(&sp) {
+                    return Err(format!(
+                        "{gpuid}: parked {sp:?} is not attached awaiting it"
+                    ));
+                }
             }
             if let Some(pod) = rec.anchor {
                 anchors += 1;
