@@ -5,7 +5,7 @@ use ks_cluster::api::pod::PodSpec;
 use ks_cluster::api::{NodeConfig, ResourceList, Uid, NVIDIA_GPU};
 use ks_cluster::device_plugin::UnitAssignPolicy;
 use ks_cluster::latency::LatencyModel;
-use ks_cluster::scheduler::ScorePolicy;
+use ks_cluster::scheduler::{SchedMode, ScorePolicy};
 use ks_cluster::sim::{ClusterConfig, ClusterEvent, ClusterNotice, ClusterSim, GpuPluginKind};
 use ks_sim_core::prelude::*;
 use proptest::prelude::*;
@@ -193,5 +193,181 @@ proptest! {
         uuids.sort();
         uuids.dedup();
         prop_assert_eq!(uuids.len(), before, "two pods share a GPU");
+    }
+}
+
+/// One op of the Reference-vs-Indexed lockstep property. Node operands
+/// index `NODES`, where the last name is not a node of the cluster.
+#[derive(Debug, Clone)]
+enum LockOp {
+    /// Submit a pod with (cpu_millis, gpus), pinned to `NODES[i]` if set.
+    Submit(u64, u64, Option<usize>),
+    /// Delete the i-th submitted pod (modulo the count), whatever its phase.
+    Delete(usize),
+    /// Crash the i-th submitted pod (modulo the count).
+    Crash(usize),
+    Fail(usize),
+    Recover(usize),
+    Cordon(usize),
+    Uncordon(usize),
+    /// Run both sims this many milliseconds further.
+    Advance(u64),
+}
+
+const NODES: [&str; 5] = ["n0", "n1", "n2", "n3", "ghost"];
+
+fn lock_op() -> impl Strategy<Value = LockOp> {
+    let node = 0usize..NODES.len();
+    prop_oneof![
+        (100u64..6000, 0u64..3, proptest::option::of(node.clone()))
+            .prop_map(|(c, g, pin)| LockOp::Submit(c, g, pin)),
+        (0usize..16).prop_map(LockOp::Delete),
+        (0usize..16).prop_map(LockOp::Crash),
+        node.clone().prop_map(LockOp::Fail),
+        node.clone().prop_map(LockOp::Recover),
+        node.clone().prop_map(LockOp::Cordon),
+        node.prop_map(LockOp::Uncordon),
+        (1u64..4000).prop_map(LockOp::Advance),
+    ]
+}
+
+/// Four nodes of unequal size, so scores spread and also tie.
+fn lock_config(score: ScorePolicy) -> ClusterConfig {
+    ClusterConfig {
+        nodes: (0..4)
+            .map(|i| NodeConfig {
+                name: NODES[i].to_string(),
+                cpu_millis: if i % 2 == 0 { 8_000 } else { 16_000 },
+                memory_bytes: 32 << 30,
+                gpus: 1 + (i as u32 / 2),
+                gpu_memory_bytes: 16 << 30,
+            })
+            .collect(),
+        latency: LatencyModel::default(),
+        gpu_plugin: GpuPluginKind::WholeDevice,
+        assign_policy: UnitAssignPolicy::Sequential,
+        score,
+    }
+}
+
+struct Lock {
+    cluster: ClusterSim,
+    notices: Vec<ClusterNotice>,
+}
+
+struct LockEv(ClusterEvent);
+
+impl SimEvent<Lock> for LockEv {
+    fn fire(self, now: SimTime, w: &mut Lock, q: &mut EventQueue<Self>) {
+        let mut out = Vec::new();
+        w.cluster.handle(now, self.0, &mut out, &mut w.notices);
+        for (at, e) in out {
+            q.schedule_at(at, LockEv(e));
+        }
+    }
+}
+
+/// Both sims agree on every submitted pod's phase and node, on the notices
+/// emitted so far, and each keeps its rank index and accounting.
+fn lockstep_agrees(sims: &[Engine<Lock, LockEv>; 2], uids: &[Uid]) {
+    let [a, b] = sims;
+    for &uid in uids {
+        let state = |e: &Engine<Lock, LockEv>| {
+            e.world
+                .cluster
+                .pod(uid)
+                .map(|p| (p.status.phase, p.status.node_name.clone()))
+        };
+        prop_assert_eq!(state(a), state(b), "pod {}", uid);
+    }
+    prop_assert_eq!(&a.world.notices, &b.world.notices);
+    prop_assert_eq!(a.world.cluster.verify_node_rank(), Ok(()));
+    prop_assert_eq!(b.world.cluster.verify_node_rank(), Ok(()));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `SchedMode::Reference` and `SchedMode::Indexed` driven through the
+    /// same op stream place every pod identically: after every op and
+    /// every event both sims agree pod for pod, and both rank indexes and
+    /// capacity ledgers match a from-scratch rebuild.
+    #[test]
+    fn reference_and_indexed_run_in_lockstep(
+        most_allocated in any::<bool>(),
+        ops in proptest::collection::vec(lock_op(), 1..80),
+    ) {
+        let score = if most_allocated { ScorePolicy::MostAllocated } else { ScorePolicy::LeastAllocated };
+        let mut sims = [SchedMode::Reference, SchedMode::Indexed].map(|mode| {
+            let mut cluster = ClusterSim::new(lock_config(score));
+            cluster.set_sched_mode(mode);
+            Engine::new(Lock { cluster, notices: Vec::new() })
+        });
+        let mut uids: Vec<Uid> = Vec::new();
+        let mut now = SimTime::ZERO;
+        for o in &ops {
+            let nth = |i: usize| (!uids.is_empty()).then(|| uids[i % uids.len()]);
+            let (delete, crash) = match *o {
+                LockOp::Delete(i) => (nth(i), None),
+                LockOp::Crash(i) => (None, nth(i)),
+                _ => (None, None),
+            };
+            let mut made = Vec::new();
+            for sim in sims.iter_mut() {
+                let (c, notes) = (&mut sim.world.cluster, &mut sim.world.notices);
+                let mut out = Vec::new();
+                match *o {
+                    LockOp::Submit(cpu, gpus, pin) => {
+                        let mut spec = PodSpec::new(
+                            "img",
+                            ResourceList::cpu_mem(cpu, 1 << 30).with_extended(NVIDIA_GPU, gpus),
+                        );
+                        spec.node_name = pin.map(|i| NODES[i].to_string());
+                        made.push(c.submit_pod(now, format!("p{}", uids.len()), spec, &mut out));
+                    }
+                    LockOp::Delete(_) => {
+                        if let Some(uid) = delete {
+                            c.delete_pod(now, uid, &mut out, notes);
+                        }
+                    }
+                    LockOp::Crash(_) => {
+                        if let Some(uid) = crash {
+                            c.crash_pod(now, uid, "OOMKilled", &mut out, notes);
+                        }
+                    }
+                    LockOp::Fail(n) => {
+                        c.fail_node(now, NODES[n], notes);
+                    }
+                    LockOp::Recover(n) => {
+                        c.recover_node(now, NODES[n], &mut out);
+                    }
+                    LockOp::Cordon(n) => {
+                        c.cordon_node(NODES[n]);
+                    }
+                    LockOp::Uncordon(n) => {
+                        c.uncordon_node(now, NODES[n], &mut out);
+                    }
+                    LockOp::Advance(_) => {}
+                }
+                for (at, e) in out {
+                    sim.queue.schedule_at(at, LockEv(e));
+                }
+            }
+            if let [a, b] = made[..] {
+                prop_assert_eq!(a, b);
+                uids.push(a);
+            }
+            lockstep_agrees(&sims, &uids);
+            if let LockOp::Advance(ms) = *o {
+                now += SimDuration::from_millis(ms);
+                while sims[0].queue.peek_time().is_some_and(|t| t <= now) {
+                    prop_assert_eq!(sims[0].queue.peek_time(), sims[1].queue.peek_time());
+                    sims[0].step();
+                    sims[1].step();
+                    lockstep_agrees(&sims, &uids);
+                }
+                prop_assert_eq!(sims[1].queue.peek_time().filter(|&t| t <= now), None);
+            }
+        }
     }
 }
