@@ -8,6 +8,7 @@
 //! resource quantities are `u64` counts.
 
 use std::collections::BTreeMap;
+use std::ops::{AddAssign, SubAssign};
 
 use serde::{Deserialize, Serialize};
 
@@ -61,44 +62,56 @@ impl ResourceList {
             .all(|(k, &v)| v <= avail.extended_count(k))
     }
 
-    /// Component-wise addition.
-    pub fn checked_add(&self, other: &ResourceList) -> ResourceList {
-        let mut out = self.clone();
-        out.cpu_millis += other.cpu_millis;
-        out.memory_bytes += other.memory_bytes;
-        for (k, v) in &other.extended {
-            *out.extended.entry(k.clone()).or_insert(0) += v;
-        }
-        out
-    }
-
-    /// Component-wise subtraction.
-    ///
-    /// # Panics
-    /// Panics if any component would go negative (accounting bug).
-    pub fn checked_sub(&self, other: &ResourceList) -> ResourceList {
-        let mut out = self.clone();
-        out.cpu_millis = out
-            .cpu_millis
-            .checked_sub(other.cpu_millis)
-            .expect("cpu underflow");
-        out.memory_bytes = out
-            .memory_bytes
-            .checked_sub(other.memory_bytes)
-            .expect("memory underflow");
-        for (k, v) in &other.extended {
-            let e = out
-                .extended
-                .get_mut(k)
-                .unwrap_or_else(|| panic!("missing extended resource {k}"));
-            *e = e.checked_sub(*v).expect("extended resource underflow");
-        }
-        out
-    }
-
     /// True if every component is zero.
     pub fn is_zero(&self) -> bool {
         self.cpu_millis == 0 && self.memory_bytes == 0 && self.extended.values().all(|&v| v == 0)
+    }
+
+    /// True if both hold the same count on every axis; an absent extended
+    /// resource counts as zero.
+    pub(crate) fn same_counts(&self, other: &ResourceList) -> bool {
+        self.cpu_millis == other.cpu_millis
+            && self.memory_bytes == other.memory_bytes
+            && (self.extended.keys().chain(other.extended.keys()))
+                .all(|k| self.extended_count(k) == other.extended_count(k))
+    }
+}
+
+/// Component-wise addition in place.
+impl AddAssign<&ResourceList> for ResourceList {
+    fn add_assign(&mut self, other: &ResourceList) {
+        self.cpu_millis += other.cpu_millis;
+        self.memory_bytes += other.memory_bytes;
+        for (k, &v) in &other.extended {
+            match self.extended.get_mut(k) {
+                Some(e) => *e += v,
+                None => {
+                    self.extended.insert(k.clone(), v);
+                }
+            }
+        }
+    }
+}
+
+/// Component-wise subtraction in place.
+///
+/// # Panics
+/// Panics if any component would go negative (accounting bug).
+impl SubAssign<&ResourceList> for ResourceList {
+    fn sub_assign(&mut self, other: &ResourceList) {
+        let sub = |a: u64, b: u64, axis: &str| {
+            a.checked_sub(b)
+                .unwrap_or_else(|| panic!("{axis} underflow"))
+        };
+        self.cpu_millis = sub(self.cpu_millis, other.cpu_millis, "cpu");
+        self.memory_bytes = sub(self.memory_bytes, other.memory_bytes, "memory");
+        for (k, &v) in &other.extended {
+            let e = self
+                .extended
+                .get_mut(k)
+                .unwrap_or_else(|| panic!("missing extended resource {k}"));
+            *e = sub(*e, v, "extended resource");
+        }
     }
 }
 
@@ -136,19 +149,19 @@ mod tests {
     fn add_sub_round_trip() {
         let a = ResourceList::cpu_mem(1000, 100).with_extended(NVIDIA_GPU, 2);
         let b = ResourceList::cpu_mem(500, 50).with_extended(NVIDIA_GPU, 1);
-        let sum = a.checked_add(&b);
-        assert_eq!(sum.cpu_millis, 1500);
-        assert_eq!(sum.extended_count(NVIDIA_GPU), 3);
-        let back = sum.checked_sub(&b);
-        assert_eq!(back, a);
+        let mut r = a.clone();
+        r += &b;
+        assert_eq!(r.cpu_millis, 1500);
+        assert_eq!(r.extended_count(NVIDIA_GPU), 3);
+        r -= &b;
+        assert_eq!(r, a);
     }
 
     #[test]
     #[should_panic(expected = "underflow")]
     fn sub_underflow_panics() {
-        let a = ResourceList::cpu_mem(100, 0);
-        let b = ResourceList::cpu_mem(200, 0);
-        let _ = a.checked_sub(&b);
+        let mut a = ResourceList::cpu_mem(100, 0);
+        a -= &ResourceList::cpu_mem(200, 0);
     }
 
     #[test]

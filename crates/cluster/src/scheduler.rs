@@ -65,40 +65,20 @@ pub struct SpatialSlices {
     pub total_slots: u64,
 }
 
-/// Node snapshot the scheduler filters and scores.
+/// A node's capacity record, which the scheduler filters and scores in
+/// place: what the node advertises and how much of it is still free.
 #[derive(Debug, Clone)]
 pub struct NodeView {
     /// Node name.
     pub name: String,
     /// Total allocatable resources (including extended aggregates).
     pub allocatable: ResourceList,
-    /// Resources already requested by bound pods.
-    pub allocated: ResourceList,
+    /// Allocatable minus the requests of the pods bound to the node.
+    pub free: ResourceList,
     /// Slice-slot capacity of partitioned GPUs on the node, if any. An
     /// extra scoring axis only — slot *placement* feasibility belongs to
     /// the partition tables upstream.
     pub spatial: Option<SpatialSlices>,
-}
-
-impl NodeView {
-    /// A view with no spatial substrate (the pre-partition shape).
-    pub fn new(
-        name: impl Into<String>,
-        allocatable: ResourceList,
-        allocated: ResourceList,
-    ) -> Self {
-        NodeView {
-            name: name.into(),
-            allocatable,
-            allocated,
-            spatial: None,
-        }
-    }
-
-    /// Remaining capacity.
-    pub fn free(&self) -> ResourceList {
-        self.allocatable.checked_sub(&self.allocated)
-    }
 }
 
 /// Node scoring policy.
@@ -124,16 +104,20 @@ impl KubeScheduler {
         KubeScheduler { policy }
     }
 
-    /// Picks a node for `request`, returning its index in `nodes`.
-    /// `None` means unschedulable right now.
-    pub fn pick_node(&self, request: &ResourceList, nodes: &[NodeView]) -> Option<usize> {
+    /// Picks a node for `request` among `(key, node)` pairs, returning the
+    /// key of the highest-scoring node it fits on (the first such node on
+    /// a tie). `None` means unschedulable right now.
+    pub fn pick_node<'a>(
+        &self,
+        request: &ResourceList,
+        nodes: impl IntoIterator<Item = (usize, &'a NodeView)>,
+    ) -> Option<usize> {
         let mut best: Option<(usize, f64)> = None;
-        for (i, n) in nodes.iter().enumerate() {
-            let free = n.free();
-            if !request.fits_in(&free) {
+        for (i, n) in nodes {
+            if !request.fits_in(&n.free) {
                 continue;
             }
-            let score = self.score(n, &free);
+            let score = self.node_score(n);
             let better = match best {
                 None => true,
                 // Strict total order; ties break by node order, matching
@@ -151,24 +135,21 @@ impl KubeScheduler {
     /// The scoring function behind [`Self::pick_node`], exposed so callers
     /// maintaining an ordered node-score index score nodes identically.
     pub fn node_score(&self, node: &NodeView) -> f64 {
-        self.score(node, &node.free())
-    }
-
-    fn score(&self, node: &NodeView, free: &ResourceList) -> f64 {
         // Mean free fraction over the axes that exist on this node.
+        let (free, cap) = (&node.free, &node.allocatable);
         let mut sum = 0.0;
         let mut n = 0.0;
-        if node.allocatable.cpu_millis > 0 {
-            sum += free.cpu_millis as f64 / node.allocatable.cpu_millis as f64;
+        if cap.cpu_millis > 0 {
+            sum += free.cpu_millis as f64 / cap.cpu_millis as f64;
             n += 1.0;
         }
-        if node.allocatable.memory_bytes > 0 {
-            sum += free.memory_bytes as f64 / node.allocatable.memory_bytes as f64;
+        if cap.memory_bytes > 0 {
+            sum += free.memory_bytes as f64 / cap.memory_bytes as f64;
             n += 1.0;
         }
-        for (k, &cap) in &node.allocatable.extended {
-            if cap > 0 {
-                sum += free.extended_count(k) as f64 / cap as f64;
+        for (k, &c) in &cap.extended {
+            if c > 0 {
+                sum += free.extended_count(k) as f64 / c as f64;
                 n += 1.0;
             }
         }
@@ -196,11 +177,18 @@ mod tests {
     use crate::api::resources::NVIDIA_GPU;
 
     fn node(name: &str, gpu_cap: u64, gpu_used: u64) -> NodeView {
-        NodeView::new(
-            name,
-            ResourceList::cpu_mem(36_000, 244 << 30).with_extended(NVIDIA_GPU, gpu_cap),
-            ResourceList::cpu_mem(0, 0).with_extended(NVIDIA_GPU, gpu_used),
-        )
+        let cpu_mem = ResourceList::cpu_mem(36_000, 244 << 30);
+        NodeView {
+            name: name.to_string(),
+            allocatable: cpu_mem.clone().with_extended(NVIDIA_GPU, gpu_cap),
+            free: cpu_mem.with_extended(NVIDIA_GPU, gpu_cap - gpu_used),
+            spatial: None,
+        }
+    }
+
+    /// `pick_node` over a whole slice, keyed by position.
+    fn pick(s: &KubeScheduler, req: &ResourceList, nodes: &[NodeView]) -> Option<usize> {
+        s.pick_node(req, nodes.iter().enumerate())
     }
 
     fn gpu_req(n: u64) -> ResourceList {
@@ -211,16 +199,16 @@ mod tests {
     fn filters_full_nodes() {
         let s = KubeScheduler::new(ScorePolicy::LeastAllocated);
         let nodes = vec![node("a", 4, 4), node("b", 4, 3)];
-        let picked = s.pick_node(&gpu_req(1), &nodes).unwrap();
+        let picked = pick(&s, &gpu_req(1), &nodes).unwrap();
         assert_eq!(nodes[picked].name, "b");
-        assert!(s.pick_node(&gpu_req(2), &nodes).is_none());
+        assert!(pick(&s, &gpu_req(2), &nodes).is_none());
     }
 
     #[test]
     fn least_allocated_spreads() {
         let s = KubeScheduler::new(ScorePolicy::LeastAllocated);
         let nodes = vec![node("a", 4, 2), node("b", 4, 0)];
-        let picked = s.pick_node(&gpu_req(1), &nodes).unwrap();
+        let picked = pick(&s, &gpu_req(1), &nodes).unwrap();
         assert_eq!(nodes[picked].name, "b");
     }
 
@@ -228,21 +216,21 @@ mod tests {
     fn most_allocated_packs() {
         let s = KubeScheduler::new(ScorePolicy::MostAllocated);
         let nodes = vec![node("a", 4, 2), node("b", 4, 0)];
-        let picked = s.pick_node(&gpu_req(1), &nodes).unwrap();
+        let picked = pick(&s, &gpu_req(1), &nodes).unwrap();
         assert_eq!(nodes[picked].name, "a");
     }
 
     #[test]
     fn empty_cluster_unschedulable() {
         let s = KubeScheduler::new(ScorePolicy::LeastAllocated);
-        assert!(s.pick_node(&gpu_req(1), &[]).is_none());
+        assert!(pick(&s, &gpu_req(1), &[]).is_none());
     }
 
     #[test]
     fn deterministic_tie_break_by_order() {
         let s = KubeScheduler::new(ScorePolicy::LeastAllocated);
         let nodes = vec![node("a", 4, 1), node("b", 4, 1)];
-        assert_eq!(s.pick_node(&gpu_req(1), &nodes), Some(0));
+        assert_eq!(pick(&s, &gpu_req(1), &nodes), Some(0));
     }
 
     #[test]
@@ -261,7 +249,7 @@ mod tests {
             total_slots: 7,
         });
         let nodes = vec![full, empty];
-        let picked = s.pick_node(&gpu_req(1), &nodes).unwrap();
+        let picked = pick(&s, &gpu_req(1), &nodes).unwrap();
         assert_eq!(nodes[picked].name, "b");
         // A node with no spatial substrate scores exactly as one whose
         // field is absent — the axis only exists when advertised.
@@ -278,6 +266,6 @@ mod tests {
         // the §3.1 limitation KubeShare fixes.
         let s = KubeScheduler::new(ScorePolicy::LeastAllocated);
         let nodes = vec![node("a", 400, 399)]; // scaling-factor units
-        assert!(s.pick_node(&gpu_req(1), &nodes).is_some());
+        assert!(pick(&s, &gpu_req(1), &nodes).is_some());
     }
 }

@@ -124,9 +124,8 @@ pub type ClusterEmit = Vec<(SimTime, ClusterEvent)>;
 
 #[derive(Debug)]
 struct NodeState {
-    name: String,
-    allocatable: ResourceList,
-    allocated: ResourceList,
+    /// The node's one capacity record, scored and fitted in place.
+    cap: NodeView,
     device_mgr: Option<DeviceManager>,
     /// Containers currently in the create phase (concurrency penalty).
     starting: u32,
@@ -141,22 +140,12 @@ struct NodeState {
     /// (`None` while down). Stored so removal never recomputes — the index
     /// stays correct regardless of mutation order.
     score_key: Option<OrdF64>,
-    /// Slice-slot capacity of partitioned GPUs on this node, advertised by
-    /// the control plane through [`ClusterSim::set_spatial_slices`]. `None`
-    /// (the default) leaves scoring exactly as before the partition
-    /// subsystem existed.
-    spatial: Option<SpatialSlices>,
 }
 
 impl NodeState {
-    /// The scheduler's snapshot of this node.
-    fn view(&self) -> NodeView {
-        NodeView {
-            name: self.name.clone(),
-            allocatable: self.allocatable.clone(),
-            allocated: self.allocated.clone(),
-            spatial: self.spatial,
-        }
+    /// Up and not cordoned: the node takes placements.
+    fn schedulable(&self) -> bool {
+        self.up && !self.cordoned
     }
 }
 
@@ -224,15 +213,20 @@ impl ClusterSim {
                     allocatable = allocatable.with_extended(dm.resource_name(), dm.free_count());
                 }
                 NodeState {
-                    name: nc.name.clone(),
-                    allocatable,
-                    allocated: ResourceList::zero(),
+                    cap: NodeView {
+                        name: nc.name.clone(),
+                        free: allocatable.clone(),
+                        allocatable,
+                        // Advertised by the control plane through
+                        // `set_spatial_slices`; `None` scores exactly as
+                        // before the partition subsystem existed.
+                        spatial: None,
+                    },
                     device_mgr,
                     starting: 0,
                     up: true,
                     cordoned: false,
                     score_key: None,
-                    spatial: None,
                 }
             })
             .collect();
@@ -255,7 +249,7 @@ impl ClusterSim {
             .nodes
             .iter()
             .enumerate()
-            .map(|(i, n)| (n.name.clone(), i))
+            .map(|(i, n)| (n.cap.name.clone(), i))
             .collect();
         for i in 0..sim.nodes.len() {
             sim.rank_index(i);
@@ -288,40 +282,64 @@ impl ClusterSim {
             free_slots: free_slots.min(total_slots),
             total_slots,
         });
-        if self.nodes[idx].spatial == spatial {
-            return true;
+        if self.nodes[idx].cap.spatial != spatial {
+            self.update_cap(idx, |cap| cap.spatial = spatial);
         }
-        self.rank_unindex(idx);
-        self.nodes[idx].spatial = spatial;
-        self.rank_index(idx);
         true
     }
 
-    /// Files an up node in the rank index under its current score and
-    /// adds its free capacity to the cluster-wide total.
+    /// Files a schedulable node in the rank index under its current score
+    /// and adds its free capacity, in place, to the cluster-wide total.
     fn rank_index(&mut self, idx: usize) {
-        debug_assert!(self.nodes[idx].score_key.is_none(), "node already ranked");
-        if !self.nodes[idx].up || self.nodes[idx].cordoned {
+        let n = &mut self.nodes[idx];
+        debug_assert!(n.score_key.is_none(), "node already ranked");
+        if !n.schedulable() {
             return;
         }
-        let n = &self.nodes[idx];
-        let free = n.allocatable.checked_sub(&n.allocated);
-        let score = self.scheduler.node_score(&n.view());
-        self.free_total = self.free_total.checked_add(&free);
-        let key = OrdF64::of(score);
+        let key = OrdF64::of(self.scheduler.node_score(&n.cap));
+        self.free_total += &n.cap.free;
         self.node_rank.insert((key, std::cmp::Reverse(idx)));
-        self.nodes[idx].score_key = Some(key);
+        n.score_key = Some(key);
     }
 
     /// Unfiles a node from the rank index (no-op if it was not ranked),
-    /// removing its free capacity from the cluster-wide total.
+    /// taking its free capacity, in place, out of the cluster-wide total.
     fn rank_unindex(&mut self, idx: usize) {
-        if let Some(key) = self.nodes[idx].score_key.take() {
+        let n = &mut self.nodes[idx];
+        if let Some(key) = n.score_key.take() {
             self.node_rank.remove(&(key, std::cmp::Reverse(idx)));
-            let n = &self.nodes[idx];
-            let free = n.allocatable.checked_sub(&n.allocated);
-            self.free_total = self.free_total.checked_sub(&free);
+            self.free_total -= &n.cap.free;
         }
+    }
+
+    /// Changes a node's capacity record in place between unranking and
+    /// re-ranking it, so the rank index and the cluster-wide free total
+    /// move with it. Every charge and release of pod requests, and every
+    /// spatial-slice update, goes through here.
+    fn update_cap(&mut self, idx: usize, update: impl FnOnce(&mut NodeView)) {
+        self.rank_unindex(idx);
+        update(&mut self.nodes[idx].cap);
+        self.rank_index(idx);
+    }
+
+    /// Capacity was freed or restored: every unschedulable pod gets
+    /// another scheduling attempt, in queue order.
+    fn retry_unschedulable(&mut self, now: SimTime, out: &mut ClusterEmit) {
+        let at = now + self.latency.schedule;
+        out.extend(
+            self.unschedulable
+                .drain(..)
+                .map(|pod| (at, ClusterEvent::ScheduleAttempt { pod })),
+        );
+    }
+
+    /// Schedulable nodes with their index into `self.nodes`, in node order.
+    fn schedulable_nodes(&self) -> impl Iterator<Item = (usize, &NodeView)> {
+        self.nodes
+            .iter()
+            .enumerate()
+            .filter(|(_, n)| n.schedulable())
+            .map(|(i, n)| (i, &n.cap))
     }
 
     /// Ordered-scan equivalent of [`KubeScheduler::pick_node`]: walk up
@@ -332,23 +350,24 @@ impl ClusterSim {
             .iter()
             .rev()
             .map(|&(_, std::cmp::Reverse(idx))| idx)
-            .find(|&idx| {
-                let n = &self.nodes[idx];
-                requests.fits_in(&n.allocatable.checked_sub(&n.allocated))
-            })
+            .find(|&idx| requests.fits_in(&self.nodes[idx].cap.free))
     }
 
-    /// Cross-checks the node rank index against a from-scratch rebuild.
+    /// Cross-checks the node rank index and the cluster-wide free total
+    /// against a from-scratch rebuild, and each node's free capacity
+    /// against its source of truth, the pod store: allocatable minus the
+    /// requests of its `Scheduled` and `Running` pods, none on a down node.
     pub fn verify_node_rank(&self) -> Result<(), String> {
         let mut fresh = std::collections::BTreeSet::new();
+        let mut fresh_free = ResourceList::zero();
         for (i, n) in self.nodes.iter().enumerate() {
-            if !n.up || n.cordoned {
+            if !n.schedulable() {
                 if n.score_key.is_some() {
                     return Err(format!("down/cordoned node {i} still has a score key"));
                 }
                 continue;
             }
-            let score = self.scheduler.node_score(&n.view());
+            let score = self.scheduler.node_score(&n.cap);
             let key = OrdF64::of(score);
             if n.score_key != Some(key) {
                 return Err(format!(
@@ -357,6 +376,7 @@ impl ClusterSim {
                 ));
             }
             fresh.insert((key, std::cmp::Reverse(i)));
+            fresh_free += &n.cap.free;
         }
         if fresh != self.node_rank {
             return Err(format!(
@@ -364,25 +384,34 @@ impl ClusterSim {
                 self.node_rank, fresh
             ));
         }
-        let mut fresh_free = ResourceList::zero();
-        for n in self.nodes.iter().filter(|n| n.up && !n.cordoned) {
-            fresh_free = fresh_free.checked_add(&n.allocatable.checked_sub(&n.allocated));
-        }
-        let keys: std::collections::BTreeSet<&String> = fresh_free
-            .extended
-            .keys()
-            .chain(self.free_total.extended.keys())
-            .collect();
-        if fresh_free.cpu_millis != self.free_total.cpu_millis
-            || fresh_free.memory_bytes != self.free_total.memory_bytes
-            || keys
-                .iter()
-                .any(|k| fresh_free.extended_count(k) != self.free_total.extended_count(k))
-        {
+        if !fresh_free.same_counts(&self.free_total) {
             return Err(format!(
                 "free total drifted: incremental {:?} != rebuilt {fresh_free:?}",
                 self.free_total
             ));
+        }
+        let mut charged = vec![ResourceList::zero(); self.nodes.len()];
+        for (uid, p) in self.pods.iter() {
+            if matches!(p.status.phase, PodPhase::Scheduled | PodPhase::Running) {
+                let idx = p.status.node_name.as_deref().and_then(|n| self.node_idx(n));
+                let idx = idx.ok_or_else(|| format!("pod {uid} is bound to no known node"))?;
+                charged[idx] += &p.spec.requests;
+            }
+        }
+        for (n, mut charged) in self.nodes.iter().zip(charged) {
+            if !n.up && !charged.is_zero() {
+                return Err(format!(
+                    "down node {} still charged {charged:?}",
+                    n.cap.name
+                ));
+            }
+            charged += &n.cap.free;
+            if !charged.same_counts(&n.cap.allocatable) {
+                return Err(format!(
+                    "node {}: free {:?} plus its pods' requests is not allocatable {:?}",
+                    n.cap.name, n.cap.free, n.cap.allocatable
+                ));
+            }
         }
         Ok(())
     }
@@ -469,7 +498,7 @@ impl ClusterSim {
 
     /// Node names in order.
     pub fn node_names(&self) -> Vec<String> {
-        self.nodes.iter().map(|n| n.name.clone()).collect()
+        self.nodes.iter().map(|n| n.cap.name.clone()).collect()
     }
 
     /// Sum of free resources across up nodes, maintained incrementally —
@@ -480,11 +509,7 @@ impl ClusterSim {
 
     /// Free resources on a node.
     pub fn node_free(&self, name: &str) -> Option<ResourceList> {
-        self.node_idx(name).map(|i| {
-            self.nodes[i]
-                .allocatable
-                .checked_sub(&self.nodes[i].allocated)
-        })
+        self.node_idx(name).map(|i| self.nodes[i].cap.free.clone())
     }
 
     /// Per-device allocated unit counts on a node (over-commit analysis).
@@ -579,9 +604,7 @@ impl ClusterSim {
         let requests = pod.spec.requests.clone();
         let node_name = pod.status.node_name.clone().expect("bound pod");
         let idx = self.node_idx(&node_name).expect("node exists");
-        self.rank_unindex(idx);
-        self.nodes[idx].allocated = self.nodes[idx].allocated.checked_sub(&requests);
-        self.rank_index(idx);
+        self.update_cap(idx, |cap| cap.free += &requests);
         if let Some(dm) = &mut self.nodes[idx].device_mgr {
             dm.deallocate(uid);
         }
@@ -592,13 +615,7 @@ impl ClusterSim {
         });
         notices.push(ClusterNotice::PodFailed { pod: uid, reason });
         self.note_phase(now, uid, "failed");
-        let retry: Vec<Uid> = self.unschedulable.drain(..).collect();
-        for p in retry {
-            out.push((
-                now + self.latency.schedule,
-                ClusterEvent::ScheduleAttempt { pod: p },
-            ));
-        }
+        self.retry_unschedulable(now, out);
     }
 
     /// Whether a node is currently up. `None` for unknown nodes.
@@ -643,13 +660,7 @@ impl ClusterSim {
         self.nodes[idx].cordoned = false;
         if self.nodes[idx].up {
             self.rank_index(idx);
-            let retry: Vec<Uid> = self.unschedulable.drain(..).collect();
-            for p in retry {
-                out.push((
-                    now + self.latency.schedule,
-                    ClusterEvent::ScheduleAttempt { pod: p },
-                ));
-            }
+            self.retry_unschedulable(now, out);
         }
         true
     }
@@ -700,7 +711,8 @@ impl ClusterSim {
             self.note_phase(now, uid, "failed");
         }
         // Everything charged against the node is gone with the kubelet.
-        self.nodes[idx].allocated = ResourceList::zero();
+        let cap = &mut self.nodes[idx].cap;
+        cap.free.clone_from(&cap.allocatable);
         victims
     }
 
@@ -715,16 +727,9 @@ impl ClusterSim {
             return false;
         }
         self.nodes[idx].up = true;
-        self.nodes[idx].allocated = ResourceList::zero();
         self.nodes[idx].starting = 0;
         self.rank_index(idx);
-        let retry: Vec<Uid> = self.unschedulable.drain(..).collect();
-        for p in retry {
-            out.push((
-                now + self.latency.schedule,
-                ClusterEvent::ScheduleAttempt { pod: p },
-            ));
-        }
+        self.retry_unschedulable(now, out);
         true
     }
 
@@ -742,22 +747,6 @@ impl ClusterSim {
             ClusterEvent::ContainerStarted { pod } => self.on_started(now, pod, notices),
             ClusterEvent::PodStopped { pod } => self.on_stopped(now, pod, out, notices),
         }
-    }
-
-    /// Scheduler views of the up nodes, paired with their index into
-    /// `self.nodes` (down nodes are invisible to the scheduler, so view
-    /// indices and node indices diverge while any node is down).
-    fn up_views(&self) -> (Vec<usize>, Vec<NodeView>) {
-        let mut idxs = Vec::new();
-        let mut views = Vec::new();
-        for (i, n) in self.nodes.iter().enumerate() {
-            if !n.up || n.cordoned {
-                continue;
-            }
-            idxs.push(i);
-            views.push(n.view());
-        }
-        (idxs, views)
     }
 
     fn on_schedule(
@@ -782,13 +771,12 @@ impl ClusterSim {
             // elsewhere).
             Some(name) => self.node_idx(name).filter(|&idx| {
                 let n = &self.nodes[idx];
-                n.up && !n.cordoned && requests.fits_in(&n.allocatable.checked_sub(&n.allocated))
+                n.schedulable() && requests.fits_in(&n.cap.free)
             }),
             None => match self.sched_mode {
-                SchedMode::Reference => {
-                    let (idxs, views) = self.up_views();
-                    self.scheduler.pick_node(&requests, &views).map(|v| idxs[v])
-                }
+                SchedMode::Reference => self
+                    .scheduler
+                    .pick_node(&requests, self.schedulable_nodes()),
                 SchedMode::Indexed => self.pick_node_indexed(&requests),
             },
         };
@@ -799,10 +787,8 @@ impl ClusterSim {
 
         match node_idx {
             Some(idx) => {
-                let node_name = self.nodes[idx].name.clone();
-                self.rank_unindex(idx);
-                self.nodes[idx].allocated = self.nodes[idx].allocated.checked_add(&requests);
-                self.rank_index(idx);
+                let node_name = self.nodes[idx].cap.name.clone();
+                self.update_cap(idx, |cap| cap.free -= &requests);
                 self.pods.mutate(uid, |p| {
                     p.status.phase = PodPhase::Scheduled;
                     p.status.node_name = Some(node_name);
@@ -848,16 +834,18 @@ impl ClusterSim {
                 )
             }),
         }
-        let (_, views) = self.up_views();
-        for view in &views {
-            let fits = requests.fits_in(&view.allocatable.checked_sub(&view.allocated));
-            let rule = if fits { "node_score" } else { "node_unfit" };
-            prov.candidate_with(rule, self.scheduler.node_score(view), || view.name.clone());
+        for (_, n) in self.schedulable_nodes() {
+            let rule = if requests.fits_in(&n.free) {
+                "node_score"
+            } else {
+                "node_unfit"
+            };
+            prov.candidate_with(rule, self.scheduler.node_score(n), || n.name.clone());
         }
         let outcome = match node_idx {
             Some(idx) => {
-                let n = &self.nodes[idx];
-                let score = self.scheduler.node_score(&n.view());
+                let n = &self.nodes[idx].cap;
+                let score = self.scheduler.node_score(n);
                 let rule = if pinned.is_some() {
                     "pinned"
                 } else {
@@ -924,10 +912,7 @@ impl ClusterSim {
                     Err(e) => {
                         // Cannot happen when scheduler accounting is
                         // consistent, but surface it instead of hiding it.
-                        self.rank_unindex(idx);
-                        self.nodes[idx].allocated =
-                            self.nodes[idx].allocated.checked_sub(&requests);
-                        self.rank_index(idx);
+                        self.update_cap(idx, |cap| cap.free += &requests);
                         self.pods.mutate(uid, |p| {
                             p.status.phase = PodPhase::Failed;
                             p.status.message = Some(format!("device allocation failed: {e:?}"));
@@ -995,9 +980,7 @@ impl ClusterSim {
         let requests = pod.spec.requests.clone();
         if let Some(node_name) = pod.status.node_name.clone() {
             let idx = self.node_idx(&node_name).expect("node exists");
-            self.rank_unindex(idx);
-            self.nodes[idx].allocated = self.nodes[idx].allocated.checked_sub(&requests);
-            self.rank_index(idx);
+            self.update_cap(idx, |cap| cap.free += &requests);
             if let Some(dm) = &mut self.nodes[idx].device_mgr {
                 dm.deallocate(uid);
             }
@@ -1007,14 +990,7 @@ impl ClusterSim {
         notices.push(ClusterNotice::PodDeleted { pod: uid });
         self.note_phase(now, uid, "deleted");
 
-        // Capacity freed: retry everything that was unschedulable.
-        let retry: Vec<Uid> = self.unschedulable.drain(..).collect();
-        for p in retry {
-            out.push((
-                now + self.latency.schedule,
-                ClusterEvent::ScheduleAttempt { pod: p },
-            ));
-        }
+        self.retry_unschedulable(now, out);
     }
 }
 
@@ -1296,7 +1272,7 @@ mod tests {
         ));
         // Resources came back even though the node is down.
         let free = eng.world.cluster.node_free("n0").unwrap();
-        assert_eq!(free, eng.world.cluster.nodes[0].allocatable);
+        assert_eq!(free, eng.world.cluster.nodes[0].cap.allocatable);
 
         // New pods cannot land anywhere while the only node is down.
         let mut out = Vec::new();
@@ -1491,7 +1467,7 @@ mod tests {
         seed(&mut eng, out);
         eng.run_to_completion(1000);
         let free = eng.world.cluster.node_free("n0").unwrap();
-        assert_eq!(free, eng.world.cluster.nodes[0].allocatable);
+        assert_eq!(free, eng.world.cluster.nodes[0].cap.allocatable);
     }
 
     #[test]
