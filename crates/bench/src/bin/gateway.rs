@@ -1,6 +1,7 @@
 //! Multi-tenant gateway load generator: drives the auth → rate-limit →
 //! quota → preemption → metering pipeline with a distinct-tenant fleet
-//! (80/15/5 tier split) and writes `BENCH_gateway.json`. Exits non-zero
+//! (80/15/5 tier split) and appends a run to the `BENCH_gateway.json`
+//! trajectory ([`ks_bench::trajectory`]). Exits non-zero
 //! if any invariant breaks: conservation, the zero-violation tripwires,
 //! downward-only preemption, fairness SLOs, or the 0.1% billing/TSDB
 //! reconciliation bound.
@@ -11,6 +12,7 @@
 
 use ks_bench::gateway_load::{run, to_json, GatewayLoadConfig};
 use ks_bench::report::{f1, Table};
+use ks_bench::trajectory::append_to_file;
 
 fn main() {
     let mut cfg = GatewayLoadConfig::default();
@@ -103,8 +105,8 @@ fn main() {
         f1(report.wall_secs),
     );
 
-    std::fs::write(&out, to_json(&report)).expect("write report");
-    println!("wrote {out}");
+    let payload = serde_json::from_str(&to_json(&report)).expect("report is JSON");
+    append_to_file(&out, "gateway", payload);
 
     if !report.failures.is_empty() {
         for f in &report.failures {

@@ -1,6 +1,7 @@
 //! Substrate comparison benchmark: time-slicing vs spatial partitioning
 //! vs hybrid on packing efficiency, isolation, and reconfiguration
-//! overhead. Writes `BENCH_partition.json` and exits non-zero unless
+//! overhead. Appends a run to the `BENCH_partition.json` trajectory
+//! ([`ks_bench::trajectory`]) and exits non-zero unless
 //! spatial and hybrid each beat pure time-slicing on at least one axis.
 //!
 //! Usage: `cargo run -p ks-bench --release --bin partition --
@@ -8,6 +9,7 @@
 
 use ks_bench::partition::{run, to_json, PartitionBenchConfig};
 use ks_bench::report::{f1, f3, Table};
+use ks_bench::trajectory::append_to_file;
 
 fn main() {
     let mut cfg = PartitionBenchConfig::default();
@@ -107,9 +109,8 @@ fn main() {
         result.verdict.spatial_beats, result.verdict.hybrid_beats
     );
 
-    let json = to_json(&cfg, &result);
-    std::fs::write(&out, &json).unwrap_or_else(|e| panic!("writing {out}: {e}"));
-    println!("wrote {out}");
+    let payload = serde_json::from_str(&to_json(&cfg, &result)).expect("result is JSON");
+    append_to_file(&out, "partition", payload);
 
     if !result.verdict.ok {
         eprintln!("FAIL: a substrate failed to beat pure time-slicing on any axis");

@@ -1,6 +1,7 @@
 //! Self-healing chaos soak: node crashes and degraded-vGPU faults against
-//! the closed detection → remediation loop. Writes `BENCH_remediation.json`
-//! and exits non-zero if any acceptance bound fails: detection latency,
+//! the closed detection → remediation loop. Appends a run to the
+//! `BENCH_remediation.json` trajectory ([`ks_bench::trajectory`]) and
+//! exits non-zero if any acceptance bound fails: detection latency,
 //! closed-vs-observe work, fault-free silence, decision identity with the
 //! loop disabled, replay identity, or the flap-guard action budget.
 //!
@@ -26,8 +27,9 @@ fn main() {
     }
     let report = ks_bench::remediation::run(seed);
     println!("{}", ks_bench::remediation::report(&report).render());
-    std::fs::write(&out, ks_bench::remediation::to_json(&report)).expect("write report");
-    println!("wrote {out}");
+    let payload = ks_bench::remediation::to_json(&report);
+    let payload = serde_json::from_str(&payload).expect("report is JSON");
+    ks_bench::trajectory::append_to_file(&out, "remediation", payload);
     if !report.failures.is_empty() {
         for f in &report.failures {
             eprintln!("FAIL: {f}");

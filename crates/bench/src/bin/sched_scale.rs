@@ -12,10 +12,9 @@
 //! default sweep covers 1k–10k GPUs. Each point also records the median
 //! and interquartile range of repeated plain indexed drains.
 
-use std::path::Path;
-
 use ks_bench::report::{f1, Table};
-use ks_bench::sched_scale::{append_json, run, SchedScaleConfig, Stamp};
+use ks_bench::sched_scale::{run, sweep_payload, SchedScaleConfig};
+use ks_bench::trajectory::append_to_file;
 
 fn main() {
     let mut cfg = SchedScaleConfig::default();
@@ -84,16 +83,7 @@ fn main() {
     }
     println!("{}", table.render());
 
-    let existing = std::fs::read_to_string(&out).ok();
-    let json = append_json(
-        existing.as_deref(),
-        &cfg,
-        &points,
-        &Stamp::current(Path::new(&out)),
-    )
-    .unwrap_or_else(|e| panic!("appending to {out}: {e}"));
-    std::fs::write(&out, &json).unwrap_or_else(|e| panic!("writing {out}: {e}"));
-    println!("appended to {out}");
+    append_to_file(&out, "sched_scale", sweep_payload(&cfg, &points));
 
     let divergences: usize = points.iter().map(|p| p.divergences).sum();
     if divergences > 0 {

@@ -29,3 +29,4 @@ pub mod partition;
 pub mod remediation;
 pub mod sched_scale;
 pub mod table1;
+pub mod trajectory;

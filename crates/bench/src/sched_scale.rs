@@ -18,7 +18,6 @@
 //! plain indexed drains and records their median and interquartile
 //! range, so a trajectory point carries its own spread.
 
-use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use ks_cluster::api::Uid;
@@ -337,130 +336,27 @@ pub fn run(cfg: &SchedScaleConfig) -> Vec<ScalePoint> {
         .collect()
 }
 
-/// Where a trajectory point was measured: the source revision and the
-/// host it ran on.
-#[derive(Debug, Clone, Serialize)]
-pub struct Stamp {
-    /// `git rev-parse --short HEAD` of the working directory, with
-    /// `-dirty` appended when tracked files other than the trajectory
-    /// file differ from it; `"unknown"` outside a git checkout.
-    pub rev: String,
-    /// The measuring host.
-    pub host: Host,
-}
-
-/// The host a trajectory point was measured on.
-#[derive(Debug, Clone, Serialize)]
-pub struct Host {
-    /// Logical cores available to the process.
-    pub cores: usize,
-    /// CPU model name (`/proc/cpuinfo`), or `"unknown"`.
-    pub cpu: String,
-}
-
-impl Stamp {
-    /// Stamps a measurement taken now, from the current directory, whose
-    /// sweep is appended to the trajectory file `out`.
-    pub fn current(out: &Path) -> Self {
-        let cpu = std::fs::read_to_string("/proc/cpuinfo")
-            .ok()
-            .and_then(|info| {
-                info.lines()
-                    .find_map(|l| l.strip_prefix("model name")?.split_once(':'))
-                    .map(|(_, model)| model.trim().to_string())
-            });
-        Stamp {
-            rev: revision(Path::new("."), out),
-            host: Host {
-                cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-                cpu: cpu.unwrap_or_else(|| "unknown".to_string()),
-            },
-        }
+/// One sweep's payload in the `BENCH_sched.json` trajectory (see
+/// [`crate::trajectory`]).
+pub fn sweep_payload(cfg: &SchedScaleConfig, points: &[ScalePoint]) -> serde_json::Value {
+    #[derive(Serialize)]
+    struct Sweep {
+        seed: u64,
+        pods: usize,
+        points: Vec<ScalePoint>,
     }
-}
-
-/// The short revision of the git checkout at `dir`, `-dirty` when a
-/// tracked file differs from `HEAD`. The trajectory file `out` does not
-/// count: an earlier sweep in the same checkout appended to it, which
-/// changes no measured code.
-fn revision(dir: &Path, out: &Path) -> String {
-    let git = |args: &[&str]| {
-        let o = std::process::Command::new("git")
-            .arg("-C")
-            .arg(dir)
-            .args(args)
-            .output()
-            .ok()?;
-        o.status
-            .success()
-            .then(|| String::from_utf8_lossy(&o.stdout).trim().to_string())
-    };
-    let Some(rev) = git(&["rev-parse", "--short", "HEAD"]) else {
-        return "unknown".to_string();
-    };
-    let top = PathBuf::from(git(&["rev-parse", "--show-toplevel"]).unwrap_or_default());
-    let out = std::fs::canonicalize(out).ok();
-    let changed = git(&["diff", "--name-only", "HEAD"]).unwrap_or_default();
-    let dirty = changed.lines().any(|f| Some(top.join(f)) != out);
-    if dirty {
-        format!("{rev}-dirty")
-    } else {
-        rev
-    }
-}
-
-/// One sweep in the `BENCH_sched.json` trajectory.
-#[derive(Debug, Clone, Serialize)]
-struct Run {
-    rev: String,
-    host: Host,
-    seed: u64,
-    pods: usize,
-    points: Vec<ScalePoint>,
-}
-
-/// Appends one sweep to a `BENCH_sched.json` trajectory and returns the
-/// new document. `existing` is the file's current text (`None` starts a
-/// new trajectory); earlier sweeps are kept as they are. Errors if the
-/// text is not a `sched_scale` trajectory.
-pub fn append_json(
-    existing: Option<&str>,
-    cfg: &SchedScaleConfig,
-    points: &[ScalePoint],
-    stamp: &Stamp,
-) -> Result<String, String> {
-    let mut runs = match existing {
-        None => Vec::new(),
-        Some(text) => {
-            let doc: serde_json::Value =
-                serde_json::from_str(text).map_err(|e| format!("not JSON: {e:?}"))?;
-            match (
-                doc.field("bench").as_str(),
-                doc.field("trajectory").as_array(),
-            ) {
-                (Some("sched_scale"), Some(runs)) => runs.to_vec(),
-                _ => return Err("not a sched_scale trajectory".to_string()),
-            }
-        }
-    };
-    let run = Run {
-        rev: stamp.rev.clone(),
-        host: stamp.host.clone(),
+    serde_json::to_value(&Sweep {
         seed: cfg.seed,
         pods: cfg.pods,
         points: points.to_vec(),
-    };
-    runs.push(serde_json::to_value(&run).expect("serializable"));
-    let doc = serde_json::Value::Map(vec![
-        ("bench".to_string(), "sched_scale".to_value()),
-        ("trajectory".to_string(), serde_json::Value::Array(runs)),
-    ]);
-    Ok(serde_json::to_string_pretty(&doc).expect("serializable"))
+    })
+    .expect("serializable")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trajectory::{append_json, Host, Stamp};
 
     #[test]
     fn small_sweep_zero_divergence() {
@@ -500,8 +396,9 @@ mod tests {
                 cpu: "test cpu".to_string(),
             },
         };
-        let first = append_json(None, &cfg, &points, &stamp).unwrap();
-        let second = append_json(Some(&first), &cfg, &points, &stamp).unwrap();
+        let sweep = || sweep_payload(&cfg, &points);
+        let first = append_json(None, "sched_scale", &stamp, sweep()).unwrap();
+        let second = append_json(Some(&first), "sched_scale", &stamp, sweep()).unwrap();
         let v: serde_json::Value = serde_json::from_str(&second).unwrap();
         assert_eq!(v.field("bench").as_str(), Some("sched_scale"));
         let runs = v.field("trajectory").as_array().unwrap();
@@ -511,7 +408,7 @@ mod tests {
         assert_eq!(runs[1].field("rev").as_str(), Some("abc1234"));
         assert_eq!(runs[1].field("host").field("cores").as_u64(), Some(2));
         assert_eq!(runs[1].field("points").as_array().unwrap().len(), 1);
-        assert!(append_json(Some("{\"bench\": \"other\"}"), &cfg, &points, &stamp).is_err());
+        assert_eq!(runs[1].field("seed").as_u64(), Some(5));
     }
 
     #[test]
@@ -528,37 +425,6 @@ mod tests {
         let p = run_point(32, 200, 3);
         let (q1, q3) = p.indexed_dps_iqr;
         assert!(0.0 < q1 && q1 <= p.indexed_dps_median && p.indexed_dps_median <= q3);
-    }
-
-    #[test]
-    fn appending_to_the_trajectory_keeps_the_stamp_clean() {
-        let dir = std::env::temp_dir().join(format!("ks-stamp-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let git = |args: &[&str]| {
-            let ok = std::process::Command::new("git")
-                .arg("-C")
-                .arg(&dir)
-                .args(["-c", "user.name=t", "-c", "user.email=t@t"])
-                .args(args)
-                .status()
-                .unwrap()
-                .success();
-            assert!(ok, "git {args:?}");
-        };
-        let (out, src) = (dir.join("BENCH_sched.json"), dir.join("src.rs"));
-        std::fs::write(&out, "{}\n").unwrap();
-        std::fs::write(&src, "fn main() {}\n").unwrap();
-        git(&["init", "-q"]);
-        git(&["add", "."]);
-        git(&["commit", "-q", "-m", "init"]);
-        let clean = revision(&dir, &out);
-        assert!(!clean.ends_with("-dirty") && clean != "unknown", "{clean}");
-        std::fs::write(&out, "{\"appended\": true}\n").unwrap();
-        assert_eq!(revision(&dir, &out), clean);
-        std::fs::write(&src, "fn main() { println!(); }\n").unwrap();
-        assert_eq!(revision(&dir, &out), format!("{clean}-dirty"));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
