@@ -109,8 +109,7 @@ fn main() {
         result.verdict.spatial_beats, result.verdict.hybrid_beats
     );
 
-    let payload = serde_json::from_str(&to_json(&cfg, &result)).expect("result is JSON");
-    append_to_file(&out, "partition", payload);
+    append_to_file(&out, "partition", &to_json(&cfg, &result));
 
     if !result.verdict.ok {
         eprintln!("FAIL: a substrate failed to beat pure time-slicing on any axis");

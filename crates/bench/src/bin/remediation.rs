@@ -28,8 +28,7 @@ fn main() {
     let report = ks_bench::remediation::run(seed);
     println!("{}", ks_bench::remediation::report(&report).render());
     let payload = ks_bench::remediation::to_json(&report);
-    let payload = serde_json::from_str(&payload).expect("report is JSON");
-    ks_bench::trajectory::append_to_file(&out, "remediation", payload);
+    ks_bench::trajectory::append_to_file(&out, "remediation", &payload);
     if !report.failures.is_empty() {
         for f in &report.failures {
             eprintln!("FAIL: {f}");

@@ -13,7 +13,7 @@
 //! and interquartile range of repeated plain indexed drains.
 
 use ks_bench::report::{f1, Table};
-use ks_bench::sched_scale::{run, sweep_payload, SchedScaleConfig};
+use ks_bench::sched_scale::{run, sweep_json, SchedScaleConfig};
 use ks_bench::trajectory::append_to_file;
 
 fn main() {
@@ -83,7 +83,7 @@ fn main() {
     }
     println!("{}", table.render());
 
-    append_to_file(&out, "sched_scale", sweep_payload(&cfg, &points));
+    append_to_file(&out, "sched_scale", &sweep_json(&cfg, &points));
 
     let divergences: usize = points.iter().map(|p| p.divergences).sum();
     if divergences > 0 {

@@ -338,14 +338,14 @@ pub fn run(cfg: &SchedScaleConfig) -> Vec<ScalePoint> {
 
 /// One sweep's payload in the `BENCH_sched.json` trajectory (see
 /// [`crate::trajectory`]).
-pub fn sweep_payload(cfg: &SchedScaleConfig, points: &[ScalePoint]) -> serde_json::Value {
+pub fn sweep_json(cfg: &SchedScaleConfig, points: &[ScalePoint]) -> String {
     #[derive(Serialize)]
     struct Sweep {
         seed: u64,
         pods: usize,
         points: Vec<ScalePoint>,
     }
-    serde_json::to_value(&Sweep {
+    serde_json::to_string(&Sweep {
         seed: cfg.seed,
         pods: cfg.pods,
         points: points.to_vec(),
@@ -396,9 +396,9 @@ mod tests {
                 cpu: "test cpu".to_string(),
             },
         };
-        let sweep = || sweep_payload(&cfg, &points);
-        let first = append_json(None, "sched_scale", &stamp, sweep()).unwrap();
-        let second = append_json(Some(&first), "sched_scale", &stamp, sweep()).unwrap();
+        let sweep = sweep_json(&cfg, &points);
+        let first = append_json(None, "sched_scale", &stamp, &sweep).unwrap();
+        let second = append_json(Some(&first), "sched_scale", &stamp, &sweep).unwrap();
         let v: serde_json::Value = serde_json::from_str(&second).unwrap();
         assert_eq!(v.field("bench").as_str(), Some("sched_scale"));
         let runs = v.field("trajectory").as_array().unwrap();

@@ -83,14 +83,14 @@ fn revision(dir: &Path, out: &Path) -> String {
 
 /// Appends one run to the `bench` trajectory and returns the new
 /// document. The run is the stamp's `rev` and `host` followed by the
-/// fields of `payload`, which must be a JSON object. `existing` is the
+/// fields of `payload`, the text of a JSON object. `existing` is the
 /// file's current text (`None` starts a new trajectory); earlier runs are
 /// kept as they are. Errors if the text is not a `bench` trajectory.
 pub fn append_json(
     existing: Option<&str>,
     bench: &str,
     stamp: &Stamp,
-    payload: Value,
+    payload: &str,
 ) -> Result<String, String> {
     let mut runs = match existing {
         None => Vec::new(),
@@ -105,7 +105,7 @@ pub fn append_json(
             }
         }
     };
-    let Value::Map(fields) = payload else {
+    let Ok(Value::Map(fields)) = serde_json::from_str(payload) else {
         return Err("the payload is not a JSON object".to_string());
     };
     let mut run = vec![
@@ -127,7 +127,7 @@ pub fn append_json(
 /// # Panics
 /// Panics if `out` holds something other than a `bench` trajectory, or
 /// cannot be written.
-pub fn append_to_file(out: &str, bench: &str, payload: Value) {
+pub fn append_to_file(out: &str, bench: &str, payload: &str) {
     let existing = std::fs::read_to_string(out).ok();
     let stamp = Stamp::current(Path::new(out));
     let json = append_json(existing.as_deref(), bench, &stamp, payload)
@@ -152,10 +152,8 @@ mod tests {
 
     #[test]
     fn runs_are_stamped_payloads_appended_in_order() {
-        let payload =
-            |n: u64| serde_json::from_str(&format!("{{\"n\": {n}, \"x\": 0.5}}")).unwrap();
-        let first = append_json(None, "demo", &stamp(), payload(1)).unwrap();
-        let second = append_json(Some(&first), "demo", &stamp(), payload(2)).unwrap();
+        let first = append_json(None, "demo", &stamp(), "{\"n\": 1, \"x\": 0.5}").unwrap();
+        let second = append_json(Some(&first), "demo", &stamp(), "{\"n\": 2}").unwrap();
         let doc: Value = serde_json::from_str(&second).unwrap();
         assert_eq!(doc.field("bench").as_str(), Some("demo"));
         let runs = doc.field("trajectory").as_array().unwrap();
@@ -167,9 +165,9 @@ mod tests {
         assert_eq!(runs[1].field("n").as_u64(), Some(2));
         // Another bench's trajectory, a bare payload and a non-object
         // payload are refused.
-        assert!(append_json(Some(&second), "other", &stamp(), payload(3)).is_err());
-        assert!(append_json(Some("{\"n\": 1}"), "demo", &stamp(), payload(3)).is_err());
-        assert!(append_json(None, "demo", &stamp(), Value::U64(3)).is_err());
+        assert!(append_json(Some(&second), "other", &stamp(), "{}").is_err());
+        assert!(append_json(Some("{\"n\": 1}"), "demo", &stamp(), "{}").is_err());
+        assert!(append_json(None, "demo", &stamp(), "3").is_err());
     }
 
     #[test]
