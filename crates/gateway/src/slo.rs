@@ -97,6 +97,7 @@ pub fn gateway_catalogue() -> SloEngine {
 mod tests {
     use super::*;
     use ks_sim_core::time::SimTime;
+    use ks_telemetry::slo::SloCondition::QuantileBelow;
     use ks_telemetry::tsdb::Scraper;
     use ks_telemetry::Telemetry;
 
@@ -134,5 +135,22 @@ mod tests {
             );
             last = secs;
         }
+    }
+
+    #[test]
+    fn admission_wait_thresholds_are_bounds_of_the_seconds_layout() {
+        let bounds = ks_telemetry::registry::seconds_bounds();
+        let mut checked = 0;
+        for rule in gateway_catalogue().rules() {
+            if let QuantileBelow {
+                metric, threshold, ..
+            } = rule.condition
+            {
+                assert!(metric.ends_with("_seconds"), "{}", rule.name);
+                assert!(bounds.contains(&threshold), "{}: {threshold}", rule.name);
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, ADMISSION_WAIT_P99_SECS.len());
     }
 }

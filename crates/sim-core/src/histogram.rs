@@ -1,130 +1,110 @@
-//! Fixed-bucket histograms (linear or log-spaced) with percentile queries.
+//! Fixed-bucket histograms over explicit bucket bounds, and the one
+//! interpolating quantile estimator.
+//!
+//! A histogram is a strictly increasing slice of bucket bounds. Bucket `i`
+//! holds `[bounds[i - 1], bounds[i])`: the first bucket also takes every
+//! value below `bounds[0]`, and a value at or above the last bound counts
+//! as overflow. Exported as cumulative [`Bucket`]s, each `le` therefore
+//! counts the observations strictly below that bound, so a threshold that
+//! is a bound splits the observations exactly.
 //!
 //! Counts saturate instead of wrapping: a metric that records billions of
 //! observations in a long soak degrades gracefully (the bucket pins at
 //! `u64::MAX`) rather than corrupting quantiles through overflow.
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
-/// How bucket boundaries are spaced over `[lo, hi)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum BucketScale {
-    /// Equal-width buckets.
-    Linear,
-    /// Log-spaced buckets: each bucket spans a constant ratio. Requires
-    /// `lo > 0`. Suits latency-style metrics spanning orders of magnitude.
-    Log,
+/// One exported cumulative bucket: `cumulative` counts the observations
+/// strictly below `le`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Bucket {
+    /// The bucket's upper bound (exclusive).
+    pub le: f64,
+    /// Observations below `le`, in this bucket and every earlier one.
+    pub cumulative: u64,
 }
 
-/// A histogram over `[lo, hi)` with `bins` buckets plus underflow/overflow
-/// counters. Buckets are equal-width ([`BucketScale::Linear`]) or
-/// constant-ratio ([`BucketScale::Log`]).
-#[derive(Debug, Clone, Serialize)]
+/// A histogram over explicit bucket bounds plus an overflow counter. See
+/// the module docs for which bucket a value lands in.
+#[derive(Debug, Clone)]
 pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    scale: BucketScale,
-    /// `ln(hi / lo)` for log buckets (0 for linear), computed once rather
-    /// than per record.
-    log_span: f64,
+    bounds: Vec<f64>,
     counts: Vec<u64>,
-    underflow: u64,
     overflow: u64,
     total: u64,
-    /// Sum of every recorded observation (including out-of-range), for
+    /// Sum of every recorded observation (including overflow), for
     /// mean/`_sum` style exports.
     sum: f64,
 }
 
 impl Histogram {
-    /// Creates a linear histogram over `[lo, hi)` with `bins` buckets.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        Self::with_scale(lo, hi, bins, BucketScale::Linear)
-    }
-
-    /// Creates a log-spaced histogram over `[lo, hi)` with `bins` buckets
-    /// of constant ratio `(hi/lo)^(1/bins)`.
+    /// Creates a histogram with one bucket per bound.
     ///
     /// # Panics
-    /// Panics if `lo <= 0`.
-    pub fn log_spaced(lo: f64, hi: f64, bins: usize) -> Self {
-        Self::with_scale(lo, hi, bins, BucketScale::Log)
-    }
-
-    /// Creates a histogram with an explicit bucket scale.
-    pub fn with_scale(lo: f64, hi: f64, bins: usize, scale: BucketScale) -> Self {
-        assert!(lo < hi, "empty histogram range");
-        assert!(bins > 0, "need at least one bin");
-        if scale == BucketScale::Log {
-            assert!(lo > 0.0, "log-spaced buckets need lo > 0");
-        }
+    /// Panics unless `bounds` is non-empty and strictly increasing.
+    pub fn with_bounds(bounds: Vec<f64>) -> Self {
+        assert!(!bounds.is_empty(), "need at least one bin");
+        assert!(
+            bounds.windows(2).all(|w| w[0] < w[1]),
+            "bucket bounds must strictly increase"
+        );
         Histogram {
-            lo,
-            hi,
-            scale,
-            log_span: match scale {
-                BucketScale::Linear => 0.0,
-                BucketScale::Log => (hi / lo).ln(),
-            },
-            counts: vec![0; bins],
-            underflow: 0,
+            counts: vec![0; bounds.len()],
+            bounds,
             overflow: 0,
             total: 0,
             sum: 0.0,
         }
     }
 
-    /// Bucket scale in force.
-    pub fn scale(&self) -> BucketScale {
-        self.scale
+    /// `bins` equal-width buckets up to `hi`, starting from `lo`.
+    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
+        Self::spaced(lo, hi, bins, |frac| lo + (hi - lo) * frac)
     }
 
-    /// The configured range.
-    pub fn range(&self) -> (f64, f64) {
-        (self.lo, self.hi)
+    /// `bins` buckets of constant ratio `(hi/lo)^(1/bins)` up to `hi`,
+    /// starting from `lo`.
+    ///
+    /// # Panics
+    /// Panics if `lo <= 0`.
+    pub fn log_spaced(lo: f64, hi: f64, bins: usize) -> Self {
+        assert!(lo > 0.0, "log-spaced buckets need lo > 0");
+        Self::spaced(lo, hi, bins, |frac| lo * (hi / lo).powf(frac))
+    }
+
+    /// Bounds `bound(k / bins)` for `k = 1..=bins`.
+    fn spaced(lo: f64, hi: f64, bins: usize, bound: impl Fn(f64) -> f64) -> Self {
+        assert!(lo < hi, "empty histogram range");
+        Self::with_bounds((1..=bins).map(|k| bound(k as f64 / bins as f64)).collect())
     }
 
     /// Records one observation. Counts saturate at `u64::MAX`.
     pub fn record(&mut self, x: f64) {
         self.total = self.total.saturating_add(1);
         self.sum += x;
-        if x < self.lo {
-            self.underflow = self.underflow.saturating_add(1);
-        } else if x >= self.hi {
-            self.overflow = self.overflow.saturating_add(1);
-        } else {
-            let idx = self.bucket_index(x);
-            self.counts[idx] = self.counts[idx].saturating_add(1);
+        let i = self.bounds.partition_point(|&b| b <= x);
+        match self.counts.get_mut(i) {
+            Some(c) => *c = c.saturating_add(1),
+            None => self.overflow = self.overflow.saturating_add(1),
         }
     }
 
-    fn bucket_index(&self, x: f64) -> usize {
-        let bins = self.counts.len() as f64;
-        let frac = match self.scale {
-            BucketScale::Linear => (x - self.lo) / (self.hi - self.lo),
-            BucketScale::Log => (x / self.lo).ln() / self.log_span,
-        };
-        ((frac * bins) as usize).min(self.counts.len() - 1)
+    /// The bucket bounds, strictly increasing.
+    pub fn bounds(&self) -> &[f64] {
+        &self.bounds
     }
 
-    /// Upper bound of bucket `i` (the `le` boundary Prometheus exports).
-    pub fn bucket_upper(&self, i: usize) -> f64 {
-        let frac = (i + 1) as f64 / self.counts.len() as f64;
-        match self.scale {
-            BucketScale::Linear => self.lo + (self.hi - self.lo) * frac,
-            BucketScale::Log => self.lo * (self.hi / self.lo).powf(frac),
-        }
+    /// Per-bucket counts, one per bound.
+    pub fn counts(&self) -> &[u64] {
+        &self.counts
     }
 
-    fn bucket_lower(&self, i: usize) -> f64 {
-        if i == 0 {
-            self.lo
-        } else {
-            self.bucket_upper(i - 1)
-        }
+    /// Observations at or above the last bound.
+    pub fn overflow(&self) -> u64 {
+        self.overflow
     }
 
-    /// Total number of observations (including out-of-range).
+    /// Total number of observations (including overflow).
     pub fn total(&self) -> u64 {
         self.total
     }
@@ -134,48 +114,58 @@ impl Histogram {
         self.sum
     }
 
-    /// Observations below `lo` / at-or-above `hi`.
-    pub fn out_of_range(&self) -> (u64, u64) {
-        (self.underflow, self.overflow)
+    /// The export form: one cumulative [`Bucket`] per bound.
+    pub fn cumulative(&self) -> Vec<Bucket> {
+        let mut cum = 0u64;
+        self.bounds
+            .iter()
+            .zip(&self.counts)
+            .map(|(&le, &c)| {
+                cum = cum.saturating_add(c);
+                Bucket {
+                    le,
+                    cumulative: cum,
+                }
+            })
+            .collect()
     }
 
-    /// Per-bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Approximate `q`-quantile (0 ≤ q ≤ 1) by interpolation within the
-    /// containing bucket (linear in the bucket's native scale). Returns
-    /// `None` if no observations are in range.
+    /// Interpolated `q`-quantile (0 ≤ q ≤ 1) of this histogram's export,
+    /// by [`quantile_from_buckets`]. `None` when empty.
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range");
-        let in_range: u64 = self.counts.iter().sum();
-        if in_range == 0 {
-            return None;
-        }
-        let target = (q * in_range as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            if seen + c >= target {
-                let within = (target - seen) as f64 / c.max(1) as f64;
-                let (lo, hi) = (self.bucket_lower(i), self.bucket_upper(i));
-                let v = match self.scale {
-                    BucketScale::Linear => lo + (hi - lo) * within,
-                    BucketScale::Log => lo * (hi / lo).powf(within),
-                };
-                return Some(v);
-            }
-            seen += c;
-        }
-        Some(self.hi)
+        quantile_from_buckets(&self.cumulative(), self.overflow, q)
     }
+}
 
-    /// Interpolated quantiles at each requested point (convenience for
-    /// reporting p50/p90/p99 in one call). `None` entries mirror
-    /// [`Histogram::quantile`].
-    pub fn quantiles(&self, qs: &[f64]) -> Vec<Option<f64>> {
-        qs.iter().map(|&q| self.quantile(q)).collect()
+/// The 1-based rank of the `q`-quantile among `total` observations:
+/// `⌈q·total⌉`, at least 1.
+pub fn rank(q: f64, total: u64) -> u64 {
+    assert!((0.0..=1.0).contains(&q), "quantile out of range");
+    (q * total as f64).ceil().max(1.0) as u64
+}
+
+/// Interpolated quantile over cumulative buckets, for display: the
+/// observation of [`rank`] `⌈q·total⌉` (overflow included in `total`),
+/// placed linearly within its bucket, from the previous `le` (0 for the
+/// first bucket) up to its own. A rank in the overflow answers with the
+/// last `le`. `None` when there are no observations.
+pub fn quantile_from_buckets(buckets: &[Bucket], overflow: u64, q: f64) -> Option<f64> {
+    let in_range = buckets.last().map_or(0, |b| b.cumulative);
+    let total = in_range + overflow;
+    if total == 0 {
+        return None;
     }
+    let target = rank(q, total);
+    let (mut prev_le, mut prev_cum) = (0.0f64, 0u64);
+    for b in buckets {
+        if b.cumulative >= target {
+            let lo = prev_le.min(b.le);
+            let within = (target - prev_cum) as f64 / (b.cumulative - prev_cum) as f64;
+            return Some(lo + (b.le - lo) * within);
+        }
+        (prev_le, prev_cum) = (b.le, b.cumulative);
+    }
+    buckets.last().map(|b| b.le)
 }
 
 #[cfg(test)]
@@ -196,13 +186,13 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_counted_separately() {
+    fn overflow_counted_separately() {
         let mut h = Histogram::new(0.0, 1.0, 4);
-        h.record(-1.0);
-        h.record(1.0); // hi is exclusive
+        h.record(-1.0); // below the first bound: first bucket
+        h.record(1.0); // the last bound is exclusive
         h.record(2.0);
-        assert_eq!(h.out_of_range(), (1, 2));
-        assert_eq!(h.counts().iter().sum::<u64>(), 0);
+        assert_eq!(h.counts(), &[1, 0, 0, 0]);
+        assert_eq!(h.overflow(), 2);
         assert_eq!(h.total(), 3);
     }
 
@@ -222,7 +212,17 @@ mod tests {
     fn quantile_empty_is_none() {
         let h = Histogram::new(0.0, 1.0, 4);
         assert!(h.quantile(0.5).is_none());
-        assert_eq!(h.quantiles(&[0.5, 0.9]), vec![None, None]);
+    }
+
+    #[test]
+    fn quantile_from_buckets_handles_overflow_and_empty() {
+        let b = |le: f64, cumulative: u64| Bucket { le, cumulative };
+        assert_eq!(quantile_from_buckets(&[b(1.0, 0)], 0, 0.5), None);
+        // All mass in overflow → last bound.
+        assert_eq!(quantile_from_buckets(&[b(1.0, 0)], 5, 0.5), Some(1.0));
+        // Uniform mass: p50 lands mid-range.
+        let q = quantile_from_buckets(&[b(1.0, 10), b(2.0, 20)], 0, 0.5).unwrap();
+        assert!((0.9..=1.1).contains(&q), "{q}");
     }
 
     #[test]
@@ -234,10 +234,8 @@ mod tests {
         h.record(2.0);
         for (i, &c) in h.counts().iter().enumerate() {
             if c > 0 {
-                let (lo, hi) = (
-                    if i == 0 { 1e-6 } else { h.bucket_upper(i - 1) },
-                    h.bucket_upper(i),
-                );
+                let lo = if i == 0 { 1e-6 } else { h.bounds()[i - 1] };
+                let hi = h.bounds()[i];
                 assert!(hi / lo < 1.3, "bucket ratio too coarse: {lo}..{hi}");
             }
         }
@@ -247,17 +245,14 @@ mod tests {
     #[test]
     fn log_bucket_bounds_are_monotone_and_end_at_hi() {
         let h = Histogram::log_spaced(0.001, 1000.0, 30);
-        let mut prev = 0.001;
-        for i in 0..30 {
-            let b = h.bucket_upper(i);
-            assert!(b > prev, "bounds must increase");
-            prev = b;
-        }
-        assert!((h.bucket_upper(29) - 1000.0).abs() / 1000.0 < 1e-9);
+        assert_eq!(h.bounds().len(), 30);
+        assert!(h.bounds()[0] > 0.001);
+        assert!(h.bounds().windows(2).all(|w| w[0] < w[1]));
+        assert!((h.bounds()[29] - 1000.0).abs() / 1000.0 < 1e-9);
     }
 
     #[test]
-    fn log_quantile_interpolates_in_log_space() {
+    fn log_quantile_interpolates_within_its_bucket() {
         let mut h = Histogram::log_spaced(1.0, 1024.0, 10);
         for _ in 0..100 {
             h.record(32.0); // exactly mid-range in log space

@@ -341,8 +341,28 @@ mod tests {
     fn exports_agree() {
         let snap = populated().snapshot();
         let n = verify_agreement(&to_prometheus_text(&snap), &to_json(&snap)).unwrap();
-        // 2 counters + 1 gauge + (54 buckets + Inf + sum + count).
-        assert_eq!(n, 3 + crate::registry::SECONDS_BINS + 3);
+        // 2 counters + 1 gauge + (59 buckets + Inf + sum + count).
+        assert_eq!(n, 3 + crate::registry::seconds_bounds().len() + 3);
+    }
+
+    #[test]
+    fn an_observation_on_a_bound_counts_only_under_the_next_le() {
+        // A bucket holds `[previous bound, le)`, so the `le="30"` line
+        // counts observations strictly below 30 s.
+        let t = Telemetry::enabled();
+        t.histogram_seconds("ks_x_seconds", &[]).observe(30.0);
+        let text = to_prometheus_text(&t.snapshot());
+        let bounds = crate::registry::seconds_bounds();
+        let i = bounds.iter().position(|&b| b == 30.0).unwrap();
+        assert!(
+            text.contains("ks_x_seconds_bucket{le=\"30\"} 0\n"),
+            "{text}"
+        );
+        let next = format!(
+            "ks_x_seconds_bucket{{le=\"{}\"}} 1\n",
+            fmt_f64(bounds[i + 1])
+        );
+        assert!(text.contains(&next), "{text}");
     }
 
     #[test]
@@ -359,7 +379,7 @@ mod tests {
         assert!(text.contains(r#"node="a\"b\\c\nd""#), "{text}");
         assert!(!text.contains("a\"b\\c\nd"));
         let n = verify_agreement(&text, &to_json(&snap)).unwrap();
-        assert_eq!(n, 1 + crate::registry::SECONDS_BINS + 3);
+        assert_eq!(n, 1 + crate::registry::seconds_bounds().len() + 3);
         // Parsing recovers the original value exactly.
         let parsed = parse_prometheus_text(&text).unwrap();
         let id = parsed

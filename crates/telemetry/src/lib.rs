@@ -114,8 +114,9 @@ impl Telemetry {
         }
     }
 
-    /// A histogram handle with the default log-spaced seconds buckets
-    /// (1µs .. 1000s), suitable for any latency/duration metric.
+    /// A histogram handle over the seconds layout
+    /// ([`registry::seconds_bounds`]: log-spaced over 1µs .. 1000s plus
+    /// the SLO thresholds), suitable for any latency/duration metric.
     pub fn histogram_seconds(&self, name: &'static str, labels: &[(&'static str, &str)]) -> Histo {
         match &self.inner {
             Some(i) => i.registry.histogram_seconds(name, labels),

@@ -14,11 +14,19 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::snapshot::{MetricsSnapshot, Sample, SampleValue};
 
-/// Default latency buckets: log-spaced over 1µs .. 1000s. Wide enough for
-/// token handoffs (~1.5ms) and multi-minute chaos recoveries alike.
-pub const SECONDS_LO: f64 = 1e-6;
-pub const SECONDS_HI: f64 = 1e3;
-pub const SECONDS_BINS: usize = 54; // ~1.47x per bucket
+/// Bucket bounds of the [`Registry::histogram_seconds`] layout: six
+/// log-spaced bounds per decade over 1µs .. 1000s (~1.47x apart, wide
+/// enough for token handoffs and multi-minute chaos recoveries alike),
+/// plus every `QuantileBelow` threshold of the shipped SLO catalogues:
+/// 2s, 5s and 30s (`SloEngine::kubeshare_catalogue`) and 30s, 120s and
+/// 900s (the gateway's). On a bound, a threshold splits the windowed
+/// observations exactly, so those SLO verdicts are counts, not estimates.
+pub fn seconds_bounds() -> Vec<f64> {
+    let mut bounds = Histogram::log_spaced(1e-6, 1e3, 54).bounds().to_vec();
+    bounds.extend([2.0, 5.0, 30.0, 120.0, 900.0]);
+    bounds.sort_by(f64::total_cmp);
+    bounds
+}
 
 /// Key = metric name + sorted label pairs.
 type MetricId = (&'static str, Vec<(&'static str, String)>);
@@ -83,14 +91,12 @@ impl Registry {
         }
     }
 
-    /// Histogram with the default log-spaced seconds buckets.
+    /// Histogram over the [`seconds_bounds`] layout.
     pub fn histogram_seconds(&self, name: &'static str, labels: &[(&'static str, &str)]) -> Histo {
-        self.histogram_with(name, labels, || {
-            Histogram::log_spaced(SECONDS_LO, SECONDS_HI, SECONDS_BINS)
-        })
+        self.histogram_with(name, labels, || Histogram::with_bounds(seconds_bounds()))
     }
 
-    /// Histogram with linear buckets over `[lo, hi)`.
+    /// Histogram with `bins` equal-width buckets from `lo` up to `hi`.
     pub fn histogram_linear(
         &self,
         name: &'static str,
@@ -102,7 +108,7 @@ impl Registry {
         self.histogram_with(name, labels, || Histogram::new(lo, hi, bins))
     }
 
-    /// Histogram with explicit log-spaced buckets over `[lo, hi)` — for
+    /// Histogram with `bins` log-spaced buckets from `lo` up to `hi` — for
     /// quantities spanning orders of magnitude in units other than
     /// seconds (e.g. per-decision wall-clock nanoseconds).
     pub fn histogram_log(
@@ -264,11 +270,6 @@ impl Histo {
             let h = h.lock();
             (h.total(), h.sum())
         })
-    }
-
-    /// Interpolated quantile; `None` on empty or no-op histograms.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        self.0.as_ref().and_then(|h| h.lock().quantile(q))
     }
 }
 

@@ -6,7 +6,8 @@
 //! catalogue:
 //!
 //! * [`SloCondition::QuantileBelow`] — a windowed histogram quantile must
-//!   stay under a threshold (`p99(ks_sched_decision_seconds) < 2 s`);
+//!   stay under a threshold (`p99(ks_sched_decision_seconds) < 2 s`),
+//!   decided by an exact count against a bucket bound;
 //! * [`SloCondition::RateAtMost`] — a windowed counter rate must not
 //!   exceed a ceiling (`rate(ks_token_guarantee_violations_total) == 0`);
 //! * [`SloCondition::BurnRate`] — the Google-SRE multi-window form: the
@@ -20,6 +21,7 @@
 //! clears, and can fire again afterwards. Missing series never fire:
 //! absence of evidence is not a breach.
 
+use ks_sim_core::histogram::{rank, Bucket};
 use ks_sim_core::time::{SimDuration, SimTime};
 
 use crate::tsdb::Tsdb;
@@ -30,6 +32,8 @@ use crate::Telemetry;
 #[derive(Debug, Clone)]
 pub enum SloCondition {
     /// `quantile(metric{labels}, q)` over `window` must stay `< threshold`.
+    /// `threshold` must be a bucket bound of the metric's layout, where
+    /// the verdict is an exact count of the windowed observations.
     QuantileBelow {
         metric: &'static str,
         labels: &'static [(&'static str, &'static str)],
@@ -66,8 +70,10 @@ impl SloCondition {
                 window,
                 threshold,
             } => tsdb
-                .quantile(metric, labels, *q, *window, now)
-                .is_some_and(|v| v >= *threshold),
+                .windowed_buckets(metric, labels, *window, now)
+                .is_some_and(|(buckets, overflow)| {
+                    quantile_reaches(&buckets, overflow, *q, *threshold)
+                }),
             SloCondition::RateAtMost {
                 metric,
                 labels,
@@ -97,6 +103,22 @@ impl SloCondition {
             | SloCondition::BurnRate { metric, .. } => metric,
         }
     }
+}
+
+/// Whether the `q`-quantile of the observations in `buckets` (overflow
+/// included) is at or above `threshold`. That quantile is the observation
+/// of [`rank`] `r = ⌈q·total⌉`, so it reaches `threshold` iff fewer than
+/// `r` observations lie below it: iff more than `total − r` lie at or
+/// above it. Each `le` counts the observations strictly below it, so the
+/// count is exact when `threshold` is a bound; the catalogue tests require
+/// that of every catalogued rule. An empty window never breaches.
+fn quantile_reaches(buckets: &[Bucket], overflow: u64, q: f64, threshold: f64) -> bool {
+    let total = buckets.last().map_or(0, |b| b.cumulative) + overflow;
+    let below = match buckets.partition_point(|b| b.le <= threshold) {
+        0 => 0,
+        k => buckets[k - 1].cumulative,
+    };
+    total > 0 && below < rank(q, total)
 }
 
 /// A named SLO with its breach predicate.
@@ -413,5 +435,64 @@ mod tests {
         let sched = st.iter().find(|r| r.rule == "sched_decision_p99").unwrap();
         assert!(sched.breaching && sched.newly_fired);
         assert!(engine.render().contains("BREACH"));
+    }
+
+    /// The `sharepod_startup_p99` verdict (p99 < 30 s over 5 m) on one
+    /// scrape holding exactly `obs`.
+    fn startup_breaches(obs: &[f64]) -> bool {
+        let t = Telemetry::enabled();
+        let h = t.histogram_seconds("ks_sharepod_startup_seconds", &[]);
+        for &x in obs {
+            h.observe(x);
+        }
+        let mut db = Tsdb::new(8);
+        db.ingest(s(10), &t.snapshot());
+        let mut engine = SloEngine::kubeshare_catalogue();
+        let st = engine.evaluate(s(10), &db, &t);
+        st.iter()
+            .find(|r| r.rule == "sharepod_startup_p99")
+            .unwrap()
+            .breaching
+    }
+
+    #[test]
+    fn startup_verdict_is_exact_in_a_one_observation_window() {
+        // The p99 of one observation is that observation.
+        assert!(!startup_breaches(&[22.3]));
+        assert!(startup_breaches(&[30.5]));
+        // The rule breaches on `≥`.
+        assert!(startup_breaches(&[30.0]));
+        // Overflow, past the last bound, counts as above.
+        assert!(startup_breaches(&[5000.0]));
+    }
+
+    #[test]
+    fn startup_verdict_counts_the_tail_of_a_100_observation_window() {
+        // The p99 of 100 observations is the 99th smallest: one at 31 s
+        // is the 100th and passes, a second one breaches.
+        let mut obs = vec![1.0; 99];
+        obs.push(31.0);
+        assert!(!startup_breaches(&obs));
+        obs[0] = 31.0;
+        assert!(startup_breaches(&obs));
+        obs[0] = 5000.0;
+        assert!(startup_breaches(&obs));
+    }
+
+    #[test]
+    fn catalogued_thresholds_are_bounds_of_the_seconds_layout() {
+        let bounds = crate::registry::seconds_bounds();
+        let mut checked = 0;
+        for rule in SloEngine::kubeshare_catalogue().rules() {
+            if let SloCondition::QuantileBelow {
+                metric, threshold, ..
+            } = rule.condition
+            {
+                assert!(metric.ends_with("_seconds"), "{}", rule.name);
+                assert!(bounds.contains(&threshold), "{}: {threshold}", rule.name);
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 3);
     }
 }

@@ -3,13 +3,7 @@
 use ks_sim_core::histogram::Histogram;
 use serde::{Deserialize, Serialize};
 
-/// One exported histogram bucket: cumulative count of observations with
-/// value ≤ `le` (Prometheus `le` convention).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Bucket {
-    pub le: f64,
-    pub cumulative: u64,
-}
+pub use ks_sim_core::histogram::Bucket;
 
 /// The value of one sample.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -18,7 +12,7 @@ pub enum SampleValue {
     Gauge(f64),
     Histogram {
         buckets: Vec<Bucket>,
-        /// Observations above the last bucket bound.
+        /// Observations at or above the last bucket bound.
         overflow: u64,
         count: u64,
         sum: f64,
@@ -77,26 +71,10 @@ impl SampleValue {
     }
 
     /// Converts a live histogram into its cumulative-bucket export form.
-    /// Underflow observations fold into the first bucket (they are ≤ its
-    /// bound), matching the Prometheus cumulative convention.
     pub fn histogram(h: &Histogram) -> Self {
-        let (underflow, overflow) = h.out_of_range();
-        let mut cum = underflow;
-        let buckets = h
-            .counts()
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                cum = cum.saturating_add(c);
-                Bucket {
-                    le: h.bucket_upper(i),
-                    cumulative: cum,
-                }
-            })
-            .collect();
         SampleValue::Histogram {
-            buckets,
-            overflow,
+            buckets: h.cumulative(),
+            overflow: h.overflow(),
             count: h.total(),
             sum: h.sum(),
         }

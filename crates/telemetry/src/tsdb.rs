@@ -19,6 +19,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+use ks_sim_core::histogram::quantile_from_buckets;
 use ks_sim_core::time::{SimDuration, SimTime};
 
 use crate::snapshot::{Bucket, MetricsSnapshot, SampleValue};
@@ -184,10 +185,9 @@ impl Tsdb {
         seen.then(|| total as f64 / window.as_secs_f64())
     }
 
-    /// Interpolated quantile of the histogram delta over the window ending
-    /// at `now`, aggregated (bucket-wise) across matching series. `None`
-    /// when no matching series has points, layouts disagree, or the
-    /// windowed delta holds no observations.
+    /// Interpolated quantile of [`Tsdb::windowed_buckets`], for display
+    /// (SLO verdicts count instead, see [`crate::slo`]). `None` when that
+    /// is `None` or holds no observations.
     pub fn quantile(
         &self,
         name: &str,
@@ -196,6 +196,20 @@ impl Tsdb {
         window: SimDuration,
         now: SimTime,
     ) -> Option<f64> {
+        let (buckets, overflow) = self.windowed_buckets(name, labels, window, now)?;
+        quantile_from_buckets(&buckets, overflow, q)
+    }
+
+    /// `(cumulative buckets, overflow)` of the histogram delta over the
+    /// window ending at `now`, summed bucket-wise across matching series.
+    /// `None` when no matching series has points or layouts disagree.
+    pub(crate) fn windowed_buckets(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        window: SimDuration,
+        now: SimTime,
+    ) -> Option<(Vec<Bucket>, u64)> {
         let mut agg: Option<Vec<Bucket>> = None;
         let mut overflow: u64 = 0;
         for s in self.matching(name, labels) {
@@ -222,7 +236,7 @@ impl Tsdb {
                 }
             }
         }
-        quantile_from_buckets(&agg?, overflow, q)
+        Some((agg?, overflow))
     }
 
     /// Min/max/avg of gauge points with `now − window < t ≤ now` across
@@ -291,40 +305,6 @@ fn zero_like(v: &SampleValue) -> SampleValue {
             sum: 0.0,
         },
     }
-}
-
-/// Interpolated quantile over cumulative delta buckets: rank `⌈q·total⌉`
-/// within the in-range observations, linear within the winning bucket
-/// (lower bound = previous `le`, 0 for the first bucket). Observations
-/// past the last bound answer with the last `le` (conservative).
-pub fn quantile_from_buckets(buckets: &[Bucket], overflow: u64, q: f64) -> Option<f64> {
-    assert!((0.0..=1.0).contains(&q), "quantile out of range");
-    let in_range = buckets.last().map(|b| b.cumulative).unwrap_or(0);
-    let total = in_range + overflow;
-    if total == 0 {
-        return None;
-    }
-    let target = ((q * total as f64).ceil().max(1.0)) as u64;
-    if target > in_range {
-        return buckets.last().map(|b| b.le);
-    }
-    let mut prev_cum = 0u64;
-    let mut prev_le = 0.0f64;
-    for b in buckets {
-        if b.cumulative >= target {
-            let in_bucket = b.cumulative - prev_cum;
-            let within = (target - prev_cum) as f64 / in_bucket.max(1) as f64;
-            let lo = if b.le > 0.0 {
-                prev_le.max(0.0)
-            } else {
-                prev_le
-            };
-            return Some(lo + (b.le - lo) * within);
-        }
-        prev_cum = b.cumulative;
-        prev_le = b.le;
-    }
-    buckets.last().map(|b| b.le)
 }
 
 /// Periodic snapshot collector: call [`Scraper::tick`] from the world's
@@ -526,16 +506,5 @@ mod tests {
         assert!(sc.tick(s(5), &t));
         assert_eq!(sc.scrapes(), 2);
         assert_eq!(sc.tsdb().series_count(), 1);
-    }
-
-    #[test]
-    fn quantile_from_buckets_handles_overflow_and_empty() {
-        let b = |le: f64, c: u64| Bucket { le, cumulative: c };
-        assert_eq!(quantile_from_buckets(&[b(1.0, 0)], 0, 0.5), None);
-        // All mass in overflow → last bound.
-        assert_eq!(quantile_from_buckets(&[b(1.0, 0)], 5, 0.5), Some(1.0));
-        // Uniform mass: p50 lands mid-range.
-        let q = quantile_from_buckets(&[b(1.0, 10), b(2.0, 20)], 0, 0.5).unwrap();
-        assert!((0.9..=1.1).contains(&q), "{q}");
     }
 }

@@ -1,10 +1,14 @@
 //! Property tests: metric aggregation must be order-independent, the two
-//! export formats must agree for arbitrary registry contents, and TSDB
-//! window queries must equal a from-scratch fold over the raw snapshots.
+//! export formats must agree for arbitrary registry contents, TSDB window
+//! queries must equal a from-scratch fold over the raw snapshots, and SLO
+//! quantile verdicts must equal a count over the raw observations.
 
+use ks_sim_core::histogram::{quantile_from_buckets, rank, Histogram};
 use ks_sim_core::time::{SimDuration, SimTime};
+use ks_telemetry::registry::seconds_bounds;
+use ks_telemetry::slo::{SloCondition, SloEngine, SloRule};
 use ks_telemetry::snapshot::{MetricsSnapshot, SampleValue};
-use ks_telemetry::tsdb::{quantile_from_buckets, Tsdb};
+use ks_telemetry::tsdb::Tsdb;
 use ks_telemetry::{export, Telemetry};
 use proptest::prelude::*;
 
@@ -135,20 +139,35 @@ fn spec_delta(
     }
 }
 
+/// One observation in seconds: up to 2000 s, so past the last bound
+/// (overflow), or exactly on a bound of the seconds layout.
+fn seconds_obs() -> impl Strategy<Value = f64> {
+    let bounds = seconds_bounds();
+    prop_oneof![
+        (1u32..2_000_000).prop_map(|ms| ms as f64 / 1000.0),
+        (0..bounds.len()).prop_map(move |i| bounds[i]),
+    ]
+}
+
 proptest! {
     /// The ring-buffer TSDB's windowed `rate` and `quantile` equal a
     /// from-scratch fold over the raw snapshot log, for arbitrary scrape
     /// schedules, op mixes, and query windows (capacity high enough that
-    /// nothing the query needs has been evicted).
+    /// nothing the query needs has been evicted). A `QuantileBelow` rule
+    /// on any bound of the seconds layout breaches iff the windowed
+    /// observation of rank `⌈q·n⌉`, found by sorting the raw observations,
+    /// is at or above it. `Histogram::quantile` equals the estimator on
+    /// the registry's export of the same observations.
     #[test]
     fn tsdb_window_queries_match_snapshot_fold(
-        // (gap to next scrape in s, counter incs, histogram obs in ms)
+        // (gap to next scrape in s, counter incs, histogram obs in s)
         steps in proptest::collection::vec(
-            (1u64..40, 0u64..5, proptest::collection::vec(1u32..60_000, 0..4)),
+            (1u64..40, 0u64..5, proptest::collection::vec(seconds_obs(), 0..4)),
             1..25,
         ),
         window_s in 1u64..400,
         now_off in 0u64..50,
+        threshold_ix in 0..seconds_bounds().len(),
     ) {
         let t = Telemetry::enabled();
         let mut db = Tsdb::new(64);
@@ -157,8 +176,8 @@ proptest! {
         for (gap, incs, obs) in &steps {
             at += SimDuration::from_secs(*gap);
             t.counter(TSDB_COUNTER, &[]).add(*incs);
-            for ms in obs {
-                t.histogram_seconds(TSDB_HISTO, &[]).observe(*ms as f64 / 1000.0);
+            for x in obs {
+                t.histogram_seconds(TSDB_HISTO, &[]).observe(*x);
             }
             let snap = t.snapshot();
             db.ingest(at, &snap);
@@ -175,8 +194,26 @@ proptest! {
         let got_rate = db.rate(TSDB_COUNTER, &[], window, now);
         prop_assert_eq!(got_rate, expect_rate);
 
-        // Histogram quantile over the windowed delta.
+        // The raw observations inside the window, sorted: those scraped
+        // after the baseline point, `now − window`.
+        let floor = now.as_micros().checked_sub(window.as_micros());
+        let mut in_window: Vec<f64> = log
+            .iter()
+            .zip(&steps)
+            .filter(|((at, _), _)| floor.is_none_or(|f| at.as_micros() > f))
+            .flat_map(|(_, (_, _, obs))| obs.iter().copied())
+            .collect();
+        in_window.sort_by(f64::total_cmp);
+        let threshold = seconds_bounds()[threshold_ix];
+
+        let mut all = Histogram::with_bounds(seconds_bounds());
+        for (_, _, obs) in &steps {
+            for x in obs {
+                all.record(*x);
+            }
+        }
         for q in [0.5, 0.99] {
+            // Histogram quantile over the windowed delta.
             let expect_q = match spec_delta(&log, TSDB_HISTO, window, now) {
                 Some(SampleValue::Histogram { buckets, overflow, .. }) =>
                     quantile_from_buckets(&buckets, overflow, q),
@@ -184,6 +221,35 @@ proptest! {
             };
             let got_q = db.quantile(TSDB_HISTO, &[], q, window, now);
             prop_assert_eq!(got_q, expect_q);
+
+            // The exact SLO verdict against the sorted raw observations.
+            let n = in_window.len() as u64;
+            let expect_breach = n > 0 && in_window[rank(q, n) as usize - 1] >= threshold;
+            let mut engine = SloEngine::new(vec![SloRule {
+                name: "prop_p",
+                objective: "",
+                condition: SloCondition::QuantileBelow {
+                    metric: TSDB_HISTO,
+                    labels: &[],
+                    q,
+                    window,
+                    threshold,
+                },
+            }]);
+            let got_breach = engine.evaluate(now, &db, &Telemetry::disabled())[0].breaching;
+            prop_assert_eq!(got_breach, expect_breach, "q {} threshold {}", q, threshold);
+
+            // One estimator: a live histogram's quantile is the estimator
+            // applied to the registry's export of the same observations.
+            if let Some(SampleValue::Histogram { buckets, overflow, .. }) =
+                log.last().and_then(|(_, snap)| {
+                    snap.samples().iter().find(|s| s.name == TSDB_HISTO).map(|s| s.value.clone())
+                })
+            {
+                prop_assert_eq!(all.quantile(q), quantile_from_buckets(&buckets, overflow, q));
+            } else {
+                prop_assert_eq!(all.total(), 0);
+            }
         }
     }
 }
