@@ -5,7 +5,7 @@
 //! Every layer records through one [`Telemetry`] handle: KubeShare-Sched
 //! (Algorithm 1 decisions), DevMgr (pool phases, anchor launches), the
 //! token backends (grants, handoff waits, quota utilization), the cluster
-//! substrate (pod lifecycle, store watches) and the chaos injector (fault
+//! substrate (pod lifecycle, store revisions) and the chaos injector (fault
 //! counts, outage spans). The demo run therefore exercises at least five
 //! distinct trace subsystems, and the two export formats are verified to
 //! agree sample-by-sample before anything is returned.

@@ -8,8 +8,9 @@
 //!
 //! * the API object model ([`api`]): pods, nodes, integer-only extended
 //!   resources;
-//! * an etcd-style versioned store with watch streams ([`store`]) — the
-//!   substrate for controllers and the operator pattern;
+//! * an etcd-style object store with a global revision ([`store`]);
+//!   controllers observe changes through the [`sim::ClusterNotice`]s the
+//!   cluster emits;
 //! * kube-scheduler ([`scheduler`]): filter + score over node *aggregates*
 //!   (which is precisely why it fragments GPUs, paper §3.1);
 //! * the device-plugin framework ([`device_plugin`]): Register /
@@ -25,7 +26,6 @@
 #![warn(missing_docs)]
 
 pub mod api;
-pub mod controller;
 pub mod device_plugin;
 pub mod latency;
 pub mod scheduler;
@@ -36,7 +36,6 @@ pub use api::{
     paper_testbed, NodeConfig, ObjectMeta, Pod, PodPhase, PodSpec, PodStatus, ResourceList, Uid,
     UidAllocator, NVIDIA_GPU,
 };
-pub use controller::{ControllerManager, Reconciler, RestartPolicyController};
 pub use device_plugin::{
     AllocateResponse, DeviceManager, DevicePlugin, FractionalGpuPlugin, InsufficientUnits,
     NvidiaGpuPlugin, UnitAssignPolicy,
@@ -44,4 +43,4 @@ pub use device_plugin::{
 pub use latency::LatencyModel;
 pub use scheduler::{KubeScheduler, NodeView, ScorePolicy, SpatialSlices};
 pub use sim::{ClusterConfig, ClusterEmit, ClusterEvent, ClusterNotice, ClusterSim, GpuPluginKind};
-pub use store::{Namespaced, Store, WatchEvent, Watcher};
+pub use store::Store;

@@ -491,7 +491,7 @@ impl ClusterSim {
         self.pods.get(uid)
     }
 
-    /// The pod store (for watches and listing).
+    /// The pod store: every pod's current state, and the store revision.
     pub fn pods(&self) -> &Store<Pod> {
         &self.pods
     }
@@ -585,8 +585,8 @@ impl ClusterSim {
     }
 
     /// Marks a pod as failed (container crash), releasing its resources
-    /// immediately. Restart-style controllers may observe the transition
-    /// through the store watch and resubmit.
+    /// immediately. The pod ends `Failed` in the store, and a
+    /// [`ClusterNotice::PodFailed`] tells controllers of the transition.
     pub fn crash_pod(
         &mut self,
         now: SimTime,
@@ -1471,18 +1471,21 @@ mod tests {
     }
 
     #[test]
-    fn running_pods_tracked_in_store_watch() {
+    fn running_pods_tracked_in_store() {
         let mut eng = engine(small_cluster(1));
-        let mut w = eng.world.cluster.pods().watch();
+        let before = eng.world.cluster.pods().revision();
         let mut out = Vec::new();
-        eng.world
+        let a = eng
+            .world
             .cluster
             .submit_pod(SimTime::ZERO, "a", gpu_pod_spec(), &mut out);
         seed(&mut eng, out);
         eng.run_to_completion(1000);
-        let events = eng.world.cluster.pods().poll(&mut w);
-        // Added + (scheduled, env, running) modifications.
-        assert!(events.len() >= 3, "saw {} events", events.len());
+        let pods = eng.world.cluster.pods();
+        assert_eq!(pods.get(a).unwrap().status.phase, PodPhase::Running);
+        // Created, then (scheduled, env, running) writes at least.
+        let writes = pods.revision() - before;
+        assert!(writes >= 3, "saw {writes} writes");
     }
 
     fn multi_cluster(n: usize) -> ClusterConfig {

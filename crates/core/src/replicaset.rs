@@ -7,8 +7,8 @@
 //! our solution by requesting a sharePod instead of the native pod."
 //!
 //! This module proves the claim: a replication controller in the standard
-//! Kubernetes style (desired replica count + template, reconciled on watch
-//! events) that manages *sharePods* through exactly the public KubeShare
+//! Kubernetes style (desired replica count + template, reconciled on the
+//! system's [`KsNotice`]s) that manages *sharePods* through exactly the public KubeShare
 //! API — no special hooks.
 
 use std::collections::HashMap;

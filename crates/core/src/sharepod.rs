@@ -153,12 +153,6 @@ impl SharePod {
     }
 }
 
-impl ks_cluster::store::Namespaced for SharePod {
-    fn namespace(&self) -> &str {
-        &self.meta.namespace
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

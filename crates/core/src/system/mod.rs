@@ -35,7 +35,7 @@
 //!   composes;
 //! - `faults`: fault and remediation entry points (node failure, cordons,
 //!   drains, crashes, preemption);
-//! - `reconcile`: both controllers' reactions to cluster watch events.
+//! - `reconcile`: both controllers' reactions to cluster notices.
 
 use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
@@ -665,7 +665,8 @@ impl KubeShareSystem {
         self.sharepods.get(sp)
     }
 
-    /// The sharePod store (for watches).
+    /// The sharePod store: every sharePod's current state, and the store
+    /// revision.
     pub fn sharepods(&self) -> &Store<SharePod> {
         &self.sharepods
     }
@@ -683,8 +684,8 @@ impl KubeShareSystem {
     }
 
     /// Submits a sharePod into a specific namespace. The gateway runs one
-    /// namespace per tenant, so a tenant's objects are separable through
-    /// the store's [`Store::iter_namespace`] views. A share spec that fails
+    /// namespace per tenant, and the namespace is kept in the sharePod's
+    /// [`ObjectMeta`]. A share spec that fails
     /// [`ShareSpec::validate`] ends `Rejected` at its decision, with a
     /// [`KsNotice::SharePodRejected`] naming the error.
     pub fn submit_sharepod_in(

@@ -1,4 +1,4 @@
-//! Controller reconciliation on cluster watch events: anchor pods drive
+//! Controller reconciliation on cluster notices: anchor pods drive
 //! DevMgr's vGPU lifecycle, backing pods drive their sharePods', and
 //! every other pod's notice passes through untouched (§4.6).
 
