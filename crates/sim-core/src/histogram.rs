@@ -14,6 +14,19 @@
 
 use serde::{Deserialize, Serialize};
 
+/// `x`, or the f64 literal `1eN` when `x` is within rounding error of it:
+/// `powf` lands a few ulps off a power of ten it meant to hit.
+fn snap_to_decade(x: f64) -> f64 {
+    let decade: f64 = format!("1e{}", x.log10().round())
+        .parse()
+        .expect("a decade literal parses");
+    if (x - decade).abs() <= decade * 1e-12 {
+        decade
+    } else {
+        x
+    }
+}
+
 /// One exported cumulative bucket: `cumulative` counts the observations
 /// strictly below `le`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -63,13 +76,17 @@ impl Histogram {
     }
 
     /// `bins` buckets of constant ratio `(hi/lo)^(1/bins)` up to `hi`,
-    /// starting from `lo`.
+    /// starting from `lo`. A bound that lies on a power of ten is that
+    /// power's f64 literal (`1.0`, not `0.9999999999999991`), so `le="1"`
+    /// counts exactly the observations below 1.
     ///
     /// # Panics
     /// Panics if `lo <= 0`.
     pub fn log_spaced(lo: f64, hi: f64, bins: usize) -> Self {
         assert!(lo > 0.0, "log-spaced buckets need lo > 0");
-        Self::spaced(lo, hi, bins, |frac| lo * (hi / lo).powf(frac))
+        Self::spaced(lo, hi, bins, |frac| {
+            snap_to_decade(lo * (hi / lo).powf(frac))
+        })
     }
 
     /// Bounds `bound(k / bins)` for `k = 1..=bins`.

@@ -337,4 +337,34 @@ mod tests {
         assert_eq!(count, 2);
         assert!((sum - 0.1215).abs() < 1e-9);
     }
+
+    #[test]
+    fn decade_bounds_are_exact_literals() {
+        let bounds = seconds_bounds();
+        for decade in [1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3] {
+            assert!(bounds.contains(&decade), "{decade} is not a bound");
+        }
+    }
+
+    #[test]
+    fn decade_bounds_split_observations_on_the_decade() {
+        let mut h = Histogram::with_bounds(seconds_bounds());
+        for x in [0.9999999999999996, 1.0, 9.999999999999998, 10.0, 100.0] {
+            h.record(x);
+        }
+        let buckets = h.cumulative();
+        let below = |le: f64| {
+            buckets
+                .iter()
+                .find(|b| b.le == le)
+                .unwrap_or_else(|| panic!("no le={le} bucket"))
+                .cumulative
+        };
+        // Each `le` counts the observations strictly below it, so one that
+        // lands exactly on a decade counts under every later `le`.
+        assert_eq!(below(1.0), 1);
+        assert_eq!(below(10.0), 3);
+        assert_eq!(below(100.0), 4);
+        assert_eq!(below(1e3), 5);
+    }
 }

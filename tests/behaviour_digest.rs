@@ -374,6 +374,6 @@ const PARTITION: u64 = 0xdccf_0903_6413_972d;
 const SCHED_SCALE: u64 = 0xeb92_1998_0ce5_bc3c;
 const SCHED_SCALE_INDEXED: u64 = 0x942f_7229_470f_cabb;
 const REMEDIATION: u64 = 0x1ede_73af_4b0f_b802;
-const GATEWAY: u64 = 0x302c_d373_846b_179e;
+const GATEWAY: u64 = 0xefb8_3fd4_74a2_8408;
 const FIG8A: u64 = 0x1764_1a6e_eca1_2eca;
-const METRICS_DEMO: u64 = 0x05e8_b5b8_a8ea_c21e;
+const METRICS_DEMO: u64 = 0x82b6_16f8_9602_32dc;
