@@ -30,7 +30,7 @@
 //!   off slow vGPUs, hysteresis uncordon, all behind the flap guard.
 //!
 //! Asserted (collected into `failures`, so the bin exits non-zero):
-//! detection latency ≤ [`DETECT_K`] scrape intervals for every *eligible*
+//! detection latency ≤ `DETECT_K` scrape intervals for every *eligible*
 //! fault (eligibility excludes faults the rules cannot see fresh: repeat
 //! crashes inside the still-latched 60 s window, degrades on a device
 //! younger than the detector warmup, re-degraded before re-arm, hosted

@@ -3,7 +3,7 @@
 //! The controller is deliberately **decoupled from the control plane**:
 //! it consumes [`Anomaly`] verdicts and [`SloStatus`] rows and emits
 //! [`Action`] values with string targets; the host (the bench harness, or
-//! an operator shim) executes them against [`kubeshare`]'s recovery
+//! an operator shim) executes them against `kubeshare`'s recovery
 //! paths — `cordon_node`, `drain_vgpu`, `Gateway::set_admission_scale`.
 //! That keeps the decision logic testable with synthetic inputs and
 //! keeps this crate's dependency footprint to `sim-core` + `telemetry`.

@@ -4,7 +4,7 @@
 //! simulations deterministic: the same schedule calls always replay in the
 //! same order.
 //!
-//! Events live in a ring of [`RING`] slots, each [`SLOT_US`] µs wide,
+//! Events live in a ring of `RING` slots, each `SLOT_US` µs wide,
 //! covering the next ~1 s of simulated time; anything further out waits in
 //! a min-heap (`far`) and moves into the ring as the clock approaches it.
 //! An occupancy bitmap finds the next non-empty slot. The *current* slot

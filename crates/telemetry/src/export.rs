@@ -181,7 +181,8 @@ fn flatten(snap: &MetricsSnapshot) -> BTreeMap<String, String> {
 }
 
 /// Parses a rendered series id back into its name and **unescaped**
-/// label pairs — the inverse of [`series`] modulo label order.
+/// label pairs — the inverse of the exporters' series rendering, modulo
+/// label order.
 pub fn parse_series_id(id: &str) -> Result<(String, Vec<(String, String)>), String> {
     let Some(brace) = id.find('{') else {
         return Ok((id.to_string(), Vec::new()));

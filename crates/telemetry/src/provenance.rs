@@ -266,7 +266,7 @@ impl Serialize for Outcome {
 /// bytes — every GPUID, node name, and device target the schedulers emit
 /// — are stored verbatim; a longer name is truncated at a char boundary
 /// and marked with a trailing `~`. Keeping the heap out entirely makes
-/// [`Candidate`] plain old data, so capturing a candidate list into the
+/// [`CandidateScore`] plain old data, so capturing a candidate list into the
 /// ring is a flat memcpy with no per-entry branch, drop, or allocation —
 /// that is what keeps the recorder inside its throughput bound.
 /// Dereferences to `str`.

@@ -185,9 +185,11 @@ impl Tsdb {
         seen.then(|| total as f64 / window.as_secs_f64())
     }
 
-    /// Interpolated quantile of [`Tsdb::windowed_buckets`], for display
-    /// (SLO verdicts count instead, see [`crate::slo`]). `None` when that
-    /// is `None` or holds no observations.
+    /// Interpolated quantile of the histogram delta over the window
+    /// ending at `now`, summed bucket-wise across matching series, for
+    /// display (SLO verdicts count instead, see [`crate::slo`]). `None`
+    /// when no matching series has points, layouts disagree, or the
+    /// window holds no observations.
     pub fn quantile(
         &self,
         name: &str,
