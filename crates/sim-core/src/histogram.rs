@@ -17,9 +17,11 @@ use serde::{Deserialize, Serialize};
 /// `x`, or the f64 literal `1eN` when `x` is within rounding error of it:
 /// `powf` lands a few ulps off a power of ten it meant to hit.
 fn snap_to_decade(x: f64) -> f64 {
-    let decade: f64 = format!("1e{}", x.log10().round())
-        .parse()
-        .expect("a decade literal parses");
+    let n = x.log10().round() as i32;
+    // `10^|n|` is an exact f64 up to 1e22, and one division rounds its
+    // reciprocal to the f64 nearest `1e-|n|`, which is the literal.
+    let power = (0..n.unsigned_abs()).fold(1.0, |p: f64, _| p * 10.0);
+    let decade = if n < 0 { 1.0 / power } else { power };
     if (x - decade).abs() <= decade * 1e-12 {
         decade
     } else {
