@@ -8,8 +8,8 @@
 //!
 //! This module proves the claim: a replication controller in the standard
 //! Kubernetes style (desired replica count + template, reconciled on the
-//! system's [`KsNotice`]s) that manages *sharePods* through exactly the public KubeShare
-//! API — no special hooks.
+//! system's [`KsNotice`]s) that manages *sharePods* through exactly the
+//! public KubeShare API — no special hooks.
 
 use std::collections::HashMap;
 

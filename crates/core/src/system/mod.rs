@@ -685,9 +685,9 @@ impl KubeShareSystem {
 
     /// Submits a sharePod into a specific namespace. The gateway runs one
     /// namespace per tenant, and the namespace is kept in the sharePod's
-    /// [`ObjectMeta`]. A share spec that fails
-    /// [`ShareSpec::validate`] ends `Rejected` at its decision, with a
-    /// [`KsNotice::SharePodRejected`] naming the error.
+    /// [`ObjectMeta`]. A share spec that fails [`ShareSpec::validate`] ends
+    /// `Rejected` at its decision, with a [`KsNotice::SharePodRejected`]
+    /// naming the error.
     pub fn submit_sharepod_in(
         &mut self,
         now: SimTime,
